@@ -7,7 +7,9 @@ Two subcommands:
     carries ``kind``, ``seed``, ``out``, ``format``, and a kind-specific
     ``params`` block; command-line flags override the file. A summary
     JSON (input echo, package versions, runtime, output list) is
-    written next to the main output as ``<out>.summary.json``.
+    written next to the main output as ``<out>.summary.json``; for
+    ``quench`` and ``negativity`` its ``result.solver`` holds the
+    propagation steps taken and the worst norm error.
 
 ``ionstring figure KIND [--outdir DIR] [--seed N]``
     Emit the CSV bundle behind one of the canned figure analogs.
@@ -105,6 +107,10 @@ class _Params:
         return self.errors
 
 
+def _at_least_one(value):
+    return None if value >= 1 else "must be >= 1"
+
+
 def _positive(value):
     return None if value > 0 else "must be positive"
 
@@ -114,7 +120,7 @@ def _non_negative(value):
 
 
 def _build_trap(p: _Params, default_n=8) -> chain.TrapParameters | None:
-    n = p.get("n_ions", int, default=default_n, check=lambda v: None if v >= 1 else "must be >= 1")
+    n = p.get("n_ions", int, default=default_n, check=_at_least_one)
     omega_z = p.get("omega_z_hz", float, default=127e3, check=_positive)
     omega_x = p.get("omega_x_hz", float, default=2.93e6, check=_positive)
     omega_y = p.get("omega_y_hz", float, default=2.89e6, check=_positive)
@@ -255,34 +261,59 @@ def _quench_setup(p: _Params):
     return spec, state, times
 
 
+def _solver_summary(grid: dynamics.GridEvolution) -> dict:
+    return {"propagation_steps": grid.propagation_steps, "max_norm_error": grid.max_norm_error}
+
+
 def _run_quench(p: _Params, seed, out, fmt):
     spec, state, times = _quench_setup(p)
     n = spec.coupling.ion_count
-    rows = []
-    for t in times:
-        evolved = dynamics.evolve(state, spec, float(t))
-        rows.append([t, *dynamics.magnetization(evolved)])
+    grid = dynamics.evolve_grid(state, spec, times)
+    rows = [[t, *dynamics.magnetization(evolved)] for t, evolved in zip(times, grid)]
     header = ["t_s"] + [f"sz_ion{k + 1}" for k in range(n)]
     if fmt == "csv":
         export.write_csv(out, header, rows)
     else:
         export.write_json(out, {"columns": header, "rows": rows})
-    return [out], {"n_ions": n, "model": spec.model}
+    return [out], {"n_ions": n, "model": spec.model, "solver": _solver_summary(grid)}
+
+
+def _subset_errors(raw: list, n: int) -> list[str]:
+    """One message per subset that is not 2 or 3 distinct ions in 1..n."""
+    errors = []
+    for idx, subset in enumerate(raw):
+        where = f"params.subsets[{idx}]"
+        if not isinstance(subset, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in subset
+        ):
+            errors.append(f"{where}: expected a list of ion indices")
+        elif len(subset) not in (2, 3):
+            errors.append(f"{where}: {subset} must have 2 or 3 ions")
+        elif not all(1 <= i <= n for i in subset):
+            errors.append(f"{where}: {subset} has an ion outside 1..{n}")
+        elif len(set(subset)) != len(subset):
+            errors.append(f"{where}: {subset} repeats an ion")
+    return errors
 
 
 def _run_negativity(p: _Params, seed, out, fmt):
     time_s = p.get("time_s", float, default=3e-3, check=_positive)
     shots = p.get("shots_per_setting", int, default=None, check=_positive)
     subsets_raw = p.get("subsets", list, default=None)
+    # the ion count is read here to check the subsets before the
+    # coupling build, and read again, unchanged, by the trap build
+    n = p.get("n_ions", int, default=8, check=_at_least_one)
+    p.block["n_ions"] = n
+    p.errors.extend(_subset_errors(subsets_raw or [], n))
     p.block["t_max_s"] = time_s
     spec, state, _ = _quench_setup(p)
-    n = spec.coupling.ion_count
     subsets = (
         [tuple(s) for s in subsets_raw]
         if subsets_raw
         else [(i, i + 1) for i in range(1, n)]
     )
-    evolved = dynamics.evolve(state, spec, time_s)
+    grid = dynamics.evolve_grid(state, spec, [time_s])
+    evolved = grid[0]
     rows = []
     for subset in subsets:
         if shots is None:
@@ -291,17 +322,15 @@ def _run_negativity(p: _Params, seed, out, fmt):
             rho = entanglement.simulate_tomography(evolved, subset, shots, seed=seed)
         if len(subset) == 2:
             value = entanglement.log_negativity_2(rho).value
-        elif len(subset) == 3:
-            value = entanglement.log_negativity_3(rho).value
         else:
-            raise ConfigError([f"params.subsets: subset {subset} must have 2 or 3 ions"])
+            value = entanglement.log_negativity_3(rho).value
         rows.append(["-".join(str(i) for i in subset), value, shots or 0, seed])
     header = ["subset", "log_negativity", "shots_per_setting", "seed"]
     if fmt == "csv":
         export.write_csv(out, header, rows)
     else:
         export.write_json(out, {"columns": header, "rows": rows})
-    return [out], {"time_s": time_s}
+    return [out], {"time_s": time_s, "solver": _solver_summary(grid)}
 
 
 def _sense_setup(p: _Params):

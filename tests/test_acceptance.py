@@ -254,7 +254,7 @@ def test_criterion_8_quench_properties():
     psi = dynamics.neel_state(8)
     times = np.linspace(0.0, 3.0e-3, 13)[1:]
 
-    states = [dynamics.evolve(psi, xy, float(t)) for t in times]
+    states = list(dynamics.evolve_grid(psi, xy, times))
     for state in states:
         assert abs(dynamics.total_magnetization(state)) < 1e-9
 
@@ -264,8 +264,8 @@ def test_criterion_8_quench_properties():
         dynamics.ISING_TRANSVERSE,
     )
     discrepancy = 0.0
-    for t, state in zip(times, states):
-        mags_ising = dynamics.magnetization(dynamics.evolve(psi, ising, float(t)))
+    for state_ising, state in zip(dynamics.evolve_grid(psi, ising, times), states):
+        mags_ising = dynamics.magnetization(state_ising)
         discrepancy = max(
             discrepancy, float(np.max(np.abs(mags_ising - dynamics.magnetization(state))))
         )

@@ -166,6 +166,51 @@ def test_negativity_run(tmp_path):
     assert len(rows) == 5  # four adjacent pairs
 
 
+def test_quench_and_negativity_summaries_report_the_solver(tmp_path):
+    quench = cli.run_experiment(
+        {
+            "kind": "quench",
+            "out": str(tmp_path / "q.csv"),
+            "params": {"n_ions": 4, "time_points": 5, "t_max_s": 1e-3},
+        }
+    )
+    negativity = cli.run_experiment(
+        {"kind": "negativity", "out": str(tmp_path / "n.csv"), "params": {"n_ions": 4, "time_s": 1e-3}}
+    )
+    for summary, steps, name in ((quench, 4, "q.csv"), (negativity, 1, "n.csv")):
+        on_disk = json.loads((tmp_path / f"{name}.summary.json").read_text())
+        solver = on_disk["result"]["solver"]
+        assert set(solver) == {"propagation_steps", "max_norm_error"}
+        assert solver["propagation_steps"] == steps
+        assert 0.0 <= solver["max_norm_error"] < 1e-10
+        assert summary["result"]["solver"] == solver
+
+
+@pytest.mark.parametrize("shots", [None, 100])
+@pytest.mark.parametrize(
+    "subsets, message",
+    [
+        ([[1, 9]], "outside 1..8"),
+        ([[2, 2]], "repeats an ion"),
+        ([[1, 2], [1, 2, 3, 4]], "2 or 3 ions"),
+        ([[1, "b"]], "list of ion indices"),
+    ],
+)
+def test_negativity_bad_subsets_exit_2(tmp_path, capsys, monkeypatch, subsets, message, shots):
+    def no_build(*args, **kwargs):
+        raise AssertionError("subsets must be checked before the coupling build")
+
+    monkeypatch.setattr(cli.coupling, "spin_spin_matrix", no_build)
+    params = {"n_ions": 8, "subsets": subsets}
+    if shots is not None:
+        params["shots_per_setting"] = shots
+    config = write_config(tmp_path, {"kind": "negativity", "out": str(tmp_path / "neg.csv"), "params": params})
+    assert cli.main(["run", config]) == 2
+    err = capsys.readouterr().err
+    assert "params.subsets" in err and message in err
+    assert not (tmp_path / "neg.csv").exists()
+
+
 def test_figure_kind_validation(tmp_path):
     with pytest.raises(cli.ConfigError):
         cli.emit_figure_data("fig99", outdir=tmp_path)

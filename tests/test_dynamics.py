@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from ionstring import dynamics as dyn
 from ionstring.coupling import CouplingMatrix
@@ -98,21 +101,21 @@ def test_ising_converges_to_xy_with_growing_field():
     psi = dyn.neel_state(n)
     times = np.linspace(0.0, 3.0 / jmax, 10)[1:]
     xy = dyn.HamiltonianSpec(CouplingMatrix(j=j, field_b=0.0), dyn.XY_EFFECTIVE)
-    mags_xy = np.array([dyn.magnetization(dyn.evolve(psi, xy, t)) for t in times])
+    mags_xy = np.array([dyn.magnetization(state) for state in dyn.evolve_grid(psi, xy, times)])
 
     discrepancies = []
     for multiple in (5.0, 20.0, 80.0):
         ising = dyn.HamiltonianSpec(
             CouplingMatrix(j=j, field_b=0.5 * multiple * jmax), dyn.ISING_TRANSVERSE
         )
-        mags = np.array([dyn.magnetization(dyn.evolve(psi, ising, t)) for t in times])
+        mags = np.array([dyn.magnetization(state) for state in dyn.evolve_grid(psi, ising, times)])
         discrepancies.append(np.max(np.abs(mags - mags_xy)))
     assert discrepancies[0] > discrepancies[1] > discrepancies[2]
 
     at_50 = dyn.HamiltonianSpec(
         CouplingMatrix(j=j, field_b=0.5 * 50.0 * jmax), dyn.ISING_TRANSVERSE
     )
-    mags = np.array([dyn.magnetization(dyn.evolve(psi, at_50, t)) for t in times])
+    mags = np.array([dyn.magnetization(state) for state in dyn.evolve_grid(psi, at_50, times)])
     assert np.max(np.abs(mags - mags_xy)) < 0.05
 
 
@@ -120,3 +123,107 @@ def test_dimension_cap():
     spec = dyn.HamiltonianSpec(random_coupling(4, seed=0), dyn.ISING_TRANSVERSE)
     with pytest.raises(DimensionCapError, match="cap"):
         dyn.evolve(dyn.neel_state(4), spec, 1e-3, max_qubits=3)
+
+
+def per_point_oracle(state, spec, times):
+    """The propagation evolve_grid replaced: one exponential from t = 0 per time."""
+    h = dyn.build_hamiltonian(spec)
+    return np.array([state.copy() if t == 0 else expm_multiply(-1j * t * h, state) for t in times])
+
+
+GRIDS = {
+    "uniform": np.linspace(0.0, 3e-3, 11),
+    "nonuniform": np.array([0.0, 1e-5, 2e-4, 2.1e-4, 9e-4, 9.5e-4, 3e-3]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("n", [6, 8, 10])
+@pytest.mark.parametrize("model", [dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE])
+def test_evolve_grid_matches_per_point_oracle(model, n, grid):
+    # the quench workload's field: B = delta / 2 at a 3 kHz detuning
+    spec = dyn.HamiltonianSpec(random_coupling(n, seed=n, field_b=np.pi * 3e3), model)
+    psi = dyn.neel_state(n)
+    times = GRIDS[grid]
+    result = dyn.evolve_grid(psi, spec, times)
+    assert result.states.shape == (len(times), 2**n)
+    np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-12)
+    assert result.propagation_steps == len(times) - 1
+    assert 0.0 <= result.max_norm_error < 1e-10
+
+
+def test_evolve_grid_diagonal_hamiltonian_uses_exact_phases(monkeypatch):
+    spec = dyn.HamiltonianSpec(pair_coupling(0.0, n=4, field_b=250.0), dyn.ISING_TRANSVERSE)
+    rng = np.random.default_rng(7)
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi /= np.linalg.norm(psi)
+    times = np.array([0.0, 1e-3, 1.5e-3, 4e-3])
+    diagonal = dyn.build_hamiltonian(spec).diagonal()
+
+    def no_expm(*args, **kwargs):
+        raise AssertionError("a diagonal H must not go through expm_multiply")
+
+    monkeypatch.setattr(dyn, "expm_multiply", no_expm)
+    result = dyn.evolve_grid(psi, spec, times)
+    expected = np.array([np.exp(-1j * t * diagonal) * psi for t in times])
+    np.testing.assert_allclose(result.states, expected, rtol=0, atol=1e-12)
+    assert result.propagation_steps == 3
+
+
+def test_evolve_grid_leading_zero_is_a_copy():
+    spec = dyn.HamiltonianSpec(random_coupling(4, seed=2), dyn.ISING_TRANSVERSE)
+    psi = dyn.neel_state(4)
+    result = dyn.evolve_grid(psi, spec, [0.0, 1e-3])
+    np.testing.assert_array_equal(result[0], psi)
+    assert not np.shares_memory(result[0], psi)
+    single = dyn.evolve(psi, spec, 0.0)
+    assert single is not psi and not np.shares_memory(single, psi)
+    np.testing.assert_array_equal(single, psi)
+
+
+def test_evolve_grid_all_zero_times_builds_nothing(monkeypatch):
+    spec = dyn.HamiltonianSpec(random_coupling(4, seed=2), dyn.ISING_TRANSVERSE)
+
+    def no_build(spec):
+        raise AssertionError("no propagation, so no Hamiltonian")
+
+    monkeypatch.setattr(dyn, "build_hamiltonian", no_build)
+    result = dyn.evolve_grid(dyn.neel_state(4), spec, [0.0, 0.0])
+    assert result.propagation_steps == 0 and result.max_norm_error == 0.0
+
+
+def test_evolve_grid_repeated_times():
+    spec = dyn.HamiltonianSpec(random_coupling(5, seed=3, field_b=400.0), dyn.ISING_TRANSVERSE)
+    psi = dyn.neel_state(5)
+    times = [0.0, 1e-3, 1e-3, 2e-3, 2e-3]
+    result = dyn.evolve_grid(psi, spec, times)
+    np.testing.assert_array_equal(result[1], result[2])
+    np.testing.assert_array_equal(result[3], result[4])
+    assert result.propagation_steps == 2
+    np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("times", [[-1e-3], [0.0, -1e-4], [2e-3, 1e-3], [0.0, np.nan], [[1e-3]]])
+def test_evolve_grid_rejects_bad_times(times):
+    spec = dyn.HamiltonianSpec(random_coupling(3, seed=0), dyn.ISING_TRANSVERSE)
+    with pytest.raises(ValueError, match="times"):
+        dyn.evolve_grid(dyn.neel_state(3), spec, times)
+
+
+def test_evolve_grid_cap_checked_before_build(monkeypatch):
+    spec = dyn.HamiltonianSpec(random_coupling(4, seed=0), dyn.ISING_TRANSVERSE)
+
+    def no_build(spec):
+        raise AssertionError("the qubit cap must be checked before H is built")
+
+    monkeypatch.setattr(dyn, "build_hamiltonian", no_build)
+    with pytest.raises(DimensionCapError, match="cap"):
+        dyn.evolve_grid(dyn.neel_state(4), spec, [0.0, 1e-3], max_qubits=3)
+
+
+def test_evolve_grid_logs_its_diagnostics(caplog):
+    spec = dyn.HamiltonianSpec(random_coupling(4, seed=1), dyn.XY_EFFECTIVE)
+    with caplog.at_level(logging.DEBUG, logger="ionstring.dynamics"):
+        result = dyn.evolve_grid(dyn.neel_state(4), spec, [0.0, 1e-3, 2e-3])
+    assert f"{result.propagation_steps} propagation steps" in caplog.text
+    assert "max norm error" in caplog.text
