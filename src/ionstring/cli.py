@@ -9,7 +9,10 @@ Two subcommands:
     JSON (input echo, package versions, runtime, output list) is
     written next to the main output as ``<out>.summary.json``; for
     ``quench`` and ``negativity`` its ``result.solver`` holds the
-    propagation steps taken and the worst norm error.
+    propagation steps taken and the worst norm error, for
+    ``wavefront-quantum`` the Fock solver's boundary leak, norm error,
+    truncated thermal weight, band half-width, squarings and
+    dropped-band error bound.
 
 ``ionstring figure KIND [--outdir DIR] [--seed N]``
     Emit the CSV bundle behind one of the canned figure analogs.
@@ -76,6 +79,8 @@ class _Params:
             return default
         value = self.block.pop(key)
         try:
+            if kind in (int, float) and isinstance(value, (str, bool)):
+                raise ValueError
             if kind is float:
                 value = float(value)
             elif kind is int:
@@ -432,19 +437,20 @@ def _run_wavefront_semiclassical(p: _Params, seed, out, fmt):
     lo = p.get("t_wait_min_us", float, default=1.0, check=_positive)
     hi = p.get("t_wait_max_us", float, default=20.0, check=_positive)
     n_points = p.get("n_points", int, default=200, check=_positive)
+    if lo > hi:
+        p.errors.append(f"{p.context}.t_wait_min_us: {lo:g} exceeds t_wait_max_us {hi:g}")
     _raise_config(p)
     if nbar is not None:
         temperature = motion.temperature_from_nbar(nbar, omega_z)
     k_z = wavevector(wavelength) * np.sin(tilt)
     t_waits = np.linspace(lo * 1e-6, hi * 1e-6, n_points)
-    rows = []
-    for tw in t_waits:
-        params = motion.SemiclassicalParams(
-            omega=omega_z, t_wait=tw, n_pulses=n_pulses,
+    excitation = motion.thermal_excitation(
+        motion.SemiclassicalParams(
+            omega=omega_z, t_wait=t_waits, n_pulses=n_pulses,
             k_z=k_z, temperature=temperature, mass=mass,
         )
-        rows.append([tw * 1e6, motion.thermal_excitation(params)])
-    export.write_csv(out, ["t_wait_us", "excitation"], rows)
+    )
+    export.write_csv(out, ["t_wait_us", "excitation"], np.column_stack([t_waits * 1e6, excitation]).tolist())
     peak = motion.peak_excitation(
         motion.SemiclassicalParams(
             omega=omega_z, t_wait=np.pi / omega_z, n_pulses=n_pulses,
@@ -466,15 +472,29 @@ def _run_wavefront_quantum(p: _Params, seed, out, fmt):
     lo = p.get("t_wait_min_periods", float, default=0.55, check=_positive)
     hi = p.get("t_wait_max_periods", float, default=2.2, check=_positive)
     n_points = p.get("n_points", int, default=56, check=_positive)
-    _raise_config(p)
+    period = 2.0 * np.pi / omega
+    pi_time = np.pi / (ratio * omega)
+    if lo * period < pi_time:
+        p.errors.append(
+            f"{p.context}.t_wait_min_periods: {lo:g} periods is shorter than the "
+            f"pi-time of {pi_time / period:g} periods"
+        )
+    elif lo > hi:
+        p.errors.append(f"{p.context}.t_wait_min_periods: {lo:g} exceeds t_wait_max_periods {hi:g}")
     if cutoff is None:
         base = fock_n if fock_n is not None else nbar
         cutoff = int(5 * base + 20) + motion._CUTOFF_MARGIN
+    if cutoff < 5 * nbar + 20:
+        p.errors.append(f"{p.context}.fock_cutoff: {cutoff} is below 5*nbar + 20 = {5 * nbar + 20:g}")
+    if fock_n is not None and fock_n > cutoff - motion._CUTOFF_MARGIN:
+        p.errors.append(
+            f"{p.context}.initial_fock: {fock_n} is closer than {motion._CUTOFF_MARGIN} to fock_cutoff {cutoff}"
+        )
+    _raise_config(p)
     params = motion.SpinMotionParams(
         eta=eta, rabi=ratio * omega, omega=omega,
         detuning=detuning, nbar=nbar, fock_cutoff=cutoff,
     )
-    period = 2.0 * np.pi / omega
     t_waits = np.linspace(lo * period, hi * period, n_points)
     result = motion.quantum_cpmg_scan(params, n_pulses, t_waits, initial_fock=fock_n)
     rows = np.column_stack([result.t_wait * 1e6, result.excitation]).tolist()
@@ -495,7 +515,11 @@ def _run_wavefront_quantum(p: _Params, seed, out, fmt):
             "max_leak": result.max_leak,
         },
     )
-    return [out, meta_path], {"max_excitation": float(result.excitation.max())}
+    solver = {
+        key: getattr(result, key)
+        for key in ("max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm")
+    }
+    return [out, meta_path], {"max_excitation": float(result.excitation.max()), "solver": solver}
 
 
 def _run_heating_fit(p: _Params, seed, out, fmt):
@@ -653,7 +677,7 @@ def run_experiment(config: dict, seed=None, out=None, fmt=None) -> dict:
     if kind not in EXPERIMENT_KINDS:
         errors.append(f"kind: must be one of {', '.join(EXPERIMENT_KINDS)}")
     seed = seed if seed is not None else config.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append("seed: expected integer")
     fmt = fmt or config.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -877,15 +901,14 @@ def _fig12(outdir: Path, seed: int) -> dict:
     temperature = motion.temperature_from_nbar(nbar, omega)
     k_z = eta / np.sqrt(HBAR / (2.0 * mass * omega))
     t_waits = np.linspace(0.4, 1.15, 151) * 2.0 * np.pi / omega
-    rows = []
-    for tw in t_waits:
-        params = motion.SemiclassicalParams(
-            omega=omega, t_wait=tw, n_pulses=n_pulses,
+    excitation = motion.thermal_excitation(
+        motion.SemiclassicalParams(
+            omega=omega, t_wait=t_waits, n_pulses=n_pulses,
             k_z=k_z, temperature=temperature, mass=mass,
         )
-        rows.append([tw * 1e6, motion.thermal_excitation(params)])
+    )
     out_s = str(outdir / "fig12_semiclassical.csv")
-    export.write_csv(out_s, ["t_wait_us", "excitation"], rows)
+    export.write_csv(out_s, ["t_wait_us", "excitation"], np.column_stack([t_waits * 1e6, excitation]).tolist())
     return {"quantum": out_q, "semiclassical": out_s}
 
 

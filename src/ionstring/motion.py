@@ -23,19 +23,32 @@ H = w (a+ a + 1/2) + (Omega/2)(e^(i eta (a + a+)) s+ e^(-i Delta t)
 truncated Fock basis and averaged over a thermal distribution. This
 reproduces the intermediate peaks at full trap periods that appear
 when Omega is comparable to the trap frequency.
+
+The pulse propagators are banded in Fock space, since one pulse moves a
+state by only about pi eta sqrt(n) levels. They are built once, sparse,
+by scaling and squaring that drops only entries below 1e-20; the norm
+of what is dropped bounds the error and is reported. Each pulse acts
+on the states as dense row-block slabs, O(cutoff x band) per state.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import eval_chebyu
 
 from ionstring.constants import HBAR, KB
 from ionstring.errors import FockCutoffError
 
 _CUTOFF_MARGIN = 50
+# Propagator entries below this magnitude are dropped; their norm is reported.
+_DROP_FLOOR = 1e-20
+_SLAB_ROWS = 64
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -43,14 +56,14 @@ class SemiclassicalParams:
     """Inputs of the thermal point-particle model (SI units)."""
 
     omega: float
-    t_wait: float
+    t_wait: float | np.ndarray
     n_pulses: int
     k_z: float
     temperature: float
     mass: float
 
     def __post_init__(self):
-        if min(self.omega, self.t_wait, self.mass) <= 0:
+        if min(self.omega, self.mass) <= 0 or np.any(np.asarray(self.t_wait) <= 0):
             raise ValueError("omega, t_wait, and mass must be positive")
         if self.temperature < 0 or self.k_z < 0:
             raise ValueError("temperature and k_z must be >= 0")
@@ -93,11 +106,6 @@ def phase_coefficients(n_pulses: int, x) -> PhaseCoefficients:
     return PhaseCoefficients(a=a, b=b, c2=a**2 + b**2, c2_closed=4.0 * ratio**2)
 
 
-def peak_c2(n_pulses: int) -> float:
-    """Maximum of C^2, reached when omega*T_wait is an odd multiple of pi."""
-    return 4.0 * (n_pulses + 1) ** 2
-
-
 def trajectory_excitation(
     n_pulses: int,
     omega: float,
@@ -118,8 +126,11 @@ def trajectory_excitation(
     return float(0.5 * (1.0 - np.cos(phi)))
 
 
-def thermal_excitation(params: SemiclassicalParams) -> float:
-    """Thermally averaged excitation after the pulse train, in [0, 1/2]."""
+def thermal_excitation(params: SemiclassicalParams) -> float | np.ndarray:
+    """Thermally averaged excitation after the pulse train, in [0, 1/2].
+
+    An array of waits ``params.t_wait`` gives the array of excitations.
+    """
     c2 = phase_coefficients(params.n_pulses, params.omega * params.t_wait).c2_closed
     exponent = (
         KB
@@ -128,7 +139,8 @@ def thermal_excitation(params: SemiclassicalParams) -> float:
         * c2
         / (2.0 * params.mass * params.omega**2)
     )
-    return float(0.5 * (1.0 - np.exp(-exponent)))
+    excitation = 0.5 * (1.0 - np.exp(-exponent))
+    return float(excitation) if excitation.ndim == 0 else excitation
 
 
 def peak_excitation(params: SemiclassicalParams) -> float:
@@ -244,7 +256,13 @@ class SpinMotionParams:
 
 @dataclass(frozen=True)
 class QuantumScanResult:
-    """Thermal CPMG excitation curve with truncation bookkeeping."""
+    """Thermal CPMG excitation curve with truncation bookkeeping.
+
+    ``band_width`` is the largest Fock-level distance |n - m| kept in a
+    pulse propagator, ``squarings`` the squarings behind the pi-pulse
+    propagator, and ``band_dropped_norm`` a bound on the norm of the
+    error that the dropped propagator entries cause in any final state.
+    """
 
     t_wait: np.ndarray
     excitation: np.ndarray
@@ -252,6 +270,9 @@ class QuantumScanResult:
     max_leak: float
     max_norm_error: float
     fock_cutoff: int
+    band_width: int
+    squarings: int
+    band_dropped_norm: float
 
 
 def _thermal_weights(nbar: float, n_max: int) -> np.ndarray:
@@ -264,42 +285,93 @@ def _thermal_weights(nbar: float, n_max: int) -> np.ndarray:
     return r**n / (nbar + 1.0)
 
 
-def _pulse_propagators(params: SpinMotionParams):
-    """Eigen-factorized pulse Hamiltonian; phases enter by conjugation."""
+def _prune(m: sparse.csr_matrix) -> tuple[sparse.csr_matrix, float]:
+    """``m`` without its entries below the drop floor, and their Frobenius norm."""
+    small = np.abs(m.data) < _DROP_FLOOR
+    dropped = float(np.linalg.norm(m.data[small]))
+    m.data[small] = 0.0
+    m.eliminate_zeros()
+    return m, dropped
+
+
+def _square(u: sparse.csr_matrix, bound: float) -> tuple[sparse.csr_matrix, float]:
+    """u @ u and its error bound: for unitary U and error E, (U+E)^2 - U^2
+    is at most 2|E| + |E|^2, plus the entries this product drops."""
+    u, dropped = _prune(u @ u)
+    return u, 2.0 * bound + bound**2 + dropped
+
+
+def _banded_expm(a: sparse.spmatrix) -> tuple[sparse.csr_matrix, int, float]:
+    """exp(a) of a sparse anti-Hermitian matrix by scaling and squaring.
+
+    Taylor steps on a / 2^s, scaled to 1-norm <= 1, run until a term
+    has no entry left above the drop floor; s squarings follow
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)).
+    Returns the exponential, s, and a bound on the Frobenius norm of
+    its error from every dropped entry.
+    """
+    a = sparse.csr_matrix(a, dtype=complex)
+    norm = float(abs(a).sum(axis=0).max())
+    squarings = max(0, int(np.ceil(np.log2(max(norm, 1.0)))))
+    a = a / 2.0**squarings
+    term = sparse.identity(a.shape[0], dtype=complex, format="csr")
+    result, bound, order = term, 0.0, 0
+    while term.nnz:
+        order += 1
+        term, dropped = _prune(term @ a / order)
+        result = result + term
+        bound += dropped
+    for _ in range(squarings):
+        result, bound = _square(result, bound)
+    return result, squarings, bound
+
+
+def _pulse_hamiltonian(params: SpinMotionParams):
+    """Sparse pulse Hamiltonian in interleaved (n, spin) order, spin up first.
+
+    Returns H, its diagonal (the free evolution between pulses) and the
+    error bound of the displacement D = exp(i eta (a + a+)), which is
+    exponentiated from the truncated ladder operator.
+    """
     dim = params.fock_cutoff + 1
-    n = np.arange(dim)
-    h_motion = params.omega * (n + 0.5)
-
-    ladder = np.sqrt(n[1:])
-    x = np.zeros((dim, dim))
-    x[np.arange(dim - 1), np.arange(1, dim)] = ladder
-    x += x.T
-    xe, xv = np.linalg.eigh(x)
-    displacement = (xv * np.exp(1j * params.eta * xe)[None, :]) @ xv.conj().T
-
-    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    h[:dim, :dim] = np.diag(h_motion - 0.5 * params.detuning)
-    h[dim:, dim:] = np.diag(h_motion + 0.5 * params.detuning)
-    h[:dim, dim:] = 0.5 * params.rabi * displacement
-    h[dim:, :dim] = 0.5 * params.rabi * displacement.conj().T
-    energies, vectors = np.linalg.eigh(h)
-
-    def propagator(duration: float) -> np.ndarray:
-        return (vectors * np.exp(-1j * energies * duration)[None, :]) @ vectors.conj().T
-
-    wait_diag = np.concatenate(
-        [h_motion - 0.5 * params.detuning, h_motion + 0.5 * params.detuning]
-    )
-    return propagator, wait_diag
+    ladder = sparse.diags(np.sqrt(np.arange(1.0, dim)), 1)
+    displacement, _, d_bound = _banded_expm(1j * params.eta * (ladder + ladder.T))
+    free = np.add.outer(
+        params.omega * (np.arange(dim) + 0.5), [-0.5 * params.detuning, 0.5 * params.detuning]
+    ).ravel()
+    up_down = sparse.csr_matrix(([1.0], ([0], [1])), shape=(2, 2))
+    coupling = sparse.kron(0.5 * params.rabi * displacement, up_down)
+    h = sparse.diags(free) + coupling + coupling.conj().T
+    return h.tocsr(), free, d_bound
 
 
-def _apply_pulse(u0: np.ndarray, phase: float, psi: np.ndarray, dim: int) -> np.ndarray:
-    """W(phase) U0 W(phase)^dag applied to the state stack."""
-    if phase == 0.0:
-        return u0 @ psi
-    up = np.exp(-0.5j * phase)
-    w = np.concatenate([np.full(dim, up), np.full(dim, up.conjugate())])
-    return w[:, None] * (u0 @ (w.conj()[:, None] * psi))
+def _pulse_about(u: sparse.csr_matrix, phase: float) -> sparse.csr_matrix:
+    """W u W^dag, W = diag(e^(-i phase/2), e^(i phase/2)) per level: ``u``
+    rotated to the drive axis at ``phase``."""
+    w = sparse.diags(np.tile(np.exp([-0.5j * phase, 0.5j * phase]), u.shape[0] // 2))
+    return (w @ u @ w.conj()).tocsr()
+
+
+def _slabs(u: sparse.csr_matrix) -> list[tuple[slice, slice, np.ndarray]]:
+    """Fixed-size row blocks of a banded matrix, dense over their column span."""
+    slabs = []
+    for start in range(0, u.shape[0], _SLAB_ROWS):
+        block = u[start : start + _SLAB_ROWS]
+        lo, hi = int(block.indices.min()), int(block.indices.max()) + 1
+        slabs.append((slice(start, start + block.shape[0]), slice(lo, hi), block[:, lo:hi].toarray()))
+    return slabs
+
+
+def _apply(slabs, psi: np.ndarray) -> np.ndarray:
+    out = np.empty_like(psi)
+    for rows, cols, block in slabs:
+        np.matmul(block, psi[cols], out=out[rows])
+    return out
+
+
+def _band_width(u: sparse.csr_matrix) -> int:
+    rows, cols = u.nonzero()
+    return int(np.max(np.abs(rows // 2 - cols // 2)))
 
 
 def quantum_cpmg_scan(
@@ -358,32 +430,35 @@ def quantum_cpmg_scan(
         weights = weights / weights.sum()
         init_levels = np.arange(n_top + 1)
 
-    propagator, wait_diag = _pulse_propagators(params)
-    u_pi = propagator(t_pi)
-    u_half = propagator(0.5 * t_pi)
-
-    psi0 = np.zeros((2 * dim, init_levels.size), dtype=complex)
-    psi0[dim + init_levels, np.arange(init_levels.size)] = 1.0
+    h, free, d_bound = _pulse_hamiltonian(params)
+    u_half, squarings, half_bound = _banded_expm(-0.5j * t_pi * h)
+    # an error E in D perturbs H by rabi/sqrt(2) |E| and U(t) by t times that
+    half_bound += 0.5 * t_pi * params.rabi / np.sqrt(2.0) * d_bound
+    u_pi, pi_bound = _square(u_half, half_bound)
+    band_width = max(_band_width(u_half), _band_width(u_pi))
+    pi_x, pi_minus_x = _slabs(_pulse_about(u_pi, 0.0)), _slabs(_pulse_about(u_pi, np.pi))
+    half_y = _slabs(_pulse_about(u_half, 0.5 * np.pi))
+    # the pi/2 pulse about -y applied to the initial states |down, n>
+    first = _pulse_about(u_half, 1.5 * np.pi)[:, 2 * init_levels + 1].toarray()
+    band_dropped_norm = 2.0 * half_bound + n_pulses * pi_bound
 
     excitation = np.empty(t_wait.shape)
     max_leak = 0.0
     max_norm_error = 0.0
     for idx, tw in enumerate(t_wait):
         gap = tw - t_pi
-        phase_half_gap = np.exp(-1j * wait_diag * 0.5 * gap)
-        phase_full_gap = np.exp(-1j * wait_diag * gap)
+        phase_half_gap = np.exp(-1j * free * 0.5 * gap)[:, None]
+        phase_full_gap = np.exp(-1j * free * gap)[:, None]
 
-        psi = _apply_pulse(u_half, 1.5 * np.pi, psi0, dim)  # pi/2 about -y
-        psi = phase_half_gap[:, None] * psi
+        psi = phase_half_gap * first
         for pulse in range(n_pulses):
-            psi = _apply_pulse(u_pi, 0.0 if pulse % 2 == 0 else np.pi, psi, dim)
+            psi = _apply(pi_minus_x if pulse % 2 else pi_x, psi)
             if pulse < n_pulses - 1:
-                psi = phase_full_gap[:, None] * psi
-        psi = phase_half_gap[:, None] * psi
-        psi = _apply_pulse(u_half, 0.5 * np.pi, psi, dim)  # pi/2 about +y
+                psi *= phase_full_gap
+        psi = _apply(half_y, phase_half_gap * psi)
 
-        boundary = [dim - 2, dim - 1, 2 * dim - 2, 2 * dim - 1]
-        leak = float(np.max(np.sum(np.abs(psi[boundary, :]) ** 2, axis=0)))
+        # the top two Fock levels of both spins
+        leak = float(np.max(np.sum(np.abs(psi[-4:, :]) ** 2, axis=0)))
         max_leak = max(max_leak, leak)
         if leak > leak_tol:
             raise FockCutoffError(
@@ -392,9 +467,14 @@ def quantum_cpmg_scan(
             )
         norms = np.sum(np.abs(psi) ** 2, axis=0)
         max_norm_error = max(max_norm_error, float(np.max(np.abs(norms - 1.0))))
-        p_up = np.sum(np.abs(psi[:dim, :]) ** 2, axis=0)
+        p_up = np.sum(np.abs(psi[0::2, :]) ** 2, axis=0)
         excitation[idx] = float(weights @ p_up)
 
+    logger.debug(
+        "quantum_cpmg_scan: band half-width %d, %d squarings, dropped-band norm %.3g, "
+        "max leak %.3g, max norm error %.3g, truncated weight %.3g",
+        band_width, squarings + 1, band_dropped_norm, max_leak, max_norm_error, truncated,
+    )
     return QuantumScanResult(
         t_wait=t_wait,
         excitation=excitation,
@@ -402,4 +482,7 @@ def quantum_cpmg_scan(
         max_leak=max_leak,
         max_norm_error=max_norm_error,
         fock_cutoff=params.fock_cutoff,
+        band_width=band_width,
+        squarings=squarings + 1,
+        band_dropped_norm=band_dropped_norm,
     )

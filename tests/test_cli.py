@@ -211,6 +211,85 @@ def test_negativity_bad_subsets_exit_2(tmp_path, capsys, monkeypatch, subsets, m
     assert not (tmp_path / "neg.csv").exists()
 
 
+def test_wavefront_quantum_summary_reports_the_solver(tmp_path):
+    out = tmp_path / "wq.csv"
+    summary = cli.run_experiment(
+        {
+            "kind": "wavefront-quantum",
+            "out": str(out),
+            "params": {"eta": 0.01, "nbar": 2.0, "fock_cutoff": 80, "n_points": 3, "n_pulses": 4},
+        }
+    )
+    solver = json.loads((tmp_path / "wq.csv.summary.json").read_text())["result"]["solver"]
+    assert set(solver) == {
+        "max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm",
+    }
+    assert 0.0 <= solver["max_leak"] < 1e-6
+    assert 0.0 <= solver["max_norm_error"] < 1e-8
+    assert 0.0 <= solver["truncated_weight"] <= 1e-4
+    assert 0 < solver["band_width"] < 80 and solver["squarings"] >= 1
+    assert 0.0 <= solver["band_dropped_norm"] <= 1e-12
+    assert summary["result"]["solver"] == solver
+    # the data file and its metadata keep their keys
+    assert out.read_text().splitlines()[0] == "t_wait_us,excitation"
+    meta = json.loads((tmp_path / "wq_meta.json").read_text())
+    assert set(meta) == {
+        "eta", "rabi_rad_s", "omega_rad_s", "detuning_rad_s", "nbar", "initial_fock",
+        "fock_cutoff", "n_pulses", "truncated_weight", "max_leak",
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, params, field",
+    [
+        # 0.4 periods is below the pi-time of 1/(2 * 0.5) = 1 period
+        ("wavefront-quantum", {"rabi_over_omega": 0.5, "t_wait_min_periods": 0.4}, "params.t_wait_min_periods"),
+        ("wavefront-quantum", {"t_wait_min_periods": 1.5, "t_wait_max_periods": 1.0}, "params.t_wait_min_periods"),
+        ("wavefront-quantum", {"nbar": 10.0, "fock_cutoff": 30}, "params.fock_cutoff"),
+        ("wavefront-quantum", {"initial_fock": 60, "fock_cutoff": 100}, "params.initial_fock"),
+        ("wavefront-semiclassical", {"t_wait_min_us": 20.0, "t_wait_max_us": 5.0}, "params.t_wait_min_us"),
+    ],
+)
+def test_bad_wavefront_ranges_exit_2(tmp_path, capsys, monkeypatch, kind, params, field):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the config must be rejected before any propagator is built")
+
+    monkeypatch.setattr(cli.motion, "quantum_cpmg_scan", no_scan)
+    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "w.csv"), "params": params})
+    assert cli.main(["run", config]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"kind": "quench", "params": {"n_ions": "4"}}, "params.n_ions"),
+        ({"kind": "quench", "params": {"t_max_s": "1e-3"}}, "params.t_max_s"),
+        ({"kind": "wavefront-quantum", "params": {"initial_fock": True, "fock_cutoff": 100}}, "params.initial_fock"),
+        ({"kind": "survival", "seed": True, "params": {"trials": 100}}, "seed"),
+        ({"kind": "survival", "params": {"horizon_s": False}}, "params.horizon_s"),
+    ],
+)
+def test_strings_and_bools_are_not_numbers(tmp_path, capsys, config, field):
+    path = write_config(tmp_path, {**config, "out": str(tmp_path / "x.csv")})
+    assert cli.main(["run", path]) == 2
+    assert f"{field}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_ints_stay_valid_for_float_fields(tmp_path):
+    summary = cli.run_experiment(
+        {
+            "kind": "wavefront-semiclassical",
+            "out": str(tmp_path / "s.csv"),
+            "params": {"t_wait_min_us": 1, "t_wait_max_us": 20, "n_points": 5.0},
+        }
+    )
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 6
+    assert 0.0 < summary["result"]["peak_excitation"] < 0.5
+
+
 def test_figure_kind_validation(tmp_path):
     with pytest.raises(cli.ConfigError):
         cli.emit_figure_data("fig99", outdir=tmp_path)

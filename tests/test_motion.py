@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,152 @@ def test_quantum_scan_rejects_overlapping_pulses():
     )
     with pytest.raises(ValueError, match="pi-time"):
         motion.quantum_cpmg_scan(p, 2, np.array([0.3]))
+
+
+def test_thermal_excitation_takes_an_array_of_waits():
+    waits = np.linspace(1e-6, 20e-6, 200)
+    vectorized = motion.thermal_excitation(params(waits))
+    looped = [motion.thermal_excitation(params(t)) for t in waits]
+    assert vectorized.shape == waits.shape
+    assert vectorized.tolist() == looped
+    with pytest.raises(ValueError, match="positive"):
+        params(np.array([1e-6, 0.0]))
+
+
+def dense_scan_oracle(params, n_pulses, t_wait_values, initial_fock=None, thermal_tail=1e-4):
+    """Excitation from the dense path: one eigendecomposition of the full
+    pulse Hamiltonian in block (spin, n) order, D from the eigenbasis of
+    the truncated position operator, pulse phases by conjugation and
+    dense products at every pulse."""
+    t_wait = np.atleast_1d(np.asarray(t_wait_values, dtype=float))
+    t_pi = params.pi_time
+    dim = params.fock_cutoff + 1
+    if initial_fock is not None:
+        init_levels, weights = np.array([initial_fock]), np.ones(1)
+    else:
+        hard_cap = max(0, params.fock_cutoff - 50)
+        n = np.arange(hard_cap + 1)
+        if params.nbar == 0:
+            w_full = (n == 0).astype(float)
+        else:
+            r = params.nbar / (params.nbar + 1.0)
+            w_full = r**n / (params.nbar + 1.0)
+        hits = np.nonzero(np.cumsum(w_full) >= 1.0 - thermal_tail)[0]
+        n_top = int(hits[0]) if hits.size else hard_cap
+        weights = w_full[: n_top + 1] / w_full[: n_top + 1].sum()
+        init_levels = np.arange(n_top + 1)
+
+    n = np.arange(dim)
+    h_motion = params.omega * (n + 0.5)
+    x = np.zeros((dim, dim))
+    x[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(n[1:])
+    x += x.T
+    xe, xv = np.linalg.eigh(x)
+    displacement = (xv * np.exp(1j * params.eta * xe)[None, :]) @ xv.conj().T
+    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    h[:dim, :dim] = np.diag(h_motion - 0.5 * params.detuning)
+    h[dim:, dim:] = np.diag(h_motion + 0.5 * params.detuning)
+    h[:dim, dim:] = 0.5 * params.rabi * displacement
+    h[dim:, :dim] = 0.5 * params.rabi * displacement.conj().T
+    energies, vectors = np.linalg.eigh(h)
+
+    def propagator(duration):
+        return (vectors * np.exp(-1j * energies * duration)[None, :]) @ vectors.conj().T
+
+    def pulse(u0, phase, psi):
+        up = np.exp(-0.5j * phase)
+        w = np.concatenate([np.full(dim, up), np.full(dim, up.conjugate())])
+        return w[:, None] * (u0 @ (w.conj()[:, None] * psi))
+
+    wait_diag = np.concatenate([h_motion - 0.5 * params.detuning, h_motion + 0.5 * params.detuning])
+    u_pi, u_half = propagator(t_pi), propagator(0.5 * t_pi)
+    psi0 = np.zeros((2 * dim, init_levels.size), dtype=complex)
+    psi0[dim + init_levels, np.arange(init_levels.size)] = 1.0
+    excitation = np.empty(t_wait.shape)
+    for idx, tw in enumerate(t_wait):
+        half_gap = np.exp(-1j * wait_diag * 0.5 * (tw - t_pi))[:, None]
+        full_gap = np.exp(-1j * wait_diag * (tw - t_pi))[:, None]
+        psi = half_gap * pulse(u_half, 1.5 * np.pi, psi0)
+        for k in range(n_pulses):
+            psi = pulse(u_pi, 0.0 if k % 2 == 0 else np.pi, psi)
+            if k < n_pulses - 1:
+                psi = full_gap * psi
+        psi = pulse(u_half, 0.5 * np.pi, half_gap * psi)
+        excitation[idx] = float(weights @ np.sum(np.abs(psi[:dim, :]) ** 2, axis=0))
+    return excitation
+
+
+
+OMEGA_Q = 2.0 * np.pi
+
+
+def thermal_peak_eta(nbar, n_pulses=20, target=0.3):
+    return float(np.sqrt(-np.log(1.0 - 2.0 * target) / (4.0 * (nbar + 0.5) * (n_pulses + 1) ** 2)))
+
+
+ORACLE_CASES = {
+    **{
+        f"fig11_rabi_{ratio:g}": (
+            motion.SpinMotionParams(eta=0.01, rabi=ratio * OMEGA_Q, omega=OMEGA_Q, nbar=50.0, fock_cutoff=320),
+            10,
+            np.linspace(max(0.55, 1.05 / ratio / 2.0), 2.2, 4),
+            50,
+        )
+        for ratio in (0.5, 1.0, 5.0, 50.0)
+    },
+    "thermal": (
+        motion.SpinMotionParams(
+            eta=thermal_peak_eta(30.0), rabi=50.0 * OMEGA_Q, omega=OMEGA_Q, nbar=30.0, fock_cutoff=250
+        ),
+        20,
+        np.linspace(0.47, 0.55, 3),
+        None,
+    ),
+    "detuned": (
+        motion.SpinMotionParams(
+            eta=0.02, rabi=3.0 * OMEGA_Q, omega=OMEGA_Q, detuning=0.7 * OMEGA_Q, nbar=5.0, fock_cutoff=100
+        ),
+        6,
+        np.linspace(0.4, 1.3, 5),
+        None,
+    ),
+    "eta_0": (
+        motion.SpinMotionParams(eta=0.0, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, nbar=3.0, fock_cutoff=60),
+        4,
+        np.linspace(0.3, 1.2, 5),
+        None,
+    ),
+    # the band is the full matrix
+    "eta_3": (
+        motion.SpinMotionParams(eta=3.0, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, nbar=0.0, fock_cutoff=120),
+        2,
+        np.array([0.3, 0.85]),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_banded_scan_matches_dense_oracle(case):
+    p, n_pulses, t_wait, fock = ORACLE_CASES[case]
+    result = motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock)
+    oracle = dense_scan_oracle(p, n_pulses, t_wait, initial_fock=fock)
+    assert np.max(np.abs(result.excitation - oracle)) <= 1e-10
+    assert 0.0 <= result.band_dropped_norm <= 1e-12
+    assert result.max_norm_error < 1e-8
+    assert result.squarings >= 1
+    if case == "eta_0":
+        assert result.band_width == 0
+    elif case == "eta_3":
+        assert result.band_width == p.fock_cutoff
+    else:
+        assert 0 < result.band_width < 20
+
+
+def test_quantum_scan_logs_solver_diagnostics(caplog):
+    p, n_pulses, t_wait, fock = ORACLE_CASES["detuned"]
+    with caplog.at_level(logging.DEBUG, logger="ionstring.motion"):
+        motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock)
+    text = caplog.text
+    assert "band half-width" in text and "squarings" in text and "dropped-band norm" in text
+    assert "max leak" in text and "truncated weight" in text
