@@ -183,10 +183,6 @@ def chain_span(positions: np.ndarray) -> float:
     return float(positions[-1] - positions[0])
 
 
-def _axial_matrix(u: np.ndarray) -> np.ndarray:
-    return _potential_hessian(u)
-
-
 def _radial_matrix(u: np.ndarray, anisotropy_sq: float) -> np.ndarray:
     d = _separations(u)
     inv3 = 1.0 / np.abs(d) ** 3
@@ -230,7 +226,7 @@ def normal_modes(
     u = np.asarray(positions, dtype=float) / trap.length_scale
 
     if direction == AXIAL:
-        matrix = _axial_matrix(u)
+        matrix = _potential_hessian(u)
     else:
         omega_r = trap.omega_x if direction == RADIAL_X else trap.omega_y
         matrix = _radial_matrix(u, (omega_r / trap.omega_z) ** 2)

@@ -9,7 +9,8 @@ Two subcommands:
     JSON (input echo, package versions, runtime, output list) is
     written next to the main output as ``<out>.summary.json``; for
     ``quench`` and ``negativity`` its ``result.solver`` holds the
-    propagation steps taken and the worst norm error, for
+    propagation steps taken, the worst norm error and the dimension of
+    the symmetry sector propagated, for
     ``wavefront-quantum`` the Fock solver's boundary leak, norm error,
     truncated thermal weight, band half-width, squarings and
     dropped-band error bound.
@@ -267,7 +268,11 @@ def _quench_setup(p: _Params):
 
 
 def _solver_summary(grid: dynamics.GridEvolution) -> dict:
-    return {"propagation_steps": grid.propagation_steps, "max_norm_error": grid.max_norm_error}
+    return {
+        "propagation_steps": grid.propagation_steps,
+        "max_norm_error": grid.max_norm_error,
+        "sector_dim": grid.sector_dim,
+    }
 
 
 def _run_quench(p: _Params, seed, out, fmt):
@@ -531,6 +536,9 @@ def _run_heating_fit(p: _Params, seed, out, fmt):
     if raw_rows is not None:
         omegas, counts, rates, sigmas = [], [], [], []
         for idx, entry in enumerate(raw_rows):
+            if not isinstance(entry, dict):
+                p.errors.append(f"params.data[{idx}]: expected object")
+                continue
             rp = _Params(entry, f"params.data[{idx}]")
             omegas.append(omega_from_hz(rp.get("omega_z_hz", float, required=True, check=_positive) or 1.0))
             counts.append(rp.get("n_ions", int, default=1, check=_positive))
@@ -617,6 +625,8 @@ def _run_ramsey_correlations(p: _Params, seed, out, fmt):
     dt = p.get("dt_s", float, default=2e-3, check=_positive)
     n_exp = p.get("n_experiments", int, default=30000, check=lambda v: None if v >= 100 else "need >= 100")
     max_lag = p.get("max_lag_steps", int, default=100, check=lambda v: None if v >= 10 else "need >= 10")
+    if max_lag >= n_exp:
+        p.errors.append(f"params.max_lag_steps: must be below n_experiments ({n_exp})")
     _raise_config(p)
     series = stochastics.simulate_phase_noise(kind, strength, dt, n_exp, seed=seed)
     corr = stochastics.phase_correlations(series, dt, max_lag)
@@ -672,6 +682,8 @@ def _raise_config(p: _Params):
 
 def run_experiment(config: dict, seed=None, out=None, fmt=None) -> dict:
     """Validate and execute one experiment; returns the summary dict."""
+    if not isinstance(config, dict):
+        raise ConfigError(["config: expected a JSON object"])
     errors = []
     kind = config.get("kind")
     if kind not in EXPERIMENT_KINDS:

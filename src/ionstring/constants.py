@@ -15,10 +15,6 @@ ATOMIC_MASS = _const.atomic_mass
 
 COULOMB_CONSTANT = 1.0 / (4.0 * np.pi * EPSILON_0)
 
-# 40Ca+ qubit hardware values used as defaults throughout.
-CA40_MASS = 39.9625909 * ATOMIC_MASS
-QUBIT_WAVELENGTH = 729e-9
-
 # Sensitivity of the S1/2(m=+1/2) <-> D5/2(m=+5/2) stretch transition to
 # magnetic field, in Hz per microgauss (Lande factors of the two levels).
 FIELD_SENSITIVITY_HZ_PER_UG = 2.80
@@ -27,11 +23,6 @@ FIELD_SENSITIVITY_HZ_PER_UG = 2.80
 def omega_from_hz(f_hz: float) -> float:
     """Convert a plain frequency in Hz to angular frequency in rad/s."""
     return 2.0 * np.pi * f_hz
-
-
-def hz_from_omega(omega: float) -> float:
-    """Convert an angular frequency in rad/s to plain Hz."""
-    return omega / (2.0 * np.pi)
 
 
 def mass_from_amu(amu: float) -> float:

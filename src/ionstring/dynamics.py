@@ -17,11 +17,14 @@ which conserves total magnetization. Exact propagation uses sparse
 matrix exponentials applied to the state, so there is no integrator
 bias at this scale.
 
-:func:`evolve_grid` is the one propagation path. It builds H once and
-steps the state across a non-decreasing time grid, one sparse
-exponential per positive interval, so a whole grid costs about one
-evolution to its last time (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-488 (2011)). :func:`evolve` is the single-time case.
+:func:`evolve_grid` is the one propagation path. It propagates only in
+the symmetry sector of the initial state (Sandvik, arXiv:1101.3281):
+XY conserves the number of spin-down ions and the Ising pair flips
+conserve its parity, so a Neel state needs C(N, N/2) states in XY and
+2^(N-1) in Ising. H is built once in the sector and the state is
+stepped across a non-decreasing time grid, one sparse exponential per
+positive interval (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)). :func:`evolve` is the single-time case.
 """
 
 from __future__ import annotations
@@ -82,40 +85,48 @@ def neel_state(n: int, alignment: str = "odd_up") -> np.ndarray:
     return state
 
 
-def _sigma_z_signs(n: int) -> np.ndarray:
-    """(2^N, N) array of sigma_z eigenvalues per basis state and ion."""
-    basis = np.arange(2**n)
+def _sigma_z_signs(n: int, basis: np.ndarray | None = None) -> np.ndarray:
+    """(len(basis), N) array of sigma_z eigenvalues per basis state and ion."""
+    basis = np.arange(2**n) if basis is None else basis
     bits = (basis[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
     return 1.0 - 2.0 * bits
 
 
-def build_hamiltonian(spec: HamiltonianSpec) -> sparse.csr_matrix:
-    """Sparse Hamiltonian in the documented basis ordering."""
+def _sector_basis(state: np.ndarray, model: str) -> np.ndarray:
+    """Sorted basis indices of the smallest sector H keeps closed that holds ``state``."""
+    label = np.count_nonzero(_sigma_z_signs(qubit_count(state)) < 0, axis=1)
+    if model == ISING_TRANSVERSE:
+        label %= 2
+    return np.flatnonzero(np.isin(label, label[state != 0]))
+
+
+def build_hamiltonian(spec: HamiltonianSpec, basis: np.ndarray | None = None) -> sparse.csr_matrix:
+    """Sparse Hamiltonian on ``basis`` in the documented basis ordering.
+
+    ``basis`` is a sorted array of basis indices that H maps into
+    itself (a symmetry sector); it defaults to the full 2^N space.
+    """
     j = spec.coupling.j
     n = j.shape[0]
-    dim = 2**n
-    basis = np.arange(dim)
-    signs = _sigma_z_signs(n)
+    basis = np.arange(2**n) if basis is None else np.asarray(basis)
+    dim = basis.size
+    positions = np.arange(dim)
+    signs = _sigma_z_signs(n, basis)
 
     rows, cols, vals = [], [], []
     pairs = [(i, k) for i in range(n) for k in range(i + 1, n) if j[i, k] != 0.0]
     for i, k in pairs:
         mask = (1 << (n - 1 - i)) | (1 << (n - 1 - k))
-        flipped = basis ^ mask
-        if spec.model == ISING_TRANSVERSE:
-            rows.append(flipped)
-            cols.append(basis)
-            vals.append(np.full(dim, j[i, k]))
-        else:
-            # flip-flop only acts where the two spins are anti-aligned
-            anti = signs[:, i] != signs[:, k]
-            rows.append(flipped[anti])
-            cols.append(basis[anti])
-            vals.append(np.full(int(np.count_nonzero(anti)), j[i, k]))
+        # Ising flips every pair; flip-flop only acts where the two spins
+        # are anti-aligned
+        acts = slice(None) if spec.model == ISING_TRANSVERSE else signs[:, i] != signs[:, k]
+        rows.append(np.searchsorted(basis, basis[acts] ^ mask))
+        cols.append(positions[acts])
+        vals.append(np.full(cols[-1].size, j[i, k]))
 
     if spec.model == ISING_TRANSVERSE and spec.coupling.field_b != 0.0:
-        rows.append(basis)
-        cols.append(basis)
+        rows.append(positions)
+        cols.append(positions)
         vals.append(spec.coupling.field_b * signs.sum(axis=1))
 
     if rows:
@@ -132,15 +143,18 @@ def build_hamiltonian(spec: HamiltonianSpec) -> sparse.csr_matrix:
 class GridEvolution:
     """States on a time grid, one per time, with the cost of getting them.
 
-    Indexing and iteration give the states. ``propagation_steps`` is
-    the number of positive time intervals propagated;
-    ``max_norm_error`` the worst ``| |psi| - 1 |`` over the propagated
-    states (0 when nothing was propagated).
+    Indexing and iteration give the states, embedded in the full 2^N
+    space. ``propagation_steps`` is the number of positive time
+    intervals propagated; ``max_norm_error`` the worst
+    ``| |psi| - 1 |`` over the propagated states (0 when nothing was
+    propagated); ``sector_dim`` the dimension of the symmetry sector
+    the state was propagated in.
     """
 
     states: np.ndarray
     propagation_steps: int
     max_norm_error: float
+    sector_dim: int
 
     def __getitem__(self, index):
         return self.states[index]
@@ -158,12 +172,12 @@ def evolve_grid(
     """Unitary evolution of ``state`` to every one of ``times`` (s).
 
     ``times`` must be non-negative and non-decreasing; repeats are
-    allowed. H is built once and the state is stepped across the grid,
-    one propagation per positive interval, so the whole grid costs
-    about one evolution to its last time. Diagonal Hamiltonians are
-    applied as exact phases; otherwise each step is a scaled sparse
-    matrix exponential acting on the state. The norm is checked to
-    1e-10 after every step. A time of 0 gives a copy of ``state``.
+    allowed. H is built once in the state's symmetry sector and the
+    state is stepped across the grid, one propagation per positive
+    interval. Diagonal Hamiltonians are applied as exact phases;
+    otherwise each step is a scaled sparse matrix exponential acting on
+    the state. The norm is checked to 1e-10 after every step. A time of
+    0 gives a copy of ``state``. The qubit cap counts qubits.
     """
     n = qubit_count(state)
     if n != spec.coupling.ion_count:
@@ -180,13 +194,15 @@ def evolve_grid(
     if not (np.all(np.isfinite(times)) and np.all(intervals >= 0)):
         raise ValueError("times must be finite, >= 0 and non-decreasing")
 
-    states = np.empty((times.size, state.size), dtype=complex)
-    psi = state
+    basis = _sector_basis(state, spec.model)
+    states = np.zeros((times.size, state.size), dtype=complex)
+    psi = state[basis]
     steps, norm_error = 0, 0.0
     if times.size and times[-1] > 0:
-        h = build_hamiltonian(spec)
+        h = build_hamiltonian(spec, basis)
+        # diagonal when every stored column index equals its row
+        exact_phases = np.array_equal(h.indices, np.repeat(np.arange(basis.size), np.diff(h.indptr)))
         diagonal = h.diagonal()
-        exact_phases = (h - sparse.diags(diagonal)).nnz == 0
         tolerance = 1e-10 * max(1.0, np.linalg.norm(state))
     for k, dt in enumerate(intervals):
         if dt > 0:
@@ -199,9 +215,10 @@ def evolve_grid(
                 raise FloatingPointError(f"evolution lost norm: |psi| = {norm!r}")
             steps += 1
             norm_error = max(norm_error, abs(norm - 1.0))
-        states[k] = psi
-    logger.debug("evolve_grid: %d propagation steps, max norm error %.3g", steps, norm_error)
-    return GridEvolution(states, steps, norm_error)
+        states[k, basis] = psi
+    logger.debug("evolve_grid: sector of %d states, %d propagation steps, max norm error %.3g",
+                 basis.size, steps, norm_error)
+    return GridEvolution(states, steps, norm_error, basis.size)
 
 
 def evolve(

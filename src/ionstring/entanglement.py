@@ -162,16 +162,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-@dataclass(frozen=True)
-class TomographyRecord:
-    """Counts from one Pauli measurement setting."""
-
-    setting: tuple[str, ...]
-    counts: np.ndarray
-    shots: int
-    seed: int | None = None
-
-
 def _measurement_probabilities(rho: np.ndarray, setting: tuple[str, ...]) -> np.ndarray:
     u = _BASIS_ROTATIONS[setting[0]]
     for letter in setting[1:]:
@@ -186,8 +176,7 @@ def simulate_tomography(
     subset: tuple[int, ...],
     shots_per_setting: int | None,
     seed: int | None = None,
-    return_records: bool = False,
-):
+) -> np.ndarray:
     """Shot-limited state estimate of a small subsystem.
 
     Measures all 3^k Pauli settings of the reduced state with
@@ -200,7 +189,6 @@ def simulate_tomography(
     k = len(subset)
     rng = np.random.default_rng(seed)
 
-    records = []
     estimates: dict[tuple[str, ...], list[float]] = {}
     outcomes = np.arange(2**k)
     bits = (outcomes[:, None] >> (k - 1 - np.arange(k))[None, :]) & 1
@@ -209,17 +197,10 @@ def simulate_tomography(
         probs = _measurement_probabilities(rho_exact, setting)
         if shots_per_setting is None:
             freqs = probs
-            counts = probs
-            shots = 0
         else:
             if shots_per_setting < 1:
                 raise ValueError("shots_per_setting must be >= 1 or None")
-            counts = rng.multinomial(shots_per_setting, probs)
-            freqs = counts / shots_per_setting
-            shots = shots_per_setting
-        records.append(
-            TomographyRecord(setting=setting, counts=np.asarray(counts), shots=shots, seed=seed)
-        )
+            freqs = rng.multinomial(shots_per_setting, probs) / shots_per_setting
 
         # every Pauli string supported on this setting gets an estimate;
         # strings with identities are averaged over compatible settings
@@ -242,7 +223,4 @@ def simulate_tomography(
         rho_est += mean * op
     rho_est /= 2**k
 
-    rho_est = project_to_physical(rho_est)
-    if return_records:
-        return rho_est, records
-    return rho_est
+    return project_to_physical(rho_est)

@@ -180,8 +180,9 @@ def test_quench_and_negativity_summaries_report_the_solver(tmp_path):
     for summary, steps, name in ((quench, 4, "q.csv"), (negativity, 1, "n.csv")):
         on_disk = json.loads((tmp_path / f"{name}.summary.json").read_text())
         solver = on_disk["result"]["solver"]
-        assert set(solver) == {"propagation_steps", "max_norm_error"}
+        assert set(solver) == {"propagation_steps", "max_norm_error", "sector_dim"}
         assert solver["propagation_steps"] == steps
+        assert solver["sector_dim"] == 6  # the XY Neel sector of 4 ions, C(4, 2)
         assert 0.0 <= solver["max_norm_error"] < 1e-10
         assert summary["result"]["solver"] == solver
 
@@ -209,6 +210,36 @@ def test_negativity_bad_subsets_exit_2(tmp_path, capsys, monkeypatch, subsets, m
     err = capsys.readouterr().err
     assert "params.subsets" in err and message in err
     assert not (tmp_path / "neg.csv").exists()
+
+
+def test_ising_summaries_report_the_parity_sector(tmp_path):
+    params = {"n_ions": 5, "model": "ising_transverse"}
+    quench = cli.run_experiment(
+        {"kind": "quench", "out": str(tmp_path / "q.csv"), "params": {**params, "time_points": 3, "t_max_s": 1e-3}}
+    )
+    negativity = cli.run_experiment(
+        {"kind": "negativity", "out": str(tmp_path / "n.csv"), "params": {**params, "time_s": 1e-3}}
+    )
+    assert quench["result"]["solver"]["sector_dim"] == 16
+    assert negativity["result"]["solver"]["sector_dim"] == 16
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"kind": "heating-fit", "params": {"data": [5]}}, "params.data[0]"),
+        ([{"kind": "quench"}], "config"),
+        (
+            {"kind": "ramsey-correlations", "params": {"n_experiments": 200, "max_lag_steps": 200}},
+            "params.max_lag_steps",
+        ),
+    ],
+)
+def test_configs_that_ended_in_a_traceback_exit_2(tmp_path, capsys, config, field):
+    path = write_config(tmp_path, config)
+    assert cli.main(["run", path, "--out", str(tmp_path / "out.csv")]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_wavefront_quantum_summary_reports_the_solver(tmp_path):

@@ -1,4 +1,5 @@
 import logging
+from math import comb
 
 import numpy as np
 import pytest
@@ -227,3 +228,88 @@ def test_evolve_grid_logs_its_diagnostics(caplog):
         result = dyn.evolve_grid(dyn.neel_state(4), spec, [0.0, 1e-3, 2e-3])
     assert f"{result.propagation_steps} propagation steps" in caplog.text
     assert "max norm error" in caplog.text
+
+
+def two_label_state(n, seed):
+    """Random amplitudes on every basis state with 0 or 2 spins down."""
+    rng = np.random.default_rng(seed)
+    downs = np.array([bin(index).count("1") for index in range(2**n)])
+    psi = np.where(np.isin(downs, (0, 2)), rng.normal(size=2**n) + 1j * rng.normal(size=2**n), 0.0)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9, 10])
+@pytest.mark.parametrize("model", [dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE])
+def test_sector_evolution_matches_full_space_oracle(model, n, grid):
+    spec = dyn.HamiltonianSpec(random_coupling(n, seed=20 + n, field_b=np.pi * 3e3), model)
+    times = GRIDS[grid]
+    for psi in (dyn.neel_state(n, "even_up"), two_label_state(n, seed=n)):
+        result = dyn.evolve_grid(psi, spec, times)
+        assert result.sector_dim < 2**n
+        assert result.states.shape == (len(times), 2**n)
+        np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("alignment", ["odd_up", "even_up"])
+@pytest.mark.parametrize("n", [2, 3, 6, 9, 12])
+def test_neel_sector_dimensions(n, alignment, caplog):
+    psi = dyn.neel_state(n, alignment)
+    for model, dim in ((dyn.XY_EFFECTIVE, comb(n, n // 2)), (dyn.ISING_TRANSVERSE, 2 ** (n - 1))):
+        spec = dyn.HamiltonianSpec(random_coupling(n, seed=n, field_b=400.0), model)
+        with caplog.at_level(logging.DEBUG, logger="ionstring.dynamics"):
+            result = dyn.evolve_grid(psi, spec, [0.0, 1e-4])
+        assert result.sector_dim == dim
+        assert f"sector of {dim} states" in caplog.text
+
+
+@pytest.mark.parametrize("model", [dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE])
+def test_state_on_every_label_gets_the_full_space(model):
+    n = 6
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi /= np.linalg.norm(psi)
+    spec = dyn.HamiltonianSpec(random_coupling(n, seed=12, field_b=300.0), model)
+    times = GRIDS["nonuniform"]
+    result = dyn.evolve_grid(psi, spec, times)
+    assert result.sector_dim == 2**n
+    np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-10)
+
+
+def test_ising_without_field_keeps_the_parity_sector():
+    n = 8
+    spec = dyn.HamiltonianSpec(random_coupling(n, seed=13, field_b=0.0), dyn.ISING_TRANSVERSE)
+    psi = dyn.neel_state(n)
+    times = GRIDS["uniform"]
+    result = dyn.evolve_grid(psi, spec, times)
+    assert result.sector_dim == 2 ** (n - 1)
+    np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("model", [dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE])
+def test_sector_hamiltonian_is_the_closed_block_of_the_full_one(model, n):
+    spec = dyn.HamiltonianSpec(random_coupling(n, seed=14, field_b=500.0), model)
+    full = dyn.build_hamiltonian(spec)
+    rng = np.random.default_rng(15)
+    for psi in (dyn.neel_state(n), two_label_state(n, seed=16)):
+        basis = dyn._sector_basis(psi, model)
+        outside = np.setdiff1d(np.arange(2**n), basis)
+        embedded = np.zeros(2**n, dtype=complex)
+        embedded[basis] = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        assert np.all((full @ embedded)[outside] == 0)
+        block = full[basis][:, basis].toarray()
+        np.testing.assert_array_equal(dyn.build_hamiltonian(spec, basis).toarray(), block)
+
+
+def test_all_up_xy_state_takes_the_exact_phase_branch(monkeypatch):
+    def no_expm(*args, **kwargs):
+        raise AssertionError("a one-state sector must not go through expm_multiply")
+
+    monkeypatch.setattr(dyn, "expm_multiply", no_expm)
+    spec = dyn.HamiltonianSpec(random_coupling(5, seed=17), dyn.XY_EFFECTIVE)
+    psi = np.zeros(32, dtype=complex)
+    psi[0] = 1.0
+    result = dyn.evolve_grid(psi, spec, [0.0, 1e-3, 2e-3])
+    assert result.sector_dim == 1 and result.propagation_steps == 2
+    np.testing.assert_array_equal(result.states, np.tile(psi, (3, 1)))
