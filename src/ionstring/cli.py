@@ -12,8 +12,9 @@ Two subcommands:
     propagation steps taken, the worst norm error and the dimension of
     the symmetry sector propagated, for
     ``wavefront-quantum`` the Fock solver's boundary leak, norm error,
-    truncated thermal weight, band half-width, squarings and
-    dropped-band error bound.
+    truncated thermal weight, band half-width, squarings,
+    dropped-band error bound and the share of (slab, column) products
+    its row windows left to compute.
 
 ``ionstring figure KIND [--outdir DIR] [--seed N]``
     Emit the CSV bundle behind one of the canned figure analogs.
@@ -522,7 +523,10 @@ def _run_wavefront_quantum(p: _Params, seed, out, fmt):
     )
     solver = {
         key: getattr(result, key)
-        for key in ("max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm")
+        for key in (
+            "max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm",
+            "column_fill",
+        )
     }
     return [out, meta_path], {"max_excitation": float(result.excitation.max()), "solver": solver}
 

@@ -183,7 +183,8 @@ def simulate_tomography(
     ``shots_per_setting`` samples each (``None`` uses exact
     probabilities, the infinite-shot limit), reconstructs by linear
     inversion, and projects onto the physical set. Sampling uses only
-    the explicitly seeded generator.
+    the explicitly seeded generator, by inverse-CDF draws, so
+    roundoff-level changes in the state do not move the counts.
     """
     rho_exact = reduced_density_matrix(state, subset)
     k = len(subset)
@@ -200,7 +201,10 @@ def simulate_tomography(
         else:
             if shots_per_setting < 1:
                 raise ValueError("shots_per_setting must be >= 1 or None")
-            freqs = rng.multinomial(shots_per_setting, probs) / shots_per_setting
+            # not rng.multinomial: its binomial draws flip at p = 1/2,
+            # swapping counts under any change of the probabilities
+            draws = np.searchsorted(np.cumsum(probs)[:-1], rng.random(shots_per_setting), side="right")
+            freqs = np.bincount(draws, minlength=probs.size) / shots_per_setting
 
         # every Pauli string supported on this setting gets an estimate;
         # strings with identities are averaged over compatible settings

@@ -254,12 +254,14 @@ def test_wavefront_quantum_summary_reports_the_solver(tmp_path):
     solver = json.loads((tmp_path / "wq.csv.summary.json").read_text())["result"]["solver"]
     assert set(solver) == {
         "max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm",
+        "column_fill",
     }
     assert 0.0 <= solver["max_leak"] < 1e-6
     assert 0.0 <= solver["max_norm_error"] < 1e-8
     assert 0.0 <= solver["truncated_weight"] <= 1e-4
     assert 0 < solver["band_width"] < 80 and solver["squarings"] >= 1
     assert 0.0 <= solver["band_dropped_norm"] <= 1e-12
+    assert 0.0 < solver["column_fill"] <= 1.0
     assert summary["result"]["solver"] == solver
     # the data file and its metadata keep their keys
     assert out.read_text().splitlines()[0] == "t_wait_us,excitation"

@@ -175,6 +175,21 @@ def test_tomography_is_seed_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+def test_tomography_counts_are_stable_under_roundoff():
+    # a|00> + b|10> gives Z,X probabilities [a, a, b, b]/2, where a
+    # multinomial's third binomial draw sits at p = 1/2 and flips its
+    # counts under any change; moving 9e-18 of probability onto |11>
+    # must leave every estimate unchanged
+    a, b = np.sqrt(0.3), np.sqrt(0.7)
+    psi = np.array([a, 0.0, b, 0.0], dtype=complex)
+    moved = np.array([a, 0.0, np.sqrt(b**2 - 9e-18), np.sqrt(9e-18)], dtype=complex)
+    for seed in range(40):
+        np.testing.assert_array_equal(
+            ent.simulate_tomography(psi, (1, 2), 200, seed=seed),
+            ent.simulate_tomography(moved, (1, 2), 200, seed=seed),
+        )
+
+
 def test_physical_projection_properties():
     rng = np.random.default_rng(1)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

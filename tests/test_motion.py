@@ -361,3 +361,58 @@ def test_quantum_scan_logs_solver_diagnostics(caplog):
     text = caplog.text
     assert "band half-width" in text and "squarings" in text and "dropped-band norm" in text
     assert "max leak" in text and "truncated weight" in text
+
+
+def test_windowed_scan_matches_dense_oracle_at_benchmark_thermal_settings():
+    # the cutoff-400 thermal job of the wavefront benchmark: 309 columns,
+    # each of which stays within a few slabs of the 802-row stack
+    p = motion.SpinMotionParams(
+        eta=thermal_peak_eta(33.0), rabi=50.0 * OMEGA_Q, omega=OMEGA_Q, nbar=33.0, fock_cutoff=400
+    )
+    t_wait = np.array([0.498, 0.506])
+    result = motion.quantum_cpmg_scan(p, 20, t_wait)
+    assert np.max(np.abs(result.excitation - dense_scan_oracle(p, 20, t_wait))) <= 1e-10
+    assert 0.0 <= result.band_dropped_norm <= 1e-12
+    # every slab times every column would give 1
+    assert result.column_fill < 0.5
+
+
+def test_column_fill_of_a_single_fock_column(caplog):
+    # the band is the whole matrix, so every slab meets the one column
+    p, n_pulses, t_wait, fock = ORACLE_CASES["eta_3"]
+    with caplog.at_level(logging.DEBUG, logger="ionstring.motion"):
+        assert motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock).column_fill == 1.0
+    assert "column fill 1," in caplog.text
+    # at fig11 settings the slabs far from the Fock level are skipped
+    p, n_pulses, t_wait, fock = ORACLE_CASES["fig11_rabi_5"]
+    assert 0.0 < motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock).column_fill < 0.5
+
+
+@pytest.mark.parametrize("first_slab", [[0, 1, 3, 5, 6, 8], [3, 0, 6, 1, 8, 5], [5, 8, 0, 6, 1, 3]])
+def test_windowed_pulse_drops_only_entries_below_the_floor(first_slab):
+    # one pi-pulse on columns with sub-floor noise outside their row
+    # windows, which are sorted or not; each starts at the last column of
+    # one slab's span and ends at the first column of another's
+    p = motion.SpinMotionParams(eta=0.01, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, fock_cutoff=200)
+    h, free, _ = motion._pulse_hamiltonian(p)
+    u = motion._banded_expm(-1j * p.pi_time * h)[0]
+    slabs = motion._slabs(u)
+    rows = 2 * (p.fock_cutoff + 1)
+    first_slab = np.array(first_slab)
+    lo, hi = slabs[0][first_slab, 1] - 1, slabs[0][first_slab + 3, 0] + 1
+    rng = np.random.default_rng(3)
+    psi = 1e-21 * rng.normal(size=(rows, lo.size)) + 0j
+    for j in range(lo.size):
+        psi[lo[j] : hi[j], j] = rng.normal(size=hi[j] - lo[j]) + 1j * rng.normal(size=hi[j] - lo[j])
+    phases = np.exp(-0.3j * free)
+    out, new_lo, new_hi, pairs = motion._apply(slabs, psi, lo, hi, phases)
+    exact = u @ (phases[:, None] * psi)
+    floor = motion._DROP_FLOOR
+    np.testing.assert_allclose(out, exact, rtol=0.0, atol=1e-13)
+    # the (slab, column) products left out hold only what sub-floor entries give
+    skipped = np.where(out == 0.0, exact, 0.0)
+    assert np.all(np.linalg.norm(skipped, axis=0) <= floor * np.sqrt(rows))
+    for j in range(lo.size):
+        big = np.flatnonzero(np.abs(out[:, j]) >= floor)
+        assert new_lo[j] <= big.min() and big.max() < new_hi[j]
+    assert 0 < pairs < len(slabs[1]) * lo.size
