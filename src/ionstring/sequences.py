@@ -256,6 +256,18 @@ def sense(
     def residuals(params):
         return model(params, t0) - data
 
+    def jacobian(params):
+        a, phi = params[0], params[1]
+        c = params[2] if fit_contrast else contrast_fixed
+        theta = w * t0 + phi + arg
+        s = np.sin(theta)
+        inner = gain * a * s
+        slope = 0.5 * c * gain * np.cos(inner)
+        columns = [slope * s, slope * a * np.cos(theta)]
+        if fit_contrast:
+            columns.append(0.5 * np.sin(inner))
+        return np.column_stack(columns)
+
     contrast0 = min(1.0, max(0.1, np.ptp(data)))
     inner_targets = np.array(
         [0.2, 0.5, 1.0, 1.5, 2.0, 2.6, 3.2, 4.0, 5.0, 6.5, 8.0, 10.0, 13.0, 16.0, 20.0, 25.0]
@@ -279,7 +291,7 @@ def sense(
             starts.append(warm)
         for start in starts:
             try:
-                res = least_squares(residuals, start, bounds=(lower, upper))
+                res = least_squares(residuals, start, jac=jacobian, bounds=(lower, upper))
             except ValueError:
                 continue
             if best is None or res.cost < best.cost:

@@ -148,6 +148,31 @@ def test_sense_recovers_low_contrast():
     assert abs(fit.contrast - 0.25) < 0.05
 
 
+@pytest.mark.parametrize("contrast_fixed", [None, 0.9])
+def test_sense_jacobian_matches_finite_differences(monkeypatch, contrast_fixed):
+    seq = sq.cpmg(6, TAU)
+    comp = sq.NoiseComponent(150.0, 2 * np.pi * 40.0, 1.9)
+    t0 = np.arange(24) / 24 / 150.0
+    data = sq.simulate_scan(seq, [comp], 0.9, t0)
+    calls = []
+    least_squares = sq.least_squares
+
+    def recording(fun, x0, **kwargs):
+        calls.append((fun, kwargs["jac"]))
+        return least_squares(fun, x0, **kwargs)
+
+    monkeypatch.setattr(sq, "least_squares", recording)
+    sq.sense(t0, data, seq, 150.0, contrast_fixed=contrast_fixed)
+    fun, jac = calls[0]
+    for x in ([0.3, 0.7, 0.8], [2.0, -2.5, 0.4], [5.0, 4.0, 1.0]):
+        x = np.array(x[: 2 if contrast_fixed else 3])
+        step = 1e-6
+        central = np.column_stack(
+            [(fun(x + step * e) - fun(x - step * e)) / (2 * step) for e in np.eye(x.size)]
+        )
+        np.testing.assert_allclose(jac(x), central, rtol=1e-6, atol=1e-6)
+
+
 def test_sense_rejects_flat_scan():
     seq = sq.cpmg(2, TAU)
     t0 = np.arange(16) / 16 / 50.0
