@@ -91,11 +91,6 @@ def mode_spectrum_rows(spectrum: ModeSpectrum):
     return header, rows
 
 
-def write_mode_spectrum_csv(spectrum: ModeSpectrum, path):
-    header, rows = mode_spectrum_rows(spectrum)
-    write_csv(path, header, rows)
-
-
 def mode_spectrum_dict(spectrum: ModeSpectrum) -> dict:
     out = {
         "direction": spectrum.direction,
@@ -108,17 +103,8 @@ def mode_spectrum_dict(spectrum: ModeSpectrum) -> dict:
     return out
 
 
-def write_coupling_csv(coupling: CouplingMatrix, path):
-    n = coupling.ion_count
-    header = [f"j_ion{k + 1}_rad_s" for k in range(n)]
-    write_csv(path, header, coupling.j.tolist())
-
-
-def coupling_dict(coupling: CouplingMatrix, metadata: dict | None = None) -> dict:
-    out = {
+def coupling_dict(coupling: CouplingMatrix) -> dict:
+    return {
         "j_rad_s": coupling.j.tolist(),
         "field_b_rad_s": coupling.field_b,
     }
-    if metadata:
-        out["metadata"] = metadata
-    return out

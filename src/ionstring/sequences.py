@@ -40,13 +40,11 @@ class PulseSequence:
     """Timed pi-pulse train within total duration ``tau``.
 
     ``delta`` holds the fractional pulse times, strictly increasing in
-    (0, 1); it may be empty (plain Ramsey). ``pi_time`` is the physical
-    pi-pulse duration in s, 0 meaning the ideal instantaneous limit.
+    (0, 1); it may be empty (plain Ramsey). Pulses are instantaneous.
     """
 
     delta: tuple[float, ...]
     tau: float
-    pi_time: float = 0.0
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -54,20 +52,18 @@ class PulseSequence:
         d = np.asarray(self.delta, dtype=float)
         if d.size and (np.any(d <= 0) or np.any(d >= 1) or np.any(np.diff(d) <= 0)):
             raise ValueError("pulse fractions must be strictly increasing in (0, 1)")
-        if self.pi_time < 0:
-            raise ValueError("pi_time must be >= 0")
 
     @property
     def n_pulses(self) -> int:
         return len(self.delta)
 
 
-def cpmg(n_pulses: int, tau: float, pi_time: float = 0.0) -> PulseSequence:
+def cpmg(n_pulses: int, tau: float) -> PulseSequence:
     """CPMG sequence: pulse j at fraction (j - 1/2) / n_pulses."""
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     delta = tuple((j - 0.5) / n_pulses for j in range(1, n_pulses + 1))
-    return PulseSequence(delta=delta, tau=tau, pi_time=pi_time)
+    return PulseSequence(delta=delta, tau=tau)
 
 
 def ramsey(tau: float) -> PulseSequence:
@@ -161,13 +157,6 @@ def accumulated_phase(seq: PulseSequence, components, t0):
             * np.sin(2.0 * np.pi * comp.frequency_hz * t0 + comp.phase + np.angle(filt))
         )
     return total
-
-
-def cpmg_response(noise: NoiseComponent, contrast: float, t0, seq: PulseSequence):
-    """Excited-state probability for a single modulation component."""
-    if not 0.0 <= contrast <= 1.0:
-        raise ValueError("contrast must lie in [0, 1]")
-    return 0.5 + 0.5 * contrast * np.sin(accumulated_phase(seq, [noise], t0))
 
 
 def multi_component_response(components, contrast: float, t0, seq: PulseSequence):

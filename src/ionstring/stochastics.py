@@ -87,18 +87,14 @@ class CollisionModel:
 
     melt_rate: float = 0.0  # crystal-melting collisions, 1/s
     soft_collision_rate: float = 0.0  # in-probe spoiling collisions, 1/ms
-    dark_ion_rate: float = 0.0  # chemistry events, 1/day
 
     def __post_init__(self):
-        if min(self.melt_rate, self.soft_collision_rate, self.dark_ion_rate) < 0:
+        if min(self.melt_rate, self.soft_collision_rate) < 0:
             raise ValueError("rates must be >= 0")
 
     def spoil_probability(self, probe_time_ms: float) -> float:
         """Chance that a soft collision spoils one probe of given length."""
         return float(1.0 - np.exp(-self.soft_collision_rate * probe_time_ms))
-
-    def expected_dark_ions(self, duration_days: float) -> float:
-        return self.dark_ion_rate * duration_days
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,35 @@
+import copy
 import json
+import math
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ionstring import cli
+
+# One small valid params block per kind: at most 4 ions, 100 trials,
+# 3 points, Fock cutoff 80.
+_COMPONENT = {"f_hz": 50.0, "b_microgauss": 5.0, "phase_rad": 0.4}
+SMALL = {
+    "chain": {"n_ions": 4},
+    "couplings": {"n_ions": 4},
+    "quench": {"n_ions": 4, "time_points": 3, "t_max_s": 1e-3},
+    "negativity": {"n_ions": 4, "time_s": 1e-3, "subsets": [[1, 2], [1, 2, 3]], "shots_per_setting": 100},
+    "cpmg-sense": {
+        "components": [_COMPONENT], "sequence": {"n_pulses": 2, "tau_s": 0.02}, "shots": 100, "scan_points": 8,
+    },
+    "compensate": {
+        "components": [_COMPONENT], "sequence": {"tau_s": 0.02}, "max_rounds": 1, "shots": 100, "scan_points": 8,
+    },
+    "wavefront-semiclassical": {"n_points": 3},
+    "wavefront-quantum": {"eta": 0.01, "nbar": 2.0, "fock_cutoff": 80, "n_points": 3, "n_pulses": 4},
+    "heating-fit": {"synthetic": {"freqs_hz": [3e4, 1e5, 3e5], "ion_counts": [1, 2]}},
+    "survival": {"trials": 100, "horizon_s": 10.0, "n_bins": 10},
+    "ramsey-correlations": {"n_experiments": 100, "max_lag_steps": 10},
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -233,6 +260,8 @@ def test_ising_summaries_report_the_parity_sector(tmp_path):
             {"kind": "ramsey-correlations", "params": {"n_experiments": 200, "max_lag_steps": 200}},
             "params.max_lag_steps",
         ),
+        ({"kind": "survival", "seed": -1, "params": {"trials": 100}}, "seed"),
+        ({"kind": "wavefront-semiclassical", "params": {"tilt_mrad": -1.0}}, "params.tilt_mrad"),
     ],
 )
 def test_configs_that_ended_in_a_traceback_exit_2(tmp_path, capsys, config, field):
@@ -348,3 +377,140 @@ def test_run_writes_only_declared_outputs(tmp_path):
     declared = {p.split("/")[-1] for p in summary["outputs"]}
     declared.add("s.csv.summary.json")
     assert created == declared
+
+
+def test_small_configs_cover_every_kind():
+    assert set(SMALL) == set(cli.EXPERIMENT_KINDS)
+
+
+@pytest.mark.parametrize(
+    "kind, params, field",
+    [
+        ("couplings", {"n_ions": 4, "rabi_hz": math.inf}, "params.rabi_hz"),
+        ("couplings", {"n_ions": 4, "centerline_detuning_hz": math.nan}, "params.centerline_detuning_hz"),
+        ("wavefront-semiclassical", {"t_wait_max_us": math.inf}, "params.t_wait_max_us"),
+        ("quench", {"n_ions": 4, "t_max_s": math.inf}, "params.t_max_s"),
+        ("ramsey-correlations", {"strength": math.inf}, "params.strength"),
+        ("wavefront-quantum", {"detuning_rad_s": math.nan}, "params.detuning_rad_s"),
+        ("cpmg-sense", {"components": [{**_COMPONENT, "phase_rad": math.nan}]}, "params.components[0].phase_rad"),
+    ],
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, kind, params, field):
+    path = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": params})
+    assert cli.main(["run", path]) == 2
+    assert f"config error: {field}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "synthetic, field",
+    [
+        ({"freqs_hz": ["a"]}, "params.synthetic.freqs_hz[0]"),
+        ({"freqs_hz": []}, "params.synthetic.freqs_hz"),
+        ({"freqs_hz": [-1e3, 2e3]}, "params.synthetic.freqs_hz[0]"),
+        ({"ion_counts": ["x"]}, "params.synthetic.ion_counts[0]"),
+        ({"ion_counts": [0]}, "params.synthetic.ion_counts[0]"),
+        ({"ion_counts": [1, 2.5]}, "params.synthetic.ion_counts[1]"),
+    ],
+)
+def test_heating_fit_list_elements_are_typed(tmp_path, capsys, synthetic, field):
+    path = write_config(tmp_path, {"kind": "heating-fit", "out": str(tmp_path / "h.csv"), "params": {"synthetic": synthetic}})
+    assert cli.main(["run", path]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_non_string_out_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"kind": "heating-fit", "out": ["a"], "params": {"synthetic": {}}})
+    assert cli.main(["run", path]) == 2
+    assert "config error: out: expected a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("negativity", {"n_ions": 4, "time_points": 5}, "params.time_points: unknown field"),
+        ("negativity", {"n_ions": 4, "t_max_s": 1e-3}, "params.t_max_s: unknown field"),
+        (
+            "compensate",
+            {"components": [_COMPONENT], "sequence": {"n_pulses": 4, "tau_s": 0.02}},
+            "params.sequence.n_pulses: unknown field",
+        ),
+        ("survival", {"soft_collision_rate_per_ms": 1e-3}, "params.soft_collision_rate_per_ms: unknown field"),
+        ("quench", {"n_ions": 4, "target_max_j_rad_s": 0.0}, "params.target_max_j_rad_s: must be positive"),
+        ("couplings", {"n_ions": 4, "target_max_j_rad_s": -5.0}, "params.target_max_j_rad_s: must be positive"),
+        ("negativity", {"n_ions": 4, "subsets": []}, "params.subsets: expected a non-empty list"),
+    ],
+)
+def test_ignored_inputs_exit_2(tmp_path, capsys, kind, params, message):
+    path = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": params})
+    assert cli.main(["run", path]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL))
+def test_every_kind_honours_json_format(tmp_path, kind):
+    config = write_config(tmp_path, {"kind": kind, "seed": 3, "params": SMALL[kind]})
+    out = tmp_path / "main.json"
+    assert cli.main(["run", config, "--format", "json", "--out", str(out)]) == 0
+    with open(out) as handle:
+        payload = json.load(handle)
+    if kind == "chain":
+        assert len(payload["frequencies_hz"]) == 4 and len(payload["eigenvectors"]) == 4
+    elif kind == "couplings":
+        assert len(payload["j_rad_s"]) == 4 and "field_b_rad_s" in payload
+    else:
+        assert set(payload) == {"columns", "rows"}
+        assert payload["rows"] and all(len(row) == len(payload["columns"]) for row in payload["rows"])
+
+
+def test_summary_records_the_resolved_params(tmp_path):
+    summary = cli.run_experiment(
+        {"kind": "quench", "out": str(tmp_path / "q.csv"), "params": {"n_ions": 4, "time_points": 3}}
+    )
+    on_disk = json.loads((tmp_path / "q.csv.summary.json").read_text())
+    params = on_disk["effective"]["params"]
+    assert params["target_max_j_rad_s"] == 240.0
+    assert params["n_ions"] == 4 and params["t_max_s"] == 3e-3 and params["model"] == "xy_effective"
+    assert summary["effective"]["params"] == params
+    # defaults that depend on other fields are recorded resolved
+    cli.run_experiment({"kind": "negativity", "out": str(tmp_path / "n.csv"), "params": {"n_ions": 3}})
+    params = json.loads((tmp_path / "n.csv.summary.json").read_text())["effective"]["params"]
+    assert params["subsets"] == [[1, 2], [2, 3]]
+
+
+_POOL = [None, True, "x", [], {}, -1, 0, 1.5, math.nan, math.inf, -math.inf, "unknown key"]
+
+
+def _field_paths(table, block, prefix=()):
+    """Key path of every field of ``table``, into ``block``'s nested objects."""
+    for field in table:
+        path = prefix + (field.name,)
+        yield path
+        inner = block.get(field.name)
+        if isinstance(field.kind, tuple) and isinstance(inner, dict):
+            yield from _field_paths(field.kind, inner, path)
+        elif isinstance(field.kind, list) and isinstance(field.kind[0], tuple) and inner:
+            yield from _field_paths(field.kind[0], inner[0], path + (0,))
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL))
+@settings(
+    max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_any_one_bad_field_exits_0_2_or_3(tmp_path, monkeypatch, kind, data):
+    monkeypatch.chdir(tmp_path)
+    config = {"kind": kind, "seed": 1, "out": "run.csv", "format": "csv", "params": copy.deepcopy(SMALL[kind])}
+    paths = [(field.name,) for field in cli._CONFIG]
+    paths += [("params", *path) for path in _field_paths(cli._KINDS[kind].fields, config["params"])]
+    *parents, name = data.draw(st.sampled_from(paths))
+    value = data.draw(st.sampled_from(_POOL))
+    block = reduce(getitem, parents, config)
+    if value == "unknown key":
+        block[f"{name}_unknown"] = 1
+    else:
+        block[name] = value
+    path = write_config(tmp_path, config)
+    assert cli.main(["run", path]) in (0, 2, 3)

@@ -91,8 +91,8 @@ def test_filter_lobe_maximum_near_nominal(n_pulses):
 
 def test_response_trivials():
     seq = sq.cpmg(2, TAU)
-    assert sq.cpmg_response(sq.NoiseComponent(50.0, 0.0), 1.0, 0.123, seq) == 0.5
-    assert sq.cpmg_response(sq.NoiseComponent(50.0, 500.0), 0.0, 0.123, seq) == 0.5
+    assert sq.multi_component_response([sq.NoiseComponent(50.0, 0.0)], 1.0, 0.123, seq) == 0.5
+    assert sq.multi_component_response([sq.NoiseComponent(50.0, 500.0)], 0.0, 0.123, seq) == 0.5
 
 
 def test_response_reaches_unity_at_quarter_wave():
@@ -103,7 +103,7 @@ def test_response_reaches_unity_at_quarter_wave():
     arg_f = np.angle(sq.filter_function(seq, 50.0))
     t_peak = (np.pi / 2.0 - arg_f) / (2.0 * np.pi * 50.0)
     np.testing.assert_allclose(
-        sq.cpmg_response(comp, 1.0, t_peak, seq), 1.0, atol=1e-12
+        sq.multi_component_response([comp], 1.0, t_peak, seq), 1.0, atol=1e-12
     )
 
 
@@ -111,8 +111,8 @@ def test_response_periodicity():
     seq = sq.cpmg(2, TAU)
     comp = sq.NoiseComponent(50.0, 321.0, 0.77)
     for t0 in (0.0, 0.0123, 0.5):
-        a = sq.cpmg_response(comp, 0.8, t0, seq)
-        b = sq.cpmg_response(comp, 0.8, t0 + 1.0 / 50.0, seq)
+        a = sq.multi_component_response([comp], 0.8, t0, seq)
+        b = sq.multi_component_response([comp], 0.8, t0 + 1.0 / 50.0, seq)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
