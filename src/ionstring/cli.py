@@ -13,11 +13,13 @@ Two subcommands:
     to the main output as ``<out>.summary.json``. Its
     ``effective.params`` holds every field the run used, defaults filled
     in; for ``quench`` and ``negativity`` its ``result.solver`` holds the
-    propagation steps taken, the worst norm error and the dimension of
-    the symmetry sector propagated, for ``wavefront-quantum`` the Fock
-    solver's boundary leak, norm error, truncated thermal weight, band
-    half-width, squarings, dropped-band error bound and the share of
-    (slab, column) products its row windows left to compute.
+    number of Chebyshev terms summed, the bound on the terms dropped, the
+    Gershgorin bounds on the spectrum, the worst norm error and the
+    dimension of the symmetry sector propagated, for
+    ``wavefront-quantum`` the Fock solver's boundary leak, norm error,
+    truncated thermal weight, band half-width, squarings, dropped-band
+    error bound and the share of (slab, column) products its row windows
+    left to compute.
 
 ``ionstring figure KIND [--outdir DIR] [--seed N]``
     Emit the CSV bundle behind one of the canned figure analogs.
@@ -25,9 +27,10 @@ Two subcommands:
 Each kind declares its ``params`` in one table of fields, read by
 ``_parse``; one cross-field check per kind follows before any numerical
 work. Unknown fields, wrong types, non-finite numbers and failed checks
-are config errors, all reported at once. Frequencies in config files
-are plain Hz and use ``_hz``-suffixed keys; they are converted to
-angular frequencies internally. Exit codes: 0 success, 2 config
+are config errors, all reported at once. Every integer field has an
+upper bound, so no count can ask for an unbounded allocation or loop.
+Frequencies in config files are plain Hz and use ``_hz``-suffixed
+keys; they are converted to angular frequencies internally. Exit codes: 0 success, 2 config
 validation error, 3 numerical failure. Outputs are deterministic for a
 fixed (config, seed) pair.
 """
@@ -142,15 +145,12 @@ def _number(raw, kind):
     return kind(raw)
 
 
-def _at_least(low):
-    return lambda value: None if value >= low else f"must be >= {low}"
-
-
 def _positive(value):
     return None if value > 0 else "must be positive"
 
 
-_non_negative = _at_least(0)
+def _non_negative(value):
+    return None if value >= 0 else "must be >= 0"
 
 
 def _within(low, high):
@@ -172,7 +172,7 @@ def _plain(value):
 
 def _trap(n_ions=8):
     return (
-        Field("n_ions", int, n_ions, _at_least(1)),
+        Field("n_ions", int, n_ions, _within(1, 10**5)),
         Field("omega_z_hz", float, 127e3, _positive),
         Field("omega_x_hz", float, 2.93e6, _positive),
         Field("omega_y_hz", float, 2.89e6, _positive),
@@ -287,13 +287,14 @@ def _quench_setup(p):
 
 
 def _solver_summary(grid: dynamics.GridEvolution) -> dict:
-    return {key: getattr(grid, key) for key in ("propagation_steps", "max_norm_error", "sector_dim")}
+    keys = ("chebyshev_terms", "truncation_bound", "max_norm_error", "sector_dim")
+    return {key: getattr(grid, key) for key in keys} | {"spectral_bounds": list(grid.spectral_bounds)}
 
 
 _QUENCH = (
     *_SPINS,
     Field("t_max_s", float, 3e-3, _positive),
-    Field("time_points", int, 31, _at_least(2)),
+    Field("time_points", int, 31, _within(2, 10**4)),
 )
 
 
@@ -319,7 +320,7 @@ def _subset_shape(subset):
 _NEGATIVITY = (
     *_SPINS,
     Field("time_s", float, 3e-3, _positive),
-    Field("shots_per_setting", int, None, _positive),
+    Field("shots_per_setting", int, None, _within(1, 10**6)),
     Field("subsets", [list], None, _subset_shape),
 )
 
@@ -363,8 +364,8 @@ _COMPONENT = (
 
 _SCAN = (
     Field("components", [_COMPONENT], REQUIRED),
-    Field("shots", int, 100, _positive),
-    Field("scan_points", int, 41, _at_least(8)),
+    Field("shots", int, 100, _within(1, 10**6)),
+    Field("scan_points", int, 41, _within(8, 10**4)),
     Field("contrast", float, 1.0, _within(0.0, 1.0)),
 )
 
@@ -389,7 +390,7 @@ def _noise_components(p) -> list[sequences.NoiseComponent]:
 
 _CPMG_SENSE = (
     *_SCAN,
-    Field("sequence", (Field("n_pulses", int, 2, _positive), Field("tau_s", float, 0.02, _positive)), {}),
+    Field("sequence", (Field("n_pulses", int, 2, _within(1, 10**4)), Field("tau_s", float, 0.02, _positive)), {}),
     Field("sense_frequency_hz", float, None, _positive),
 )
 
@@ -427,7 +428,7 @@ def _run_cpmg_sense(p, seed):
 _COMPENSATE = (
     *_SCAN,
     Field("sequence", (Field("tau_s", float, 0.02, _positive),), {}),
-    Field("max_rounds", int, 2, _positive),
+    Field("max_rounds", int, 2, _within(1, 1000)),
     Field("phase_drift_rad", float, 0.0, _non_negative),
 )
 
@@ -450,7 +451,7 @@ def _run_compensate(p, seed):
 
 _WAVEFRONT_SEMICLASSICAL = (
     Field("omega_z_hz", float, 112e3, _positive),
-    Field("n_pulses", int, 20, _positive),
+    Field("n_pulses", int, 20, _within(1, 10**4)),
     Field("ion_mass_amu", float, 40.0, _positive),
     Field("wavelength_m", float, 729e-9, _positive),
     Field("tilt_mrad", float, 4.8, _within(0.0, 500.0 * np.pi)),
@@ -458,7 +459,7 @@ _WAVEFRONT_SEMICLASSICAL = (
     Field("temperature_k", float, 4.6e-3, _positive),
     Field("t_wait_min_us", float, 1.0, _positive),
     Field("t_wait_max_us", float, 20.0, _positive),
-    Field("n_points", int, 200, _positive),
+    Field("n_points", int, 200, _within(1, 10**5)),
 )
 
 
@@ -485,18 +486,20 @@ def _run_wavefront_semiclassical(p, seed):
     return _Run(["t_wait_us", "excitation"], rows, {"peak_excitation": peak})
 
 
+_MAX_FOCK_CUTOFF = 10**5
+
 _WAVEFRONT_QUANTUM = (
     Field("omega_rad_s", float, 2.0 * np.pi, _positive),
     Field("rabi_over_omega", float, 50.0, _positive),
     Field("eta", float, 0.01, _non_negative),
-    Field("n_pulses", int, 10, _positive),
+    Field("n_pulses", int, 10, _within(1, 10**4)),
     Field("nbar", float, 10.0, _non_negative),
-    Field("initial_fock", int, None, _non_negative),
-    Field("fock_cutoff", int, None, _positive),
+    Field("initial_fock", int, None, _within(0, 10**5)),
+    Field("fock_cutoff", int, None, _within(1, _MAX_FOCK_CUTOFF)),
     Field("detuning_rad_s", float, 0.0),
     Field("t_wait_min_periods", float, 0.55, _positive),
     Field("t_wait_max_periods", float, 2.2, _positive),
-    Field("n_points", int, 56, _positive),
+    Field("n_points", int, 56, _within(1, 10**4)),
 )
 
 
@@ -514,8 +517,11 @@ def _check_wavefront_quantum(p):
     elif lo > hi:
         errors.append(f"params.t_wait_min_periods: {lo:g} exceeds t_wait_max_periods {hi:g}")
     if p.fock_cutoff is None:
-        base = p.initial_fock if p.initial_fock is not None else p.nbar
+        source = "initial_fock" if p.initial_fock is not None else "nbar"
+        base = getattr(p, source)
         p.fock_cutoff = int(5 * base + 20) + motion._CUTOFF_MARGIN
+        if p.fock_cutoff > _MAX_FOCK_CUTOFF:
+            errors.append(f"params.{source}: {base:g} needs a fock_cutoff of {p.fock_cutoff}, above {_MAX_FOCK_CUTOFF}")
     if p.fock_cutoff < 5 * p.nbar + 20:
         errors.append(f"params.fock_cutoff: {p.fock_cutoff} is below 5*nbar + 20 = {5 * p.nbar + 20:g}")
     if p.initial_fock is not None and p.initial_fock > p.fock_cutoff - motion._CUTOFF_MARGIN:
@@ -551,7 +557,7 @@ def _run_wavefront_quantum(p, seed):
 
 _HEATING_ROW = (
     Field("omega_z_hz", float, REQUIRED, _positive),
-    Field("n_ions", int, 1, _positive),
+    Field("n_ions", int, 1, _within(1, 10**5)),
     Field("rate_quanta_per_s", float, REQUIRED, _positive),
     Field("sigma", float, None, _positive),
 )
@@ -561,7 +567,7 @@ _HEATING_SYNTHETIC = (
     Field("prefactor", float, 3e12, _positive),
     Field("noise_fraction", float, 0.1, _non_negative),
     Field("freqs_hz", [float], list(np.geomspace(30e3, 500e3, 8)), _positive),
-    Field("ion_counts", [int], [1, 28, 50], _positive),
+    Field("ion_counts", [int], [1, 28, 50], _within(1, 10**5)),
 )
 
 _HEATING_FIT = (Field("data", [_HEATING_ROW]), Field("synthetic", _HEATING_SYNTHETIC))
@@ -610,8 +616,8 @@ def _run_heating_fit(p, seed):
 _SURVIVAL = (
     Field("melt_rate_per_s", float, 1.0 / 29.2, _non_negative),
     Field("horizon_s", float, 60.0, _positive),
-    Field("trials", int, 10000, _at_least(100)),
-    Field("n_bins", int, 60, _positive),
+    Field("trials", int, 10000, _within(100, 10**6)),
+    Field("n_bins", int, 60, _within(1, 10**4)),
 )
 
 
@@ -635,8 +641,8 @@ _RAMSEY_CORRELATIONS = (
     Field("noise_kind", str, stochastics.RANDOM_WALK, _one_of(*stochastics._NOISE_KINDS)),
     Field("strength", float, 6.67, _positive),
     Field("dt_s", float, 2e-3, _positive),
-    Field("n_experiments", int, 30000, _at_least(100)),
-    Field("max_lag_steps", int, 100, _at_least(10)),
+    Field("n_experiments", int, 30000, _within(100, 10**7)),
+    Field("max_lag_steps", int, 100, _within(10, 10**5)),
 )
 
 
@@ -696,7 +702,7 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 # The top level of a config file; command-line flags override it.
 _CONFIG = (
     Field("kind", str, REQUIRED, _one_of(*EXPERIMENT_KINDS)),
-    Field("seed", int, 0, _non_negative),
+    Field("seed", int, 0, _within(0, 2**63 - 1)),
     Field("out", str),
     Field("format", str, "csv", _one_of("csv", "json")),
     Field("params", dict, {}),

@@ -13,18 +13,19 @@ and its large-field effective limit, the XY (flip-flop) form
 
     H = sum_{i<j} J_ij (sigma^+_i sigma^-_j + sigma^-_i sigma^+_j),
 
-which conserves total magnetization. Exact propagation uses sparse
-matrix exponentials applied to the state, so there is no integrator
-bias at this scale.
+which conserves total magnetization. Propagation sums the Chebyshev
+series of the exponential applied to the state, cut where its dropped
+terms are bounded below 1e-14, so there is no integrator bias at this
+scale.
 
 :func:`evolve_grid` is the one propagation path. It propagates only in
 the symmetry sector of the initial state (Sandvik, arXiv:1101.3281):
 XY conserves the number of spin-down ions and the Ising pair flips
 conserve its parity, so a Neel state needs C(N, N/2) states in XY and
-2^(N-1) in Ising. H is built once in the sector and the state is
-stepped across a non-decreasing time grid, one sparse exponential per
-positive interval (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011)). :func:`evolve` is the single-time case.
+2^(N-1) in Ising. H is built once in the sector, scaled into [-1, 1]
+by its Gershgorin discs, and one Chebyshev recurrence serves every time
+of the grid at once (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+(1984)). :func:`evolve` is the single-time case.
 """
 
 from __future__ import annotations
@@ -33,16 +34,26 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
+from scipy import sparse, special
 
 from ionstring.coupling import CouplingMatrix
-from ionstring.errors import DimensionCapError
+from ionstring.errors import DimensionCapError, PropagationBudgetError
 
 ISING_TRANSVERSE = "ising_transverse"
 XY_EFFECTIVE = "xy_effective"
 
 DEFAULT_QUBIT_CAP = 14
+
+# Chebyshev series are cut where the norm of the dropped terms is bounded below this.
+TRUNCATION_TOLERANCE = 1e-14
+# The most Chebyshev terms (matrix-vector products) one evolve_grid call
+# may take: about ten minutes of 12-ion Ising work. A 1000 s quench would
+# need about 10^8.
+MAX_CHEBYSHEV_TERMS = 10**6
+# Chebyshev vectors added into the outputs per matrix product
+_BLOCK = 32
+# (-i)^k by k mod 4, exact
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
 logger = logging.getLogger(__name__)
 
@@ -144,15 +155,21 @@ class GridEvolution:
     """States on a time grid, one per time, with the cost of getting them.
 
     Indexing and iteration give the states, embedded in the full 2^N
-    space. ``propagation_steps`` is the number of positive time
-    intervals propagated; ``max_norm_error`` the worst
-    ``| |psi| - 1 |`` over the propagated states (0 when nothing was
-    propagated); ``sector_dim`` the dimension of the symmetry sector
-    the state was propagated in.
+    space. ``chebyshev_terms`` is the length K of the Chebyshev series
+    summed, 0 when H is diagonal (the states are exact phases) or no
+    time is positive; ``truncation_bound`` the bound
+    ``2 sum_{k>=K} |J_k(r t_max)|`` on the norm of the terms dropped;
+    ``spectral_bounds`` the Gershgorin interval ``(lo, hi)`` holding the
+    spectrum of H in the sector, None when no time is positive and no H
+    was built; ``max_norm_error`` the worst ``| |psi| - 1 |`` over the
+    propagated states (0 when nothing was propagated); ``sector_dim``
+    the dimension of the symmetry sector the state was propagated in.
     """
 
     states: np.ndarray
-    propagation_steps: int
+    chebyshev_terms: int
+    truncation_bound: float
+    spectral_bounds: tuple[float, float] | None
     max_norm_error: float
     sector_dim: int
 
@@ -161,6 +178,58 @@ class GridEvolution:
 
     def __iter__(self):
         return iter(self.states)
+
+
+def _series_length(half_width: float, t_max: float) -> tuple[int, float]:
+    """First K >= floor(z), z = r t_max, with ``2 sum_{k>=K} |J_k(z)|`` below the tolerance, and that sum.
+
+    The search may start at floor(z): there the sum is still near
+    z^(-1/3) (J_k(k) ~ 0.45 k^(-1/3)), far above the tolerance for any
+    z the budget admits, so K > z. Past k = z each J_k(z) rises with z,
+    so the sum bounds the dropped terms at every earlier time too. A K
+    above ``MAX_CHEBYSHEV_TERMS`` raises :class:`PropagationBudgetError`.
+    """
+    z = half_width * t_max
+    if z < MAX_CHEBYSHEV_TERMS:
+        start = int(z)
+        # |J_k(z)| falls faster than exponentially once k - z passes a few
+        # z^(1/3); at the end of this range it is below 1e-25
+        orders = np.arange(start, int(z + 15.0 * np.cbrt(z)) + 60)
+        tails = 2.0 * np.cumsum(np.abs(special.jv(orders, z))[::-1])[::-1]
+        kept = int(np.count_nonzero(tails >= TRUNCATION_TOLERANCE))
+        if start + kept <= MAX_CHEBYSHEV_TERMS:
+            return start + kept, float(tails[kept])
+    raise PropagationBudgetError(
+        f"propagating to t = {t_max:g} s needs more than {MAX_CHEBYSHEV_TERMS} Chebyshev terms: "
+        f"r*t_max = {z:.4g} (spectral half-width r = {half_width:.4g} rad/s)"
+    )
+
+
+def _chebyshev_states(h: sparse.csr_matrix, bounds, psi: np.ndarray, times: np.ndarray, terms: int) -> np.ndarray:
+    """e^{-iHt} psi at every one of ``times`` from the first ``terms`` of one Chebyshev series.
+
+    With H~ = (H - c) / r mapping ``bounds`` onto [-1, 1],
+    e^{-iHt} = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~).
+    T_k(H~) psi comes from the three-term recurrence; each block of
+    them is added into every time with one matrix product.
+    """
+    centre, half_width = (bounds[1] + bounds[0]) / 2.0, (bounds[1] - bounds[0]) / 2.0
+    # T_k(H~) is real, so a real state recurs in real arithmetic
+    dtype = complex if np.any(np.imag(psi)) else float
+    scaled = ((h - centre * sparse.identity(psi.size, format="csr")) / half_width).astype(dtype)
+    out = np.zeros((times.size, psi.size), dtype=complex)
+    block = np.empty((_BLOCK, psi.size), dtype=dtype)
+    previous, current = np.zeros(psi.size, dtype=dtype), psi if dtype is complex else psi.real
+    for start in range(0, terms, _BLOCK):
+        orders = np.arange(start, min(start + _BLOCK, terms))
+        for row, k in enumerate(orders):
+            if k:
+                # T_1 = H~ T_0; T_k = 2 H~ T_(k-1) - T_(k-2)
+                previous, current = current, (2.0 if k > 1 else 1.0) * (scaled @ current) - previous
+            block[row] = current
+        bessels = special.jv(orders, half_width * times[:, None])
+        out += (np.where(orders, 2.0, 1.0) * _MINUS_I_POWERS[orders % 4] * bessels) @ block[: orders.size]
+    return out * np.exp(-1j * centre * times)[:, None]
 
 
 def evolve_grid(
@@ -172,12 +241,16 @@ def evolve_grid(
     """Unitary evolution of ``state`` to every one of ``times`` (s).
 
     ``times`` must be non-negative and non-decreasing; repeats are
-    allowed. H is built once in the state's symmetry sector and the
-    state is stepped across the grid, one propagation per positive
-    interval. Diagonal Hamiltonians are applied as exact phases;
-    otherwise each step is a scaled sparse matrix exponential acting on
-    the state. The norm is checked to 1e-10 after every step. A time of
-    0 gives a copy of ``state``. The qubit cap counts qubits.
+    allowed and give identical states. H is built once in the state's
+    symmetry sector and its spectrum bounded by Gershgorin discs
+    (diagonal +- off-diagonal absolute row sum). A diagonal H is applied
+    as exact phases; otherwise one Chebyshev recurrence on the scaled H
+    serves every distinct positive time (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)), cut at the first K whose dropped terms are
+    bounded below 1e-14 in norm. A K above ``MAX_CHEBYSHEV_TERMS``
+    raises :class:`PropagationBudgetError` before any matrix-vector
+    product. The norm of every propagated state is checked to 1e-10. A
+    time of 0 gives a copy of ``state``. The qubit cap counts qubits.
     """
     n = qubit_count(state)
     if n != spec.coupling.ion_count:
@@ -190,35 +263,39 @@ def evolve_grid(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D sequence")
-    intervals = np.diff(times, prepend=0.0)
-    if not (np.all(np.isfinite(times)) and np.all(intervals >= 0)):
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times, prepend=0.0) >= 0)):
         raise ValueError("times must be finite, >= 0 and non-decreasing")
 
     basis = _sector_basis(state, spec.model)
-    states = np.zeros((times.size, state.size), dtype=complex)
+    if not basis.size:
+        raise ValueError("state is zero")
     psi = state[basis]
-    steps, norm_error = 0, 0.0
-    if times.size and times[-1] > 0:
+    grid, where = np.unique(times, return_inverse=True)
+    moving = grid > 0
+    sector = np.empty((grid.size, basis.size), dtype=complex)
+    sector[~moving] = psi
+    terms, bound, bounds, norm_error = 0, 0.0, None, 0.0
+    if moving.any():
         h = build_hamiltonian(spec, basis)
-        # diagonal when every stored column index equals its row
-        exact_phases = np.array_equal(h.indices, np.repeat(np.arange(basis.size), np.diff(h.indptr)))
         diagonal = h.diagonal()
-        tolerance = 1e-10 * max(1.0, np.linalg.norm(state))
-    for k, dt in enumerate(intervals):
-        if dt > 0:
-            if exact_phases:
-                psi = np.exp(-1j * dt * diagonal) * psi
-            else:
-                psi = expm_multiply(-1j * dt * h, psi)
-            norm = float(np.linalg.norm(psi))
-            if abs(norm - 1.0) > tolerance:
-                raise FloatingPointError(f"evolution lost norm: |psi| = {norm!r}")
-            steps += 1
-            norm_error = max(norm_error, abs(norm - 1.0))
-        states[k, basis] = psi
-    logger.debug("evolve_grid: sector of %d states, %d propagation steps, max norm error %.3g",
-                 basis.size, steps, norm_error)
-    return GridEvolution(states, steps, norm_error, basis.size)
+        off_diagonal = h - sparse.diags(diagonal)
+        radii = abs(off_diagonal) @ np.ones(basis.size)
+        bounds = (float(np.min(diagonal - radii)), float(np.max(diagonal + radii)))
+        if off_diagonal.nnz:
+            terms, bound = _series_length((bounds[1] - bounds[0]) / 2.0, grid[-1])
+            sector[moving] = _chebyshev_states(h, bounds, psi, grid[moving], terms)
+        else:
+            sector[moving] = np.exp(-1j * np.outer(grid[moving], diagonal)) * psi
+        norm_error = float(np.max(np.abs(np.linalg.norm(sector[moving], axis=1) - 1.0)))
+        if norm_error > 1e-10 * max(1.0, np.linalg.norm(state)):
+            raise FloatingPointError(f"evolution lost norm: | |psi| - 1 | = {norm_error!r}")
+    states = np.zeros((times.size, state.size), dtype=complex)
+    states[:, basis] = sector[where]
+    logger.debug(
+        "evolve_grid: sector of %d states, %d Chebyshev terms, truncation bound %.3g, spectral bounds %s, "
+        "max norm error %.3g", basis.size, terms, bound, bounds, norm_error,
+    )
+    return GridEvolution(states, terms, bound, bounds, norm_error, basis.size)
 
 
 def evolve(

@@ -21,6 +21,10 @@ class DimensionCapError(IonstringError):
     """Requested Hilbert-space size exceeds the configured cap."""
 
 
+class PropagationBudgetError(IonstringError):
+    """A propagation would need more steps than its fixed budget."""
+
+
 class FockCutoffError(IonstringError):
     """Population leaked into the truncation boundary of the Fock basis."""
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import time
 from functools import reduce
 from operator import getitem
 
@@ -204,11 +205,14 @@ def test_quench_and_negativity_summaries_report_the_solver(tmp_path):
     negativity = cli.run_experiment(
         {"kind": "negativity", "out": str(tmp_path / "n.csv"), "params": {"n_ions": 4, "time_s": 1e-3}}
     )
-    for summary, steps, name in ((quench, 4, "q.csv"), (negativity, 1, "n.csv")):
+    for summary, name in ((quench, "q.csv"), (negativity, "n.csv")):
         on_disk = json.loads((tmp_path / f"{name}.summary.json").read_text())
         solver = on_disk["result"]["solver"]
-        assert set(solver) == {"propagation_steps", "max_norm_error", "sector_dim"}
-        assert solver["propagation_steps"] == steps
+        keys = {"chebyshev_terms", "truncation_bound", "spectral_bounds", "max_norm_error", "sector_dim"}
+        assert set(solver) == keys
+        assert solver["chebyshev_terms"] > 0 and 0.0 < solver["truncation_bound"] < 1e-14
+        lo, hi = solver["spectral_bounds"]
+        assert lo < 0.0 < hi
         assert solver["sector_dim"] == 6  # the XY Neel sector of 4 ions, C(4, 2)
         assert 0.0 <= solver["max_norm_error"] < 1e-10
         assert summary["result"]["solver"] == solver
@@ -249,6 +253,29 @@ def test_ising_summaries_report_the_parity_sector(tmp_path):
     )
     assert quench["result"]["solver"]["sector_dim"] == 16
     assert negativity["result"]["solver"]["sector_dim"] == 16
+
+
+@pytest.mark.parametrize("model", ["ising_transverse", "xy_effective"])
+def test_quench_truncation_bound_at_the_benchmark_settings(tmp_path, model):
+    # the 12-ion jobs of a quench round, at the top of its parameter ranges
+    params = {
+        "n_ions": 12, "model": model, "centerline_detuning_hz": 3100.0, "target_max_j_rad_s": 245.0,
+        "t_max_s": 3.02e-3, "time_points": 11,
+    }
+    summary = cli.run_experiment({"kind": "quench", "out": str(tmp_path / "q.csv"), "params": params})
+    solver = summary["result"]["solver"]
+    assert solver["chebyshev_terms"] > 0 and solver["truncation_bound"] <= 1e-13
+
+
+def test_runaway_quench_exits_3_before_propagating(tmp_path, capsys):
+    config = write_config(tmp_path, {"kind": "quench", "out": str(tmp_path / "q.csv"), "params": {"t_max_s": 1e3}})
+    start = time.perf_counter()
+    assert cli.main(["run", config]) == 3
+    # the series would need about 10^8 matrix-vector products
+    assert time.perf_counter() - start < 30.0
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "r*t_max = " in err
+    assert not (tmp_path / "q.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -310,6 +337,9 @@ def test_wavefront_quantum_summary_reports_the_solver(tmp_path):
         ("wavefront-quantum", {"nbar": 10.0, "fock_cutoff": 30}, "params.fock_cutoff"),
         ("wavefront-quantum", {"initial_fock": 60, "fock_cutoff": 100}, "params.initial_fock"),
         ("wavefront-semiclassical", {"t_wait_min_us": 20.0, "t_wait_max_us": 5.0}, "params.t_wait_min_us"),
+        # the default Fock cutoff follows nbar or initial_fock; it is capped like a given one
+        ("wavefront-quantum", {"nbar": 1e15}, "params.nbar"),
+        ("wavefront-quantum", {"nbar": 0.0, "initial_fock": 100000}, "params.initial_fock"),
     ],
 )
 def test_bad_wavefront_ranges_exit_2(tmp_path, capsys, monkeypatch, kind, params, field):
@@ -484,10 +514,10 @@ _POOL = [None, True, "x", [], {}, -1, 0, 1.5, math.nan, math.inf, -math.inf, "un
 
 
 def _field_paths(table, block, prefix=()):
-    """Key path of every field of ``table``, into ``block``'s nested objects."""
+    """Key path and field of every field of ``table``, into ``block``'s nested objects."""
     for field in table:
         path = prefix + (field.name,)
-        yield path
+        yield path, field
         inner = block.get(field.name)
         if isinstance(field.kind, tuple) and isinstance(inner, dict):
             yield from _field_paths(field.kind, inner, path)
@@ -504,7 +534,7 @@ def test_any_one_bad_field_exits_0_2_or_3(tmp_path, monkeypatch, kind, data):
     monkeypatch.chdir(tmp_path)
     config = {"kind": kind, "seed": 1, "out": "run.csv", "format": "csv", "params": copy.deepcopy(SMALL[kind])}
     paths = [(field.name,) for field in cli._CONFIG]
-    paths += [("params", *path) for path in _field_paths(cli._KINDS[kind].fields, config["params"])]
+    paths += [("params", *path) for path, _ in _field_paths(cli._KINDS[kind].fields, config["params"])]
     *parents, name = data.draw(st.sampled_from(paths))
     value = data.draw(st.sampled_from(_POOL))
     block = reduce(getitem, parents, config)
@@ -514,3 +544,32 @@ def test_any_one_bad_field_exits_0_2_or_3(tmp_path, monkeypatch, kind, data):
         block[name] = value
     path = write_config(tmp_path, config)
     assert cli.main(["run", path]) in (0, 2, 3)
+
+
+# every integer field of the small configs, and of a heating-fit from data rows
+_INT_FIELDS = {
+    f"{kind}:{'.'.join(map(str, path))}": (kind, params, path, field.kind)
+    for kind, params in [*SMALL.items(), ("heating-fit", {"data": [{"omega_z_hz": 1e5, "rate_quanta_per_s": 10.0}]})]
+    for path, field in _field_paths(cli._KINDS[kind].fields, params)
+    if field.kind in (int, [int])
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INT_FIELDS))
+def test_every_integer_field_is_capped(tmp_path, capsys, case):
+    kind, params, path, field_kind = _INT_FIELDS[case]
+    params = copy.deepcopy(params)
+    *parents, name = path
+    reduce(getitem, parents, params)[name] = 10**15 if field_kind is int else [10**15]
+    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": params})
+    assert cli.main(["run", config]) == 2
+    where = "params" + "".join(f"[{key}]" if key == 0 else f".{key}" for key in path)
+    where += "" if field_kind is int else "[0]"
+    assert f"config error: {where}: must lie in" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_seed_is_capped(tmp_path, capsys):
+    config = write_config(tmp_path, {"kind": "survival", "seed": 2**63, "params": {"trials": 100}})
+    assert cli.main(["run", config, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "config error: seed: must lie in" in capsys.readouterr().err

@@ -1,13 +1,15 @@
+import itertools
 import logging
 from math import comb
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.sparse.linalg import expm_multiply
 
 from ionstring import dynamics as dyn
 from ionstring.coupling import CouplingMatrix
-from ionstring.errors import DimensionCapError
+from ionstring.errors import DimensionCapError, PropagationBudgetError
 
 
 def pair_coupling(j, n=2, field_b=0.0):
@@ -149,26 +151,22 @@ def test_evolve_grid_matches_per_point_oracle(model, n, grid):
     result = dyn.evolve_grid(psi, spec, times)
     assert result.states.shape == (len(times), 2**n)
     np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-12)
-    assert result.propagation_steps == len(times) - 1
+    assert result.chebyshev_terms > 0 and 0.0 < result.truncation_bound < dyn.TRUNCATION_TOLERANCE
     assert 0.0 <= result.max_norm_error < 1e-10
 
 
-def test_evolve_grid_diagonal_hamiltonian_uses_exact_phases(monkeypatch):
+def test_evolve_grid_diagonal_hamiltonian_uses_exact_phases():
     spec = dyn.HamiltonianSpec(pair_coupling(0.0, n=4, field_b=250.0), dyn.ISING_TRANSVERSE)
     rng = np.random.default_rng(7)
     psi = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi /= np.linalg.norm(psi)
     times = np.array([0.0, 1e-3, 1.5e-3, 4e-3])
     diagonal = dyn.build_hamiltonian(spec).diagonal()
-
-    def no_expm(*args, **kwargs):
-        raise AssertionError("a diagonal H must not go through expm_multiply")
-
-    monkeypatch.setattr(dyn, "expm_multiply", no_expm)
     result = dyn.evolve_grid(psi, spec, times)
     expected = np.array([np.exp(-1j * t * diagonal) * psi for t in times])
     np.testing.assert_allclose(result.states, expected, rtol=0, atol=1e-12)
-    assert result.propagation_steps == 3
+    assert result.chebyshev_terms == 0 and result.truncation_bound == 0.0
+    assert result.spectral_bounds == (diagonal.min(), diagonal.max())
 
 
 def test_evolve_grid_leading_zero_is_a_copy():
@@ -190,18 +188,20 @@ def test_evolve_grid_all_zero_times_builds_nothing(monkeypatch):
 
     monkeypatch.setattr(dyn, "build_hamiltonian", no_build)
     result = dyn.evolve_grid(dyn.neel_state(4), spec, [0.0, 0.0])
-    assert result.propagation_steps == 0 and result.max_norm_error == 0.0
+    assert result.chebyshev_terms == 0 and result.spectral_bounds is None and result.max_norm_error == 0.0
 
 
 def test_evolve_grid_repeated_times():
-    spec = dyn.HamiltonianSpec(random_coupling(5, seed=3, field_b=400.0), dyn.ISING_TRANSVERSE)
-    psi = dyn.neel_state(5)
-    times = [0.0, 1e-3, 1e-3, 2e-3, 2e-3]
-    result = dyn.evolve_grid(psi, spec, times)
-    np.testing.assert_array_equal(result[1], result[2])
-    np.testing.assert_array_equal(result[3], result[4])
-    assert result.propagation_steps == 2
-    np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-12)
+    # repeats at the start, inside and at the end of the grid
+    times = np.repeat([0.0, 1e-3, 1.5e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3, 7e-3], [2, 3, 1, 4, 1, 5, 2, 3, 7])
+    models, states = (dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE), (dyn.neel_state(5), two_label_state(5, 3))
+    for model, psi in itertools.product(models, states):
+        spec = dyn.HamiltonianSpec(random_coupling(5, seed=3, field_b=400.0), model)
+        result = dyn.evolve_grid(psi, spec, times)
+        for t in np.unique(times):
+            rows = result.states[times == t]
+            assert (rows == rows[0]).all()
+        np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("times", [[-1e-3], [0.0, -1e-4], [2e-3, 1e-3], [0.0, np.nan], [[1e-3]]])
@@ -209,6 +209,12 @@ def test_evolve_grid_rejects_bad_times(times):
     spec = dyn.HamiltonianSpec(random_coupling(3, seed=0), dyn.ISING_TRANSVERSE)
     with pytest.raises(ValueError, match="times"):
         dyn.evolve_grid(dyn.neel_state(3), spec, times)
+
+
+def test_evolve_grid_rejects_the_zero_state():
+    spec = dyn.HamiltonianSpec(random_coupling(3, seed=0), dyn.ISING_TRANSVERSE)
+    with pytest.raises(ValueError, match="state is zero"):
+        dyn.evolve_grid(np.zeros(8, dtype=complex), spec, [1e-3])
 
 
 def test_evolve_grid_cap_checked_before_build(monkeypatch):
@@ -226,7 +232,9 @@ def test_evolve_grid_logs_its_diagnostics(caplog):
     spec = dyn.HamiltonianSpec(random_coupling(4, seed=1), dyn.XY_EFFECTIVE)
     with caplog.at_level(logging.DEBUG, logger="ionstring.dynamics"):
         result = dyn.evolve_grid(dyn.neel_state(4), spec, [0.0, 1e-3, 2e-3])
-    assert f"{result.propagation_steps} propagation steps" in caplog.text
+    assert f"{result.chebyshev_terms} Chebyshev terms" in caplog.text
+    assert f"truncation bound {result.truncation_bound:.3g}" in caplog.text
+    assert f"spectral bounds {result.spectral_bounds}" in caplog.text
     assert "max norm error" in caplog.text
 
 
@@ -273,7 +281,7 @@ def test_state_on_every_label_gets_the_full_space(model):
     times = GRIDS["nonuniform"]
     result = dyn.evolve_grid(psi, spec, times)
     assert result.sector_dim == 2**n
-    np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-12)
 
 
 def test_ising_without_field_keeps_the_parity_sector():
@@ -283,7 +291,7 @@ def test_ising_without_field_keeps_the_parity_sector():
     times = GRIDS["uniform"]
     result = dyn.evolve_grid(psi, spec, times)
     assert result.sector_dim == 2 ** (n - 1)
-    np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(result.states, per_point_oracle(psi, spec, times), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -302,14 +310,56 @@ def test_sector_hamiltonian_is_the_closed_block_of_the_full_one(model, n):
         np.testing.assert_array_equal(dyn.build_hamiltonian(spec, basis).toarray(), block)
 
 
-def test_all_up_xy_state_takes_the_exact_phase_branch(monkeypatch):
-    def no_expm(*args, **kwargs):
-        raise AssertionError("a one-state sector must not go through expm_multiply")
-
-    monkeypatch.setattr(dyn, "expm_multiply", no_expm)
+def test_all_up_xy_state_takes_the_exact_phase_branch():
     spec = dyn.HamiltonianSpec(random_coupling(5, seed=17), dyn.XY_EFFECTIVE)
     psi = np.zeros(32, dtype=complex)
     psi[0] = 1.0
     result = dyn.evolve_grid(psi, spec, [0.0, 1e-3, 2e-3])
-    assert result.sector_dim == 1 and result.propagation_steps == 2
+    assert result.sector_dim == 1 and result.chebyshev_terms == 0 and result.spectral_bounds == (0.0, 0.0)
     np.testing.assert_array_equal(result.states, np.tile(psi, (3, 1)))
+
+
+def eigendecomposition_oracle(state, spec, times):
+    """e^{-iHt} state from a dense eigendecomposition of the full-space H."""
+    energies, vectors = np.linalg.eigh(dyn.build_hamiltonian(spec).toarray())
+    amplitudes = vectors.conj().T @ state
+    return np.array([vectors @ (np.exp(-1j * t * energies) * amplitudes) for t in times])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("model", [dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE])
+def test_gershgorin_bounds_hold_the_spectrum(model, n):
+    spec = dyn.HamiltonianSpec(random_coupling(n, seed=30 + n, field_b=np.pi * 3e3), model)
+    rng = np.random.default_rng(n)
+    everywhere = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    times = GRIDS["nonuniform"]
+    for psi in (dyn.neel_state(n), two_label_state(n, seed=n), everywhere / np.linalg.norm(everywhere)):
+        result = dyn.evolve_grid(psi, spec, times)
+        energies = np.linalg.eigvalsh(dyn.build_hamiltonian(spec, dyn._sector_basis(psi, model)).toarray())
+        lo, hi = result.spectral_bounds
+        assert lo <= energies.min() and energies.max() <= hi
+        np.testing.assert_allclose(result.states, eigendecomposition_oracle(psi, spec, times), rtol=0, atol=1e-12)
+    assert result.sector_dim == 2**n
+
+
+@pytest.mark.parametrize("z", [1e-300, 1e-3, 0.5, 7.0, 348.0, 5000.5])
+def test_series_is_cut_at_the_first_term_below_the_tolerance(z):
+    terms, bound = dyn._series_length(z, 1.0)
+    tails = 2.0 * np.cumsum(np.abs(special.jv(np.arange(terms + 200), z))[::-1])[::-1]
+    assert tails[terms] < dyn.TRUNCATION_TOLERANCE <= tails[terms - 1]
+    assert bound == pytest.approx(tails[terms], rel=1e-9)
+
+
+def test_runaway_propagation_is_refused_before_the_recurrence(monkeypatch):
+    spec = dyn.HamiltonianSpec(random_coupling(4, seed=18, field_b=np.pi * 3e3), dyn.ISING_TRANSVERSE)
+    psi = dyn.neel_state(4)
+    lo, hi = dyn.evolve_grid(psi, spec, [1e-4]).spectral_bounds
+
+    def no_recurrence(*args):
+        raise AssertionError("the budget must be checked before any matrix-vector product")
+
+    monkeypatch.setattr(dyn, "_chebyshev_states", no_recurrence)
+    # r*t_max past the budget, and just under it with the series' tail past it
+    for z in (1e8, dyn.MAX_CHEBYSHEV_TERMS - 100):
+        with pytest.raises(PropagationBudgetError, match=r"r\*t_max = "):
+            dyn.evolve_grid(psi, spec, [0.0, z / ((hi - lo) / 2)])
