@@ -519,9 +519,11 @@ def _check_wavefront_quantum(p):
     if p.fock_cutoff is None:
         source = "initial_fock" if p.initial_fock is not None else "nbar"
         base = getattr(p, source)
+        # compared as a float: int() refuses the inf that 5 * 1e308 gives
+        if 5 * base + 20 + motion._CUTOFF_MARGIN >= _MAX_FOCK_CUTOFF + 1:
+            errors.append(f"params.{source}: {base:g} needs a fock_cutoff above {_MAX_FOCK_CUTOFF}")
+            return errors
         p.fock_cutoff = int(5 * base + 20) + motion._CUTOFF_MARGIN
-        if p.fock_cutoff > _MAX_FOCK_CUTOFF:
-            errors.append(f"params.{source}: {base:g} needs a fock_cutoff of {p.fock_cutoff}, above {_MAX_FOCK_CUTOFF}")
     if p.fock_cutoff < 5 * p.nbar + 20:
         errors.append(f"params.fock_cutoff: {p.fock_cutoff} is below 5*nbar + 20 = {5 * p.nbar + 20:g}")
     if p.initial_fock is not None and p.initial_fock > p.fock_cutoff - motion._CUTOFF_MARGIN:

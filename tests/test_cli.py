@@ -339,6 +339,7 @@ def test_wavefront_quantum_summary_reports_the_solver(tmp_path):
         ("wavefront-semiclassical", {"t_wait_min_us": 20.0, "t_wait_max_us": 5.0}, "params.t_wait_min_us"),
         # the default Fock cutoff follows nbar or initial_fock; it is capped like a given one
         ("wavefront-quantum", {"nbar": 1e15}, "params.nbar"),
+        ("wavefront-quantum", {"nbar": 1e308}, "params.nbar"),
         ("wavefront-quantum", {"nbar": 0.0, "initial_fock": 100000}, "params.initial_fock"),
     ],
 )
