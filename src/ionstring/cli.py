@@ -286,6 +286,12 @@ def _quench_setup(p):
     return dynamics.HamiltonianSpec(coupling=mat, model=p.model), dynamics.neel_state(mat.ion_count, p.alignment)
 
 
+def _check_qubits(p):
+    """The ions of an exact-dynamics run within the qubit cap, before any chain solve or 2^N array."""
+    cap = dynamics.DEFAULT_QUBIT_CAP
+    return [f"params.n_ions: {p.n_ions} ions exceed the {cap}-qubit cap of exact dynamics"] if p.n_ions > cap else []
+
+
 def _solver_summary(grid: dynamics.GridEvolution) -> dict:
     keys = ("chebyshev_terms", "truncation_bound", "max_norm_error", "sector_dim")
     return {key: getattr(grid, key) for key in keys} | {"spectral_bounds": list(grid.spectral_bounds)}
@@ -302,7 +308,7 @@ def _run_quench(p, seed):
     spec, state = _quench_setup(p)
     times = np.linspace(0.0, p.t_max_s, p.time_points)
     grid = dynamics.evolve_grid(state, spec, times)
-    rows = [[t, *dynamics.magnetization(evolved)] for t, evolved in zip(times, grid)]
+    rows = np.column_stack([times, dynamics.magnetization(grid.states)]).tolist()
     header = ["t_s"] + [f"sz_ion{k + 1}" for k in range(p.n_ions)]
     return _Run(header, rows, {"n_ions": p.n_ions, "model": spec.model, "solver": _solver_summary(grid)})
 
@@ -326,10 +332,10 @@ _NEGATIVITY = (
 
 
 def _check_negativity(p):
-    """Every subset inside the string; adjacent pairs by default."""
+    """The ions within the qubit cap and every subset inside the string; adjacent pairs by default."""
     if p.subsets is None:
         p.subsets = [[i, i + 1] for i in range(1, p.n_ions)]
-    return [
+    return _check_qubits(p) + [
         f"params.subsets[{idx}]: {subset} has an ion outside 1..{p.n_ions}"
         for idx, subset in enumerate(p.subsets)
         if not all(1 <= i <= p.n_ions for i in subset)
@@ -686,7 +692,7 @@ class _Kind(NamedTuple):
 _KINDS = {
     "chain": _Kind(_CHAIN, _run_chain),
     "couplings": _Kind(_COUPLINGS, _run_couplings),
-    "quench": _Kind(_QUENCH, _run_quench),
+    "quench": _Kind(_QUENCH, _run_quench, _check_qubits),
     "negativity": _Kind(_NEGATIVITY, _run_negativity, _check_negativity),
     "cpmg-sense": _Kind(_CPMG_SENSE, _run_cpmg_sense, _check_cpmg_sense),
     "compensate": _Kind(_COMPENSATE, _run_compensate, _check_components),

@@ -1,14 +1,17 @@
 """Deterministic CSV/JSON serialization helpers.
 
 Numbers are written with 12 significant digits so that repeated runs
-of the same seeded experiment produce byte-identical files. Writers
-go through a temporary file and an atomic rename, so a failed run
-never leaves a partial output behind.
+of the same seeded experiment produce byte-identical files; a CSV row
+of Python floats and ints takes a cached %-template, with the same
+bytes. Writers go through a temporary file and an atomic rename, so a
+failed run never leaves a partial output behind.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 import os
 import tempfile
@@ -61,15 +64,26 @@ def _atomic_write(path, text: str):
         raise
 
 
+_CODES = {float: f"%.{SIG_DIGITS}g", int: "%d"}
+
+
+@functools.lru_cache(maxsize=256)
+def _row_template(signature: tuple) -> str | None:
+    """%-template for a row of these cell types, if all are Python floats or ints (a bool is neither)."""
+    return ",".join(map(_CODES.get, signature)) + "\n" if set(signature) <= _CODES.keys() else None
+
+
 def write_csv(path, header: list[str], rows):
     """Write rows of numbers (or strings) with deterministic formatting."""
-    import io
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([v if isinstance(v, str) else fmt(v) for v in row])
+        template = _row_template(tuple(map(type, row)))
+        if template is None:
+            writer.writerow([v if isinstance(v, str) else fmt(v) for v in row])
+        else:
+            buffer.write(template % tuple(row))
     _atomic_write(path, buffer.getvalue())
 
 
@@ -83,11 +97,9 @@ def mode_spectrum_rows(spectrum: ModeSpectrum):
     header = ["mode", "frequency_hz"] + [
         f"b_ion{i + 1}" for i in range(spectrum.ion_count)
     ]
-    rows = []
-    for m in range(spectrum.frequencies.size):
-        rows.append(
-            [m, spectrum.frequencies[m] / (2.0 * np.pi), *spectrum.eigenvectors[:, m]]
-        )
+    frequencies = (spectrum.frequencies / (2.0 * np.pi)).tolist()
+    vectors = spectrum.eigenvectors.T.tolist()
+    rows = [[m, f, *b] for m, (f, b) in enumerate(zip(frequencies, vectors))]
     return header, rows
 
 

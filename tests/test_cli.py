@@ -278,6 +278,27 @@ def test_runaway_quench_exits_3_before_propagating(tmp_path, capsys):
     assert not (tmp_path / "q.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["quench", "negativity"])
+@pytest.mark.parametrize("n_ions", [15, 30, 50, 10**5])
+def test_runs_past_the_qubit_cap_exit_2_before_any_work(tmp_path, capsys, monkeypatch, kind, n_ions):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the qubit cap must be checked before the chain or any 2^N array")
+
+    monkeypatch.setattr(cli.dynamics, "neel_state", no_work)
+    monkeypatch.setattr(cli, "_coupling", no_work)
+    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "q.csv"), "params": {"n_ions": n_ions}})
+    assert cli.main(["run", config]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: params.n_ions: {n_ions} ions exceed the {cli.dynamics.DEFAULT_QUBIT_CAP}-qubit cap" in err
+    assert not (tmp_path / "q.csv").exists()
+
+
+def test_runs_at_the_qubit_cap_pass_the_check():
+    for kind in ("quench", "negativity"):
+        params, errors = cli._parse({"n_ions": cli.dynamics.DEFAULT_QUBIT_CAP}, cli._KINDS[kind].fields, "params")
+        assert not errors and not cli._KINDS[kind].check(params)
+
+
 @pytest.mark.parametrize(
     "config, field",
     [

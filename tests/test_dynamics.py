@@ -1,5 +1,6 @@
 import itertools
 import logging
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -365,3 +366,65 @@ def test_runaway_propagation_is_refused_before_the_recurrence(monkeypatch):
     for z in (1e8, dyn.MAX_CHEBYSHEV_TERMS - 100):
         with pytest.raises(PropagationBudgetError, match=r"r\*t_max = "):
             dyn.evolve_grid(psi, spec, [0.0, z / ((hi - lo) / 2)])
+
+
+def kronecker_hamiltonian(spec):
+    """Dense H from explicit Pauli Kronecker products, ion 1 the leftmost factor."""
+    n = spec.coupling.ion_count
+    up_from_down = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma^+ in the (up, down) basis
+    pauli = {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "z": np.diag([1.0, -1.0]), "+": up_from_down, "-": up_from_down.T}
+
+    def product(ops):
+        return reduce(np.kron, [ops.get(ion, np.eye(2)) for ion in range(n)])
+
+    h = np.zeros((2**n, 2**n))
+    for i, k in itertools.combinations(range(n), 2):
+        if spec.model == dyn.ISING_TRANSVERSE:
+            term = product({i: pauli["x"], k: pauli["x"]})
+        else:
+            term = product({i: pauli["+"], k: pauli["-"]}) + product({i: pauli["-"], k: pauli["+"]})
+        h += spec.coupling.j[i, k] * term
+    if spec.model == dyn.ISING_TRANSVERSE:
+        # the integer sum first, so the diagonal is B times an exact integer
+        h += spec.coupling.field_b * sum(product({ion: pauli["z"]}) for ion in range(n))
+    return h
+
+
+@pytest.mark.parametrize("field_b", [0.0, 1234.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("model", [dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE])
+def test_build_hamiltonian_matches_pauli_kronecker_products(model, n, field_b):
+    coupling = random_coupling(n, seed=40 + n, field_b=field_b)
+    if n > 2:
+        # a pair without coupling has no entries
+        coupling.j[0, 2] = coupling.j[2, 0] = 0.0
+    spec = dyn.HamiltonianSpec(coupling, model)
+    expected = kronecker_hamiltonian(spec)
+    np.testing.assert_array_equal(dyn.build_hamiltonian(spec).toarray(), expected)
+    downs = np.array([bin(index).count("1") for index in range(2**n)])
+    labels = downs % 2 if model == dyn.ISING_TRANSVERSE else downs
+    for label in np.unique(labels):
+        basis = np.flatnonzero(labels == label)
+        sector = dyn.build_hamiltonian(spec, basis)
+        assert sector.shape == (basis.size, basis.size)
+        np.testing.assert_array_equal(sector.toarray(), expected[np.ix_(basis, basis)])
+
+
+def test_magnetization_of_a_stack_is_per_state():
+    rng = np.random.default_rng(50)
+    stack = rng.normal(size=(7, 64)) + 1j * rng.normal(size=(7, 64))
+    stack /= np.linalg.norm(stack, axis=1, keepdims=True)
+    mags = dyn.magnetization(stack)
+    assert mags.shape == (7, 6)
+    np.testing.assert_allclose(mags, [dyn.magnetization(state) for state in stack], rtol=0, atol=1e-15)
+    grid = dyn.evolve_grid(dyn.neel_state(6), dyn.HamiltonianSpec(random_coupling(6, seed=51)), GRIDS["uniform"])
+    np.testing.assert_allclose(dyn.magnetization(grid.states), [dyn.magnetization(s) for s in grid], rtol=0, atol=1e-15)
+
+
+def test_bessel_functions_are_called_only_for_the_series_length(monkeypatch):
+    calls = []
+    jv = dyn.special.jv
+    monkeypatch.setattr(dyn.special, "jv", lambda *args: calls.append(args) or jv(*args))
+    spec = dyn.HamiltonianSpec(random_coupling(6, seed=52, field_b=300.0), dyn.ISING_TRANSVERSE)
+    result = dyn.evolve_grid(dyn.neel_state(6), spec, GRIDS["nonuniform"])
+    assert result.chebyshev_terms > 0 and len(calls) == 1
