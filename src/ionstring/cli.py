@@ -19,7 +19,8 @@ Two subcommands:
     ``wavefront-quantum`` the Fock solver's boundary leak, norm error,
     truncated thermal weight, band half-width, squarings, dropped-band
     error bound and the share of (slab, column) products its row windows
-    left to compute.
+    left to compute, for ``cpmg-sense`` the fit's grid size, polishes,
+    evaluations and cost, for ``compensate`` the skipped (round, f_hz).
 
 ``ionstring figure KIND [--outdir DIR] [--seed N]``
     Emit the CSV bundle behind one of the canned figure analogs.
@@ -428,7 +429,9 @@ def _run_cpmg_sense(p, seed):
         "seed": seed,
     }
     rows = np.column_stack([t0, data]).tolist()
-    return _Run(["t0_s", "p_up"], rows, {"amplitude_rad_s": fit.amplitude}, sidecars={"_fit.json": fit_record})
+    solver = {"grid_points": sequences.GRID_POINTS, "polishes": sequences.POLISHES, "nfev": fit.nfev, "cost": fit.cost}
+    summary = {"amplitude_rad_s": fit.amplitude, "solver": solver}
+    return _Run(["t0_s", "p_up"], rows, summary, sidecars={"_fit.json": fit_record})
 
 
 _COMPENSATE = (
@@ -452,7 +455,9 @@ def _run_compensate(p, seed):
         rows.append([before.frequency_hz, before.field_ug, after.field_ug, *shift_hz])
     header = ["f_hz", "b_microgauss", "b_after_microgauss", "delta_hz", "delta_after_hz"]
     reductions = result.reduction_factors(comps)
-    return _Run(header, rows, {"reduction_factors": {str(k): v for k, v in reductions.items()}})
+    skipped = [list(event) for event in result.skipped]
+    summary = {"reduction_factors": {str(k): v for k, v in reductions.items()}, "solver": {"skipped": skipped}}
+    return _Run(header, rows, summary)
 
 
 _WAVEFRONT_SEMICLASSICAL = (

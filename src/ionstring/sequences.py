@@ -17,12 +17,14 @@ excitation
 
 when the sequence start t0 is scanned against the line trigger. C is
 an empirical contrast accounting for broadband noise. Sensing inverts
-this relation by nonlinear least squares; compensation senses each
-line harmonic, applies the opposite waveform, and iterates.
+this relation by least squares from the best points of one grid over
+amplitude and phase; compensation senses each line harmonic, applies
+the opposite waveform, and iterates.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -33,6 +35,16 @@ from ionstring.constants import FIELD_SENSITIVITY_HZ_PER_UG
 from ionstring.errors import FitError
 
 _SMALL_PHASE = 1e-6
+
+_MAX_INNER_AMPLITUDE = 8.0 * np.pi
+_GRID_AMPLITUDES = 2000
+_HARMONICS = (1, 3, 5)
+_GRID_BLOCK_ELEMENTS = 2**19  # sin evaluations per grid block, 4 MiB
+GRID_POINTS = _GRID_AMPLITUDES * sum(2 * m for m in _HARMONICS)
+POLISHES = 4
+_POLISH_TOL = 1e-12  # ftol, xtol and gtol: polish to the minimum, not near it
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -194,6 +206,8 @@ class SenseResult:
     contrast: float
     contrast_sigma: float
     residual_rms: float
+    nfev: int  # function evaluations summed over the polishes
+    cost: float  # half the residual sum of squares at the fit
 
 
 def sense(
@@ -201,15 +215,18 @@ def sense(
     p_up: np.ndarray,
     seq: PulseSequence,
     frequency_hz: float,
-    max_inner_amplitude: float = 8.0 * np.pi,
     contrast_fixed: float | None = None,
 ) -> SenseResult:
     """Fit amplitude, phase, and contrast of one modulation component.
 
-    Runs damped least squares from a grid of phase starts (8) and an
-    ascending amplitude-continuation ladder, which handles signals
-    whose inner phase amplitude wraps beyond pi/2. ``t0_values`` should
-    span one period of the probed frequency with at least 8 points.
+    A grid over the inner amplitude gain * A (2000 values up to 8 pi)
+    and 18 phases read off harmonics 1, 3 and 5 of the scan picks the
+    starts; at each grid point the contrast, in which the model is
+    affine, is solved in closed form and clipped to [0, 1] (variable
+    projection, Golub & Pereyra 1973), unless ``contrast_fixed`` holds
+    it. Least squares with the analytic Jacobian polishes the 4 lowest
+    grid points and the lowest cost wins. ``t0_values`` should span one
+    period of the probed frequency with at least 8 points.
 
     In the small-signal regime only the product of contrast and
     amplitude is identifiable; pass ``contrast_fixed`` when the
@@ -233,83 +250,72 @@ def sense(
     gain = np.sqrt(2.0 * np.pi) * np.abs(filt)
     if gain == 0:
         raise FitError(f"sequence has zero response at {frequency_hz} Hz")
-    arg = np.angle(filt)
-    w = 2.0 * np.pi * frequency_hz
+    theta = 2.0 * np.pi * frequency_hz * t0 + np.angle(filt)
     fit_contrast = contrast_fixed is None
-
-    def model(params, t):
-        a, phi = params[0], params[1]
-        c = params[2] if fit_contrast else contrast_fixed
-        return 0.5 + 0.5 * c * np.sin(gain * a * np.sin(w * t + phi + arg))
+    n = 3 if fit_contrast else 2  # free parameters: amplitude, phase and maybe contrast
 
     def residuals(params):
-        return model(params, t0) - data
+        c = params[2] if fit_contrast else contrast_fixed
+        return 0.5 + 0.5 * c * np.sin(gain * params[0] * np.sin(theta + params[1])) - data
 
     def jacobian(params):
         a, phi = params[0], params[1]
         c = params[2] if fit_contrast else contrast_fixed
-        theta = w * t0 + phi + arg
-        s = np.sin(theta)
+        s = np.sin(theta + phi)
         inner = gain * a * s
         slope = 0.5 * c * gain * np.cos(inner)
-        columns = [slope * s, slope * a * np.cos(theta)]
+        return np.column_stack([slope * s, slope * a * np.cos(theta + phi), 0.5 * np.sin(inner)][:n])
+
+    # By Jacobi-Anger, harmonic m of sin(z sin(theta + phi)) has phase
+    # m phi - pi/2 modulo pi: 2m candidate phases, the higher harmonics
+    # covering the zeros of J_1 where the first one is noise.
+    centred = data - data.mean()
+    phases = np.concatenate([
+        (np.angle(centred @ np.exp(-1j * m * theta)) + 0.5 * np.pi + np.pi * np.arange(2 * m)) / m
+        for m in _HARMONICS
+    ])
+    carrier = np.sin(theta[None, :] + phases[:, None])
+    z = _MAX_INNER_AMPLITUDE * np.arange(1, _GRID_AMPLITUDES + 1) / _GRID_AMPLITUDES
+    y = data - 0.5
+    contrast, cost = np.empty((2, z.size, phases.size))
+    block = max(1, _GRID_BLOCK_ELEMENTS // carrier.size)
+    for lo in range(0, z.size, block):
+        s = np.sin(z[lo : lo + block, None, None] * carrier)
+        ys, ss = s @ y, np.einsum("apn,apn->ap", s, s)
         if fit_contrast:
-            columns.append(0.5 * np.sin(inner))
-        return np.column_stack(columns)
+            c = np.clip(np.divide(2.0 * ys, ss, out=np.zeros_like(ys), where=ss > 0), 0.0, 1.0)
+        else:
+            c = contrast_fixed
+        contrast[lo : lo + block] = c
+        cost[lo : lo + block] = 0.5 * (y @ y - c * ys + 0.25 * c * c * ss)
 
-    contrast0 = min(1.0, max(0.1, np.ptp(data)))
-    inner_targets = np.array(
-        [0.2, 0.5, 1.0, 1.5, 2.0, 2.6, 3.2, 4.0, 5.0, 6.5, 8.0, 10.0, 13.0, 16.0, 20.0, 25.0]
-    )
-    inner_targets = inner_targets[inner_targets <= max_inner_amplitude]
-    phase_starts = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    if fit_contrast:
-        lower = [0.0, -4.0 * np.pi, 0.0]
-        upper = [max_inner_amplitude / gain, 4.0 * np.pi, 1.0]
-    else:
-        lower = [0.0, -4.0 * np.pi]
-        upper = [max_inner_amplitude / gain, 4.0 * np.pi]
+    bounds = ([0.0, -4.0 * np.pi, 0.0][:n], [_MAX_INNER_AMPLITUDE / gain, 4.0 * np.pi, 1.0][:n])
+    fits = []
+    for flat in np.argsort(cost, axis=None, kind="stable")[:POLISHES]:
+        i, j = divmod(int(flat), phases.size)
+        start = np.clip([z[i] / gain, phases[j], contrast[i, j]][:n], *bounds)
+        fits.append(least_squares(
+            residuals, start, jac=jacobian, bounds=bounds, ftol=_POLISH_TOL, xtol=_POLISH_TOL, gtol=_POLISH_TOL,
+        ))
+    best = min(fits, key=lambda res: res.cost)
+    nfev = sum(res.nfev for res in fits)
+    logger.debug("sense: %d grid points, %d polishes, %d evaluations, cost %.6g", cost.size, len(fits), nfev, best.cost)
 
-    best = None
-    warm = None
-    for a0 in inner_targets / gain:
-        starts = [
-            (a0, phi0, contrast0)[: len(lower)] for phi0 in phase_starts
-        ]
-        if warm is not None:
-            starts.append(warm)
-        for start in starts:
-            try:
-                res = least_squares(residuals, start, jac=jacobian, bounds=(lower, upper))
-            except ValueError:
-                continue
-            if best is None or res.cost < best.cost:
-                best = res
-        if best is not None:
-            warm = tuple(best.x)  # continuation: carry the running optimum
-
-    if best is None:
-        raise FitError("all fit starts failed")
-
-    a, phi = best.x[0], best.x[1]
-    c = best.x[2] if fit_contrast else contrast_fixed
-    phi = np.angle(np.exp(1j * phi))  # wrap to (-pi, pi]
-    dof = max(1, t0.size - len(best.x))
-    variance = 2.0 * best.cost / dof
-    jac = best.jac
+    variance = 2.0 * best.cost / max(1, t0.size - n)
     try:
-        cov = variance * np.linalg.pinv(jac.T @ jac)
-        sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        sigmas = np.sqrt(np.clip(np.diag(variance * np.linalg.pinv(best.jac.T @ best.jac)), 0.0, None))
     except np.linalg.LinAlgError:
-        sigmas = np.full(len(best.x), np.nan)
+        sigmas = np.full(n, np.nan)
     return SenseResult(
-        amplitude=float(a),
+        amplitude=float(best.x[0]),
         amplitude_sigma=float(sigmas[0]),
-        phase=float(phi),
+        phase=float(np.angle(np.exp(1j * best.x[1]))),  # wrapped to (-pi, pi]
         phase_sigma=float(sigmas[1]),
-        contrast=float(c),
+        contrast=float(best.x[2] if fit_contrast else contrast_fixed),
         contrast_sigma=float(sigmas[2]) if fit_contrast else 0.0,
-        residual_rms=float(np.sqrt(np.mean(residuals(best.x) ** 2))),
+        residual_rms=float(np.sqrt(np.mean(best.fun**2))),
+        nfev=int(nfev),
+        cost=float(best.cost),
     )
 
 
@@ -339,13 +345,14 @@ class CompensationResult:
 
     ``residuals`` are the true leftover components after applying the
     feedforward ``waveform`` (both per frequency, ascending).
-    ``sense_log`` records the order in which frequencies were fitted.
+    ``sense_log`` records the order in which frequencies were fitted,
+    ``skipped`` the (round, frequency) of senses with nothing to fit.
     """
 
     residuals: tuple[NoiseComponent, ...]
     waveform: tuple[NoiseComponent, ...]
     sense_log: tuple[SenseEvent, ...]
-    rounds_used: int
+    skipped: tuple[tuple[int, float], ...]
 
     def reduction_factors(self, inputs) -> dict[float, float]:
         """Residual/input amplitude ratio per frequency."""
@@ -354,10 +361,6 @@ class CompensationResult:
             r.frequency_hz: (r.amplitude / inp[r.frequency_hz] if inp[r.frequency_hz] else 0.0)
             for r in self.residuals
         }
-
-
-def _phasor(component: NoiseComponent) -> complex:
-    return component.amplitude * np.exp(1j * component.phase)
 
 
 def _component(frequency_hz: float, phasor: complex) -> NoiseComponent:
@@ -394,39 +397,30 @@ def compensate(
     """
     components = sorted(components, key=lambda c: c.frequency_hz)
     rng = np.random.default_rng(seed)
-    true = {c.frequency_hz: _phasor(c) for c in components}
+    true = {c.frequency_hz: c.amplitude * np.exp(1j * c.phase) for c in components}
     applied = {c.frequency_hz: 0.0 + 0.0j for c in components}
     log: list[SenseEvent] = []
+    skipped: list[tuple[int, float]] = []
 
     for round_index in range(max_rounds):
-        if round_index > 0 and phase_drift > 0.0:
-            for f in true:
-                true[f] *= np.exp(1j * rng.normal(0.0, phase_drift))
         for f in sorted(true, reverse=True):
             seq = sequence_for_frequency(f, tau)
-            current = [
-                _component(g, true[g] + applied[g])
-                for g in true
-                if np.abs(true[g] + applied[g]) > 0.0
-            ]
+            current = [_component(g, true[g] + applied[g]) for g in true if np.abs(true[g] + applied[g]) > 0.0]
             t0 = np.arange(scan_points) / scan_points / f
             data = simulate_scan(seq, current, contrast, t0, shots=shots, rng=rng)
             try:
                 # the scenario contrast is known here, as it would be
                 # from the first large-amplitude fit in the lab
                 fit = sense(t0, data, seq, f, contrast_fixed=contrast)
-            except FitError:
-                continue  # nothing measurable left at this frequency
+            except FitError:  # nothing measurable left at this frequency
+                skipped.append((round_index, f))
+                continue
             log.append(SenseEvent(round_index=round_index, frequency_hz=f, result=fit))
-            significant = (
-                shots is None or fit.amplitude > 3.0 * fit.amplitude_sigma
-            )
-            if significant:
+            if shots is None or fit.amplitude > 3.0 * fit.amplitude_sigma:
                 applied[f] -= fit.amplitude * np.exp(1j * fit.phase)
-
-    if phase_drift > 0.0:
-        for f in true:
-            true[f] *= np.exp(1j * rng.normal(0.0, phase_drift))
+        if phase_drift > 0.0:  # the drift until the next round, or after the last
+            for f in true:
+                true[f] *= np.exp(1j * rng.normal(0.0, phase_drift))
 
     residuals = tuple(_component(f, true[f] + applied[f]) for f in sorted(true))
     waveform = tuple(_component(f, applied[f]) for f in sorted(applied))
@@ -434,7 +428,7 @@ def compensate(
         residuals=residuals,
         waveform=waveform,
         sense_log=tuple(log),
-        rounds_used=max_rounds,
+        skipped=tuple(skipped),
     )
 
 

@@ -39,6 +39,12 @@ class HeatingDataset:
             raise ValueError("heating rates must be positive")
 
 
+def _weighted_line(x, y, weights):
+    """Weighted design, weighted data and normal matrix of the line y ~ c0 + c1 x."""
+    wd = np.column_stack([np.ones_like(x), x]) * weights[:, None]
+    return wd, y * weights, wd.T @ wd
+
+
 @dataclass(frozen=True)
 class HeatingFit:
     """Power law (rate / N) = prefactor * omega^(-exponent)."""
@@ -64,10 +70,7 @@ def fit_heating(data: HeatingDataset) -> HeatingFit:
     else:
         weights = np.ones_like(y)
 
-    design = np.column_stack([np.ones_like(x), x])
-    wd = design * weights[:, None]
-    wy = y * weights
-    gram = wd.T @ wd
+    wd, wy, gram = _weighted_line(x, y, weights)
     if np.linalg.cond(gram) > 1e12:
         raise FitError("singular regression (frequencies too clustered)")
     coeff = np.linalg.solve(gram, wd.T @ wy)
@@ -128,7 +131,7 @@ def simulate_survival(
     if model.melt_rate == 0.0:
         return SurvivalCurve(times=times, fraction=np.ones(n_bins), trials=trials, n_melted=0, seed=seed)
     melt_times = rng.exponential(1.0 / model.melt_rate, size=trials)
-    fraction = np.array([np.mean(melt_times > t) for t in times])
+    fraction = (trials - np.searchsorted(np.sort(melt_times), times, side="right")) / trials
     return SurvivalCurve(
         times=times,
         fraction=fraction,
@@ -166,13 +169,8 @@ def fit_lifetime(curve: SurvivalCurve) -> LifetimeFit:
     n = curve.trials
     var_log = (1.0 - s + 1.0 / n) / (s * n)
     weights = 1.0 / np.sqrt(var_log)
-
-    design = np.column_stack([np.ones_like(t), t])
-    wd = design * weights[:, None]
-    wy = np.log(s) * weights
-    gram = wd.T @ wd
-    coeff = np.linalg.solve(gram, wd.T @ wy)
-    slope = coeff[1]
+    wd, wy, gram = _weighted_line(t, np.log(s), weights)
+    slope = np.linalg.solve(gram, wd.T @ wy)[1]
     if slope >= 0:
         return LifetimeFit(tau=np.inf, tau_sigma=np.inf, flat=True)
     tau = -1.0 / slope
@@ -252,12 +250,12 @@ def phase_correlations(series: np.ndarray, dt: float, max_lag: int) -> Correlati
     if max_lag >= series.size:
         raise ValueError("max_lag must be smaller than the series length")
     lags = np.arange(max_lag + 1)
-    values = np.empty(lags.size)
-    counts = np.empty(lags.size, dtype=int)
-    for k in lags:
-        diff = series[k:] - series[: series.size - k] if k else np.zeros(series.size)
-        values[k] = float(np.mean(np.cos(diff)))
-        counts[k] = diff.size
+    counts = series.size - lags
+    # C(k) (n - k) = Re sum_i z_(i+k) conj(z_i), z = e^(i phi): one FFT, padded so no lag wraps
+    spectrum = np.fft.fft(np.exp(1j * series), n=series.size + max_lag)
+    pair_sums = np.fft.ifft(np.abs(spectrum) ** 2)[: lags.size].real
+    values = np.clip(pair_sums / counts, -1.0, 1.0)  # roundoff can step past |C| = 1
+    values[0] = 1.0  # every phase paired with itself
     return CorrelationSeries(lags=lags * dt, values=values, pair_counts=counts)
 
 

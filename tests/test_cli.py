@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ionstring import cli
+from ionstring import cli, sequences
+from ionstring.errors import FitError
 
 # One small valid params block per kind: at most 4 ions, 100 trials,
 # 3 points, Fock cutoff 80.
@@ -167,6 +168,42 @@ def test_compensate_table_output(tmp_path):
     assert len(rows) == 4
     for factor in summary["result"]["reduction_factors"].values():
         assert factor <= 0.1
+
+
+def test_cpmg_sense_summary_reports_the_fit(tmp_path):
+    config = {"kind": "cpmg-sense", "seed": 7, "out": str(tmp_path / "s.csv"), "params": SMALL["cpmg-sense"]}
+    summary = cli.run_experiment(config)
+    solver = json.loads((tmp_path / "s.csv.summary.json").read_text())["result"]["solver"]
+    assert solver == summary["result"]["solver"]
+    assert set(solver) == {"grid_points", "polishes", "nfev", "cost"}
+    assert solver["grid_points"] == 36000 and solver["polishes"] == 4
+    assert solver["nfev"] >= 4 and solver["cost"] >= 0.0
+    assert set(json.loads((tmp_path / "s_fit.json").read_text())) == {
+        "frequency_hz", "amplitude_rad_s", "amplitude_sigma_rad_s", "field_microgauss", "phase_rad",
+        "phase_sigma_rad", "contrast", "contrast_sigma", "residual_rms", "seed",
+    }
+    assert (tmp_path / "s.csv").read_text().splitlines()[0] == "t0_s,p_up"
+
+
+def test_compensate_summary_reports_skipped_senses(tmp_path, monkeypatch):
+    # shot noise keeps every simulated scan from being flat, so the
+    # 50 Hz sense is made to find nothing
+    sense = sequences.sense
+
+    def blind_at_50_hz(t0, data, seq, frequency_hz, **kwargs):
+        if frequency_hz == 50.0:
+            raise FitError("no modulation detected")
+        return sense(t0, data, seq, frequency_hz, **kwargs)
+
+    monkeypatch.setattr(sequences, "sense", blind_at_50_hz)
+    params = {
+        "components": [{"f_hz": 50.0, "amplitude_rad_s": 0.0}, {"f_hz": 250.0, "b_microgauss": 5.0}],
+        "sequence": {"tau_s": 0.02}, "max_rounds": 1,
+    }
+    summary = cli.run_experiment({"kind": "compensate", "out": str(tmp_path / "c.csv"), "params": params})
+    solver = json.loads((tmp_path / "c.csv.summary.json").read_text())["result"]["solver"]
+    assert solver == summary["result"]["solver"]
+    assert solver == {"skipped": [[0, 50.0]]}
 
 
 def test_chain_emits_positions_and_spectrum(tmp_path):

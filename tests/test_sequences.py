@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import special
+from scipy.optimize import least_squares
 
 from ionstring import sequences as sq
 from ionstring.errors import FitError
@@ -116,6 +118,52 @@ def test_response_periodicity():
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def ladder_sense_cost(t0, data, seq, frequency_hz, contrast_fixed=None):
+    """Lowest cost of the multi-start fit that ``sq.sense`` replaced.
+
+    Oracle for the grid start: 8 phase starts on each rung of an
+    inner-amplitude ladder, plus a warm start carrying the running
+    optimum from rung to rung (143 ``least_squares`` calls).
+    """
+    filt = sq.filter_function(seq, frequency_hz)
+    gain = np.sqrt(2.0 * np.pi) * np.abs(filt)
+    arg = np.angle(filt)
+    w = 2.0 * np.pi * frequency_hz
+    fit_contrast = contrast_fixed is None
+
+    def residuals(params):
+        c = params[2] if fit_contrast else contrast_fixed
+        return 0.5 + 0.5 * c * np.sin(gain * params[0] * np.sin(w * t0 + params[1] + arg)) - data
+
+    def jacobian(params):
+        a, phi = params[0], params[1]
+        c = params[2] if fit_contrast else contrast_fixed
+        theta = w * t0 + phi + arg
+        inner = gain * a * np.sin(theta)
+        slope = 0.5 * c * gain * np.cos(inner)
+        columns = [slope * np.sin(theta), slope * a * np.cos(theta)]
+        if fit_contrast:
+            columns.append(0.5 * np.sin(inner))
+        return np.column_stack(columns)
+
+    max_inner = 8.0 * np.pi
+    contrast0 = min(1.0, max(0.1, np.ptp(data)))
+    rungs = np.array([0.2, 0.5, 1.0, 1.5, 2.0, 2.6, 3.2, 4.0, 5.0, 6.5, 8.0, 10.0, 13.0, 16.0, 20.0, 25.0])
+    lower = [0.0, -4.0 * np.pi, 0.0][: 3 if fit_contrast else 2]
+    upper = [max_inner / gain, 4.0 * np.pi, 1.0][: 3 if fit_contrast else 2]
+    best, warm = None, None
+    for a0 in rungs[rungs <= max_inner] / gain:
+        starts = [(a0, phi0, contrast0)[: len(lower)] for phi0 in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)]
+        if warm is not None:
+            starts.append(warm)
+        for start in starts:
+            res = least_squares(residuals, start, jac=jacobian, bounds=(lower, upper))
+            if best is None or res.cost < best.cost:
+                best = res
+        warm = tuple(best.x)
+    return best.cost
+
+
 def test_sense_is_identity_on_noiseless_data():
     seq = sq.cpmg(2, TAU)
     comp = sq.NoiseComponent(50.0, 2 * np.pi * 104.0, 0.8)
@@ -173,6 +221,73 @@ def test_sense_jacobian_matches_finite_differences(monkeypatch, contrast_fixed):
         np.testing.assert_allclose(jac(x), central, rtol=1e-6, atol=1e-6)
 
 
+def oracle_scans():
+    """Ten seeded single-component scans, half within 1% of a zero of J_1.
+
+    At a zero of J_1 the first harmonic of the scan carries no phase,
+    so these test the phase candidates from harmonics 3 and 5.
+    """
+    rng = np.random.default_rng(2024)
+    near_zeros = special.jn_zeros(1, 5) * (1.0 + rng.uniform(-0.01, 0.01, size=5))
+    inner = np.concatenate([near_zeros, rng.uniform(0.05, 20.0, size=5)])
+    for index, z in enumerate(inner):
+        f = (50.0, 150.0, 250.0)[index % 3]
+        seq = sq.sequence_for_frequency(f, TAU)
+        gain = np.sqrt(2.0 * np.pi) * abs(sq.filter_function(seq, f))
+        contrast = rng.uniform(0.3, 1.0)
+        comp = sq.NoiseComponent(f, z / gain, rng.uniform(-np.pi, np.pi))
+        t0 = np.arange(24) / 24 / f
+        shots = (100, 1000)[index % 2]
+        data = sq.simulate_scan(seq, [comp], contrast, t0, shots=shots, rng=rng)
+        contrast_fixed = contrast if (index // 2) % 2 else None
+        yield t0, data, seq, f, contrast_fixed
+
+
+def test_grid_start_never_loses_to_the_ladder_oracle():
+    scans = list(oracle_scans())
+    assert {fixed is None for *_, fixed in scans} == {True, False}
+    for t0, data, seq, f, contrast_fixed in scans:
+        fit = sq.sense(t0, data, seq, f, contrast_fixed=contrast_fixed)
+        oracle = ladder_sense_cost(t0, data, seq, f, contrast_fixed)
+        assert fit.cost <= oracle + 1e-10, (f, contrast_fixed, fit.cost, oracle)
+        np.testing.assert_allclose(fit.residual_rms, np.sqrt(2.0 * fit.cost / t0.size), rtol=1e-12)
+
+
+@pytest.mark.parametrize("contrast_fixed", [None, 0.9])
+def test_sense_makes_at_most_four_polishes(monkeypatch, caplog, contrast_fixed):
+    seq = sq.cpmg(2, TAU)
+    comp = sq.NoiseComponent(50.0, 2 * np.pi * 104.0, 0.4)
+    t0 = np.arange(41) / 41 / 50.0
+    data = sq.simulate_scan(seq, [comp], 0.9, t0, shots=100, rng=np.random.default_rng(3))
+    results = []
+    least_squares = sq.least_squares
+
+    def recording(fun, x0, **kwargs):
+        results.append(least_squares(fun, x0, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(sq, "least_squares", recording)
+    with caplog.at_level("DEBUG", logger="ionstring.sequences"):
+        fit = sq.sense(t0, data, seq, 50.0, contrast_fixed=contrast_fixed)
+    assert len(results) == sq.POLISHES == 4
+    assert fit.nfev == sum(r.nfev for r in results)
+    assert fit.cost == min(r.cost for r in results)
+    assert sq.GRID_POINTS == 2000 * 18
+    assert f"{sq.GRID_POINTS} grid points, 4 polishes, {fit.nfev} evaluations" in caplog.text
+
+
+def test_sense_grid_blocks_do_not_change_the_fit(monkeypatch):
+    seq = sq.cpmg(2, TAU)
+    comp = sq.NoiseComponent(50.0, 2 * np.pi * 104.0, 0.4)
+    t0 = np.arange(41) / 41 / 50.0
+    data = sq.simulate_scan(seq, [comp], 0.8, t0, shots=100, rng=np.random.default_rng(5))
+    whole = sq.sense(t0, data, seq, 50.0)
+    # 18 phases x 41 points: blocks of one and of seven amplitudes
+    for elements in (1, 7 * 18 * 41):
+        monkeypatch.setattr(sq, "_GRID_BLOCK_ELEMENTS", elements)
+        assert sq.sense(t0, data, seq, 50.0) == whole
+
+
 def test_sense_rejects_flat_scan():
     seq = sq.cpmg(2, TAU)
     t0 = np.arange(16) / 16 / 50.0
@@ -217,6 +332,15 @@ def test_compensate_drift_leaves_residual_floor():
     comps = [sq.NoiseComponent(50.0, 2 * np.pi * 104.0, 0.7)]
     result = sq.compensate(comps, seed=3, max_rounds=2, shots=None, phase_drift=0.05)
     assert result.residuals[0].amplitude > 1e-3 * comps[0].amplitude
+
+
+def test_compensate_records_skipped_senses():
+    # the 50 Hz sequence does not respond at 100 Hz, so its scan is flat
+    comps = [sq.NoiseComponent(50.0, 0.0), sq.NoiseComponent(100.0, 2 * np.pi * 40.0, 1.9)]
+    result = sq.compensate(comps, seed=0, max_rounds=2, shots=None)
+    # a noiseless round also leaves nothing measurable at 100 Hz
+    assert result.skipped == ((0, 50.0), (1, 100.0), (1, 50.0))
+    assert [(e.round_index, e.frequency_hz) for e in result.sense_log] == [(0, 100.0)]
 
 
 def test_waveform_samples_cancels_component():

@@ -80,6 +80,15 @@ def test_survival_convergence_within_three_sigma():
         assert abs(fit.tau - 29.2) < 3.0 * fit.tau_sigma
 
 
+@pytest.mark.parametrize("trials, n_bins", [(100, 60), (2000, 60), (10000, 7)])
+def test_survival_fractions_equal_the_per_bin_loop(trials, n_bins):
+    model = st.CollisionModel(melt_rate=1.0 / 29.2)
+    curve = st.simulate_survival(model, 60.0, trials, seed=4, n_bins=n_bins)
+    melt_times = np.random.default_rng(4).exponential(1.0 / model.melt_rate, size=trials)
+    loop = np.array([np.mean(melt_times > t) for t in curve.times])
+    assert curve.fraction.tobytes() == loop.tobytes()
+
+
 def test_spoil_probability_arithmetic():
     model = st.CollisionModel(melt_rate=0.0, soft_collision_rate=7e-5)
     np.testing.assert_allclose(model.spoil_probability(10.0), 7e-4, rtol=5e-4)
@@ -110,6 +119,25 @@ def test_correlation_bounds_and_zero_lag():
     corr = st.phase_correlations(series, 1e-3, 50)
     assert corr.values[0] == 1.0
     assert np.all(np.abs(corr.values) <= 1.0)
+
+
+def loop_phase_correlations(series, max_lag):
+    """Per-lag pair average of cos(dphi), the oracle for the FFT estimator."""
+    values = [1.0] + [np.mean(np.cos(series[k:] - series[:-k])) for k in range(1, max_lag + 1)]
+    return np.array(values), series.size - np.arange(max_lag + 1)
+
+
+@pytest.mark.parametrize("kind, strength", [
+    (st.RANDOM_WALK, 10.0), (st.RANDOM_WALK, 1e-12), (st.WHITE_FREQUENCY, 0.5), (st.SLOW_DRIFT, 2.0),
+])
+def test_fft_correlations_match_the_lag_loop(kind, strength):
+    series = st.simulate_phase_noise(kind, strength, 1e-3, 3001, seed=2)
+    for max_lag in (1, 50, 3000):
+        corr = st.phase_correlations(series, 1e-3, max_lag)
+        values, counts = loop_phase_correlations(series, max_lag)
+        np.testing.assert_allclose(corr.values, values, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(corr.pair_counts, counts)
+        np.testing.assert_array_equal(corr.lags, np.arange(max_lag + 1) * 1e-3)
 
 
 def test_random_walk_matches_analytic_exponential():
