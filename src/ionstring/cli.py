@@ -20,7 +20,9 @@ Two subcommands:
     truncated thermal weight, band half-width, squarings, dropped-band
     error bound and the share of (slab, column) products its row windows
     left to compute, for ``cpmg-sense`` the fit's grid size, polishes,
-    evaluations and cost, for ``compensate`` the skipped (round, f_hz).
+    evaluations and cost, for ``compensate`` the skipped (round, f_hz),
+    for ``ramsey-correlations`` each decay model's evaluations, RSS and
+    whether its scale sits at an edge of the searched range.
 
 ``ionstring figure KIND [--outdir DIR] [--seed N]``
     Emit the CSV bundle behind one of the canned figure analogs.
@@ -669,22 +671,19 @@ def _run_ramsey_correlations(p, seed):
     series = stochastics.simulate_phase_noise(p.noise_kind, p.strength, p.dt_s, p.n_experiments, seed=seed)
     corr = stochastics.phase_correlations(series, p.dt_s, p.max_lag_steps)
     selection = stochastics.select_decay_model(corr)
+    fits = selection.fits
     fit_record = {
         "selected_model": selection.kind,
         "amplitude": selection.amplitude,
         "scale_s": selection.scale if np.isfinite(selection.scale) else "inf",
-        "rss_exponential": _nan_to_none(selection.rss_exponential),
-        "rss_gaussian": _nan_to_none(selection.rss_gaussian),
+        "rss_exponential": fits[stochastics.EXPONENTIAL].rss if fits else None,
+        "rss_gaussian": fits[stochastics.GAUSSIAN].rss if fits else None,
         "seed": seed,
     }
+    solver = {name: {"nfev": fit.nfev, "rss": fit.rss, "at_edge": fit.at_edge} for name, fit in fits.items()}
     rows = np.column_stack([corr.lags, corr.values, corr.pair_counts]).tolist()
-    return _Run(
-        ["lag_s", "correlation", "pairs"], rows, {"selected_model": selection.kind}, sidecars={"_fit.json": fit_record}
-    )
-
-
-def _nan_to_none(x):
-    return None if x is None or not np.isfinite(x) else float(x)
+    result = {"selected_model": selection.kind, "solver": solver}
+    return _Run(["lag_s", "correlation", "pairs"], rows, result, sidecars={"_fit.json": fit_record})
 
 
 class _Kind(NamedTuple):

@@ -31,19 +31,15 @@ _BASIS_ROTATIONS = {
     "Z": np.eye(2, dtype=complex),
 }
 
-DEFAULT_SUBSET_CAP = 3
+_SUBSET_CAP = 3
 
 
-def reduced_density_matrix(
-    state: np.ndarray,
-    subset: tuple[int, ...],
-    max_subset: int = DEFAULT_SUBSET_CAP,
-) -> np.ndarray:
+def reduced_density_matrix(state: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
     """Partial trace of a pure state down to the given ions.
 
     ``subset`` uses 1-based ion indices in the order the qubits should
-    appear in the reduced matrix. Subsets are capped at three qubits by
-    default, matching what the certification pipeline consumes.
+    appear in the reduced matrix. Subsets are capped at three qubits,
+    matching what the certification pipeline consumes.
     """
     n = qubit_count(state)
     subset = tuple(int(i) for i in subset)
@@ -51,10 +47,8 @@ def reduced_density_matrix(
         raise ValueError("duplicate ion indices in subset")
     if not all(1 <= i <= n for i in subset):
         raise ValueError(f"subset indices must lie in 1..{n}")
-    if len(subset) > max_subset:
-        raise ValueError(
-            f"subset of {len(subset)} qubits exceeds cap {max_subset}"
-        )
+    if len(subset) > _SUBSET_CAP:
+        raise ValueError(f"subset of {len(subset)} qubits exceeds cap {_SUBSET_CAP}")
 
     axes_keep = [i - 1 for i in subset]
     axes_trace = [a for a in range(n) if a not in axes_keep]

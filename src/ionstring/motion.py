@@ -50,6 +50,8 @@ from ionstring.constants import HBAR, KB
 from ionstring.errors import FockCutoffError
 
 _CUTOFF_MARGIN = 50
+_THERMAL_TAIL = 1e-4  # thermal weight left out above the highest initial Fock level
+_LEAK_TOL = 1e-6  # population allowed in the top two Fock levels
 # Propagator entries below this magnitude are dropped; their norm is reported.
 _DROP_FLOOR = 1e-20
 _SLAB_ROWS = 32
@@ -411,12 +413,7 @@ def _band_width(u: sparse.csr_matrix) -> int:
 
 
 def quantum_cpmg_scan(
-    params: SpinMotionParams,
-    n_pulses: int,
-    t_wait_values,
-    initial_fock: int | None = None,
-    thermal_tail: float = 1e-4,
-    leak_tol: float = 1e-6,
+    params: SpinMotionParams, n_pulses: int, t_wait_values, initial_fock: int | None = None
 ) -> QuantumScanResult:
     """Excitation vs pi-pulse spacing for the full quantum model.
 
@@ -429,10 +426,10 @@ def quantum_cpmg_scan(
 
     Initial states are Fock states |down, n> weighted by a thermal
     distribution of mean ``nbar``, truncated once its cumulative weight
-    reaches 1 - ``thermal_tail`` (or at the cutoff margin, whichever is
-    lower) and renormalized; the clipped weight is reported, never
-    silently dropped. Passing ``initial_fock`` evolves that single Fock
-    state instead.
+    reaches 1 - 1e-4 (or at the cutoff margin, whichever is lower) and
+    renormalized; the clipped weight is reported, never silently
+    dropped. Passing ``initial_fock`` evolves that single Fock state
+    instead.
 
     The states are evolved as the columns of one stack, each inside a
     row window that holds all its entries at or above the drop floor
@@ -447,7 +444,7 @@ def quantum_cpmg_scan(
     Raises
     ------
     FockCutoffError
-        If population at the truncation boundary exceeds ``leak_tol``.
+        If population at the truncation boundary exceeds 1e-6.
     """
     t_wait = np.atleast_1d(np.asarray(t_wait_values, dtype=float))
     t_pi = params.pi_time
@@ -469,7 +466,7 @@ def quantum_cpmg_scan(
         hard_cap = max(0, params.fock_cutoff - _CUTOFF_MARGIN)
         w_full = _thermal_weights(params.nbar, hard_cap)
         cumulative = np.cumsum(w_full)
-        hits = np.nonzero(cumulative >= 1.0 - thermal_tail)[0]
+        hits = np.nonzero(cumulative >= 1.0 - _THERMAL_TAIL)[0]
         n_top = int(hits[0]) if hits.size else hard_cap
         weights = w_full[: n_top + 1]
         truncated = float(1.0 - weights.sum())
@@ -515,10 +512,10 @@ def quantum_cpmg_scan(
         # the top two Fock levels of both spins
         leak = float(np.max(np.sum(np.abs(psi[-4:, :]) ** 2, axis=0)))
         max_leak = max(max_leak, leak)
-        if leak > leak_tol:
+        if leak > _LEAK_TOL:
             raise FockCutoffError(
                 f"population {leak:.2e} at the Fock-basis boundary exceeds "
-                f"{leak_tol:.0e}; increase fock_cutoff beyond {params.fock_cutoff}"
+                f"{_LEAK_TOL:.0e}; increase fock_cutoff beyond {params.fock_cutoff}"
             )
         norms = np.sum(np.abs(psi) ** 2, axis=0)
         max_norm_error = max(max_norm_error, float(np.max(np.abs(norms - 1.0))))

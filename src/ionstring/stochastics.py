@@ -7,12 +7,16 @@ scheduling order.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import minimize_scalar
 
 from ionstring.errors import FitError
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -128,9 +132,7 @@ def simulate_survival(
         raise ValueError("need at least 100 trials")
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, horizon, n_bins)
-    if model.melt_rate == 0.0:
-        return SurvivalCurve(times=times, fraction=np.ones(n_bins), trials=trials, n_melted=0, seed=seed)
-    melt_times = rng.exponential(1.0 / model.melt_rate, size=trials)
+    melt_times = rng.exponential(1.0 / model.melt_rate, size=trials) if model.melt_rate > 0 else np.full(trials, np.inf)
     fraction = (trials - np.searchsorted(np.sort(melt_times), times, side="right")) / trials
     return SurvivalCurve(
         times=times,
@@ -159,11 +161,14 @@ def fit_lifetime(curve: SurvivalCurve) -> LifetimeFit:
     trials and are strongly correlated, the quoted uncertainty is the
     exponential maximum-likelihood scale tau / sqrt(events) rather than
     the (far too optimistic) regression covariance. A curve with no
-    melting events reports tau = inf with the flat flag set.
+    melting events reports tau = inf with the flat flag set; one with
+    fewer than two time bins holding survivors raises FitError.
     """
     if curve.n_melted == 0:
         return LifetimeFit(tau=np.inf, tau_sigma=np.inf, flat=True)
     keep = curve.fraction > 0
+    if np.count_nonzero(keep) < 2:
+        raise FitError(f"fewer than two time bins have survivors ({np.count_nonzero(keep)} of {keep.size})")
     t = curve.times[keep]
     s = curve.fraction[keep]
     n = curve.trials
@@ -185,16 +190,12 @@ RANDOM_WALK = "random_walk"
 WHITE_FREQUENCY = "white_frequency"
 SLOW_DRIFT = "slow_drift"
 _NOISE_KINDS = (RANDOM_WALK, WHITE_FREQUENCY, SLOW_DRIFT)
+_DRIFT_BAND_HZ = (0.5, 3.0)
+_DRIFT_MODES = 40
 
 
 def simulate_phase_noise(
-    kind: str,
-    strength: float,
-    dt: float,
-    n_experiments: int,
-    seed: int | None = None,
-    drift_band_hz: tuple[float, float] = (0.5, 3.0),
-    drift_modes: int = 40,
+    kind: str, strength: float, dt: float, n_experiments: int, seed: int | None = None
 ) -> np.ndarray:
     """Relative-phase series Delta-phi_i sampled at interval dt.
 
@@ -209,10 +210,10 @@ def simulate_phase_noise(
         rad^2), the limit of noise much faster than the repetition
         rate; correlations drop to a lag-independent floor.
     ``slow_drift``
-        Band-limited Gaussian drift: a sum of ``drift_modes`` random
-        sinusoids with frequencies in ``drift_band_hz`` and total
-        variance ``strength`` (rad^2). Low-frequency dominated, so
-        short-lag correlations decay with Gaussian shape.
+        Band-limited Gaussian drift: a sum of 40 random sinusoids with
+        frequencies in 0.5-3 Hz and total variance ``strength`` (rad^2).
+        Low-frequency dominated, so short-lag correlations decay with
+        Gaussian shape.
     """
     if kind not in _NOISE_KINDS:
         raise ValueError(f"kind must be one of {_NOISE_KINDS}")
@@ -227,9 +228,9 @@ def simulate_phase_noise(
     if kind == WHITE_FREQUENCY:
         return rng.normal(0.0, np.sqrt(strength), size=n_experiments)
 
-    freqs = rng.uniform(*drift_band_hz, size=drift_modes)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=drift_modes)
-    amplitude = np.sqrt(2.0 * strength / drift_modes)
+    freqs = rng.uniform(*_DRIFT_BAND_HZ, size=_DRIFT_MODES)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=_DRIFT_MODES)
+    amplitude = np.sqrt(2.0 * strength / _DRIFT_MODES)
     return amplitude * np.sum(
         np.sin(2.0 * np.pi * np.outer(freqs, t) + phases[:, None]), axis=0
     )
@@ -262,68 +263,73 @@ def phase_correlations(series: np.ndarray, dt: float, max_lag: int) -> Correlati
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
 FLAT = "flat"
+_DECAY_SHAPES = {EXPONENTIAL: lambda x: np.exp(-x), GAUSSIAN: lambda x: np.exp(-x * x)}
+_FLAT_TOL = 1e-3  # peak-to-peak correlation below which a series shows no decay
+_SCALE_REACH = 1e3  # scales searched: lags[1] / reach to lags[-1] * reach, 10 per decade
+_SCALE_TOL = 1e-12  # Brent tolerance on log scale: polish to the minimum, not near it
+
+
+class DecayFit(NamedTuple):
+    """One model's fit a * g(lag / s); ``at_edge`` marks a grid scale left unpolished."""
+
+    amplitude: float
+    scale: float
+    rss: float
+    nfev: int
+    at_edge: bool
 
 
 @dataclass(frozen=True)
 class DecayModelSelection:
-    """Winning decay shape with its fitted amplitude and scale."""
+    """Winning decay shape with its fitted amplitude and scale; no ``fits`` for a flat series."""
 
     kind: str
     amplitude: float
     scale: float
-    rss_exponential: float
-    rss_gaussian: float
+    fits: dict[str, DecayFit]
 
 
-def select_decay_model(correlations: CorrelationSeries, flat_tol: float = 1e-3) -> DecayModelSelection:
+def _fit_decay(shape, lags, c) -> DecayFit:
+    def profiled(scales):  # the RSS is quadratic in a, so clipping its optimum into [0, 2] is exact
+        b = shape(lags[None, :] / scales[:, None])
+        bb, bc = np.einsum("ij,ij->i", b, b), b @ c
+        a = np.clip(np.divide(bc, bb, out=np.zeros_like(bc), where=bb > 0), 0.0, 2.0)
+        return a, np.sum((a[:, None] * b - c) ** 2, axis=1)
+
+    lo, hi = lags[1] / _SCALE_REACH, lags[-1] * _SCALE_REACH
+    scales = np.geomspace(lo, hi, int(np.ceil(10 * np.log10(hi / lo))) + 1)
+    a, rss = profiled(scales)
+    k = int(np.argmin(rss))
+    if not 0 < k < scales.size - 1 or not rss[k - 1] > rss[k] < rss[k + 1]:
+        return DecayFit(float(a[k]), float(scales[k]), float(rss[k]), scales.size, True)
+    polish = minimize_scalar(
+        lambda log_s: profiled(np.exp([log_s]))[1][0],
+        bracket=tuple(np.log(scales[k - 1 : k + 2])), method="brent", tol=_SCALE_TOL,
+    )
+    scale = np.exp([polish.x])
+    a, rss = profiled(scale)
+    return DecayFit(float(a[0]), float(scale[0]), float(rss[0]), scales.size + polish.nfev + 1, False)
+
+
+def select_decay_model(correlations: CorrelationSeries) -> DecayModelSelection:
     """Choose between exponential and Gaussian decay of C(lag).
 
-    Both two-parameter models a*exp(-lag/s) and a*exp(-(lag/s)^2) are
-    fitted by least squares; the smaller residual sum of squares wins.
-    A series with no visible decay reports ``flat``.
+    Both models a*exp(-lag/s) and a*exp(-(lag/s)^2) are fitted by least
+    squares. The amplitude a, in which they are linear, is solved in
+    closed form (variable projection, Golub & Pereyra 1973); a grid over
+    log s, from a spike at lag 0 to a flat line, picks the scale and a
+    Brent search polishes it when the grid minimum is bracketed. The
+    smaller residual sum of squares wins, the exponential on a tie. A
+    series with no visible decay reports ``flat``.
     """
     if correlations.lags.size < 10:
         raise FitError("need at least 10 lags for model selection")
     lags = correlations.lags
     c = correlations.values
-    if np.ptp(c) < flat_tol:
-        return DecayModelSelection(
-            kind=FLAT, amplitude=float(np.mean(c)), scale=np.inf,
-            rss_exponential=np.nan, rss_gaussian=np.nan,
-        )
+    if np.ptp(c) < _FLAT_TOL:
+        return DecayModelSelection(kind=FLAT, amplitude=float(np.mean(c)), scale=np.inf, fits={})
 
-    span = lags[-1] if lags[-1] > 0 else 1.0
-
-    def exp_model(lag, a, s):
-        return a * np.exp(-lag / s)
-
-    def gauss_model(lag, a, s):
-        return a * np.exp(-((lag / s) ** 2))
-
-    results = {}
-    for name, model in ((EXPONENTIAL, exp_model), (GAUSSIAN, gauss_model)):
-        best = None
-        for s0 in (0.1 * span, 0.3 * span, span):
-            try:
-                popt, _ = curve_fit(
-                    model, lags, c, p0=[1.0, s0],
-                    bounds=([0.0, 1e-12], [2.0, np.inf]), maxfev=5000,
-                )
-            except RuntimeError:
-                continue
-            rss = float(np.sum((model(lags, *popt) - c) ** 2))
-            if best is None or rss < best[0]:
-                best = (rss, popt)
-        if best is None:
-            raise FitError(f"{name} fit failed to converge")
-        results[name] = best
-
-    winner = EXPONENTIAL if results[EXPONENTIAL][0] <= results[GAUSSIAN][0] else GAUSSIAN
-    rss, popt = results[winner]
-    return DecayModelSelection(
-        kind=winner,
-        amplitude=float(popt[0]),
-        scale=float(popt[1]),
-        rss_exponential=results[EXPONENTIAL][0],
-        rss_gaussian=results[GAUSSIAN][0],
-    )
+    fits = {name: _fit_decay(shape, lags, c) for name, shape in _DECAY_SHAPES.items()}
+    logger.debug("select_decay_model: %s", fits)
+    winner = EXPONENTIAL if fits[EXPONENTIAL].rss <= fits[GAUSSIAN].rss else GAUSSIAN
+    return DecayModelSelection(kind=winner, amplitude=fits[winner].amplitude, scale=fits[winner].scale, fits=fits)

@@ -386,6 +386,32 @@ def test_wavefront_quantum_summary_reports_the_solver(tmp_path):
     }
 
 
+def test_ramsey_correlations_summary_reports_the_fits(tmp_path):
+    params = {"noise_kind": "slow_drift", "strength": 4.0, "dt_s": 1e-3, "n_experiments": 20000, "max_lag_steps": 40}
+    summary = cli.run_experiment({"kind": "ramsey-correlations", "out": str(tmp_path / "r.csv"), "params": params})
+    solver = json.loads((tmp_path / "r.csv.summary.json").read_text())["result"]["solver"]
+    assert solver == summary["result"]["solver"]
+    fit = json.loads((tmp_path / "r_fit.json").read_text())
+    assert fit["selected_model"] == "gaussian"
+    assert set(solver) == {"exponential", "gaussian"}
+    for name, record in solver.items():
+        assert set(record) == {"nfev", "rss", "at_edge"}
+        assert record["rss"] == pytest.approx(fit[f"rss_{name}"], rel=1e-11)  # the side file keeps 12 digits
+        assert record["at_edge"] is False and record["nfev"] > 80
+    # a flat series fits no model
+    flat = {"noise_kind": "random_walk", "strength": 1e-12, "n_experiments": 1000, "max_lag_steps": 20}
+    summary = cli.run_experiment({"kind": "ramsey-correlations", "out": str(tmp_path / "f.csv"), "params": flat})
+    assert summary["result"] == {"selected_model": "flat", "solver": {}}
+
+
+@pytest.mark.parametrize("params", [{"melt_rate_per_s": 1e6}, {"n_bins": 1}])
+def test_survival_without_two_surviving_bins_exits_3(tmp_path, capsys, params):
+    path = write_config(tmp_path, {"kind": "survival", "out": str(tmp_path / "s.csv"), "params": params})
+    assert cli.main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "fewer than two time bins have survivors" in err
+
+
 @pytest.mark.parametrize(
     "kind, params, field",
     [

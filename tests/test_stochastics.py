@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import curve_fit
 
 from ionstring import stochastics as st
 from ionstring.errors import FitError
@@ -87,6 +88,13 @@ def test_survival_fractions_equal_the_per_bin_loop(trials, n_bins):
     melt_times = np.random.default_rng(4).exponential(1.0 / model.melt_rate, size=trials)
     loop = np.array([np.mean(melt_times > t) for t in curve.times])
     assert curve.fraction.tobytes() == loop.tobytes()
+
+
+@pytest.mark.parametrize("melt_rate, n_bins", [(1e6, 60), (1.0 / 29.2, 1)])
+def test_lifetime_needs_two_bins_with_survivors(melt_rate, n_bins):
+    curve = st.simulate_survival(st.CollisionModel(melt_rate=melt_rate), 60.0, 1000, seed=0, n_bins=n_bins)
+    with pytest.raises(FitError, match="fewer than two time bins have survivors"):
+        st.fit_lifetime(curve)
 
 
 def test_spoil_probability_arithmetic():
@@ -185,3 +193,77 @@ def test_model_selection_needs_lags():
     )
     with pytest.raises(FitError):
         st.select_decay_model(corr)
+
+
+def curve_fit_selection(correlations):
+    """The three-start ``curve_fit`` selection the profiled search replaced, kept as its oracle.
+
+    Returns the winning kind and, per model, (rss, amplitude, scale).
+    """
+    lags, c = correlations.lags, correlations.values
+    span = lags[-1] if lags[-1] > 0 else 1.0
+    models = {
+        st.EXPONENTIAL: lambda lag, a, s: a * np.exp(-lag / s),
+        st.GAUSSIAN: lambda lag, a, s: a * np.exp(-((lag / s) ** 2)),
+    }
+    results = {}
+    for name, model in models.items():
+        best = None
+        for s0 in (0.1 * span, 0.3 * span, span):
+            popt, _ = curve_fit(model, lags, c, p0=[1.0, s0], bounds=([0.0, 1e-12], [2.0, np.inf]), maxfev=5000)
+            rss = float(np.sum((model(lags, *popt) - c) ** 2))
+            if best is None or rss < best[0]:
+                best = (rss, *popt)
+        results[name] = best
+    winner = st.EXPONENTIAL if results[st.EXPONENTIAL][0] <= results[st.GAUSSIAN][0] else st.GAUSSIAN
+    return winner, results
+
+
+# (kind, strength, dt, n_experiments, max_lag, seeds): criterion 9's two
+# benchmark kinds, the white-frequency floor, and a random walk so strong
+# that its correlations collapse onto lag 0
+ORACLE_CASES = {
+    "random_walk": (st.RANDOM_WALK, 6.67, 2e-3, 30000, 100, range(20)),
+    "slow_drift": (st.SLOW_DRIFT, 4.0, 1e-3, 20000, 40, range(20)),
+    "white_floor": (st.WHITE_FREQUENCY, 0.25, 2e-3, 50000, 30, (2,)),
+    "collapsed": (st.RANDOM_WALK, 1e6, 2e-3, 30000, 100, (0,)),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_profiled_selection_matches_the_curve_fit_oracle(case):
+    kind, strength, dt, n, max_lag, seeds = ORACLE_CASES[case]
+    for seed in seeds:
+        corr = st.phase_correlations(st.simulate_phase_noise(kind, strength, dt, n, seed=seed), dt, max_lag)
+        selection = st.select_decay_model(corr)
+        winner, oracle = curve_fit_selection(corr)
+        assert selection.kind == winner
+        for name, fit in selection.fits.items():
+            rss, amplitude, scale = oracle[name]
+            assert fit.rss <= rss * (1.0 + 1e-9)
+            if fit.at_edge:
+                continue
+            # off by more only where the oracle stopped short of the minimum
+            agree = np.allclose([fit.amplitude, fit.scale], [amplitude, scale], rtol=1e-8, atol=0.0)
+            assert agree or fit.rss < rss, (seed, name)
+            if name == winner and case in ("random_walk", "slow_drift"):
+                assert agree, (seed, name)
+
+
+def test_collapsed_correlations_keep_the_edge_and_tie_to_exponential():
+    series = st.simulate_phase_noise(st.RANDOM_WALK, 1e6, 2e-3, 30000, seed=0)
+    selection = st.select_decay_model(st.phase_correlations(series, 2e-3, 100))
+    fits = selection.fits
+    assert all(fit.at_edge for fit in fits.values())
+    assert fits[st.EXPONENTIAL].rss == fits[st.GAUSSIAN].rss
+    assert selection.kind == st.EXPONENTIAL
+    assert selection.scale == fits[st.EXPONENTIAL].scale == pytest.approx(2e-3 / 1e3)
+
+
+def test_polished_fits_record_their_evaluations():
+    series = st.simulate_phase_noise(st.SLOW_DRIFT, 4.0, 1e-3, 20000, seed=3)
+    fits = st.select_decay_model(st.phase_correlations(series, 1e-3, 40)).fits
+    grid = int(np.ceil(10 * np.log10(1e6 * 40))) + 1
+    for fit in fits.values():
+        assert not fit.at_edge
+        assert fit.nfev > grid + 3  # the grid, the bracket and at least one Brent step
