@@ -30,16 +30,12 @@ class DriveParameters:
     broadcasts); ``mode_detunings`` holds one signed detuning per mode
     entering the coupling sum, ordered like the concatenated spectra
     passed to :func:`spin_spin_matrix`. ``centerline_detuning`` is
-    delta in rad/s and fixes B = delta/2. The optical tone frequencies
-    and the qubit frequency are reference metadata only.
+    delta in rad/s and fixes B = delta/2.
     """
 
     rabi: np.ndarray
     centerline_detuning: float
     mode_detunings: np.ndarray
-    qubit_frequency: float | None = None
-    tone_plus: float | None = None
-    tone_minus: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "rabi", np.atleast_1d(np.asarray(self.rabi, dtype=float)))
@@ -50,26 +46,6 @@ class DriveParameters:
             raise ValueError("Rabi frequencies must be >= 0")
         if np.any(self.mode_detunings == 0):
             raise ValueError("mode detunings must be nonzero")
-
-    @classmethod
-    def from_tones(
-        cls,
-        rabi,
-        tone_plus: float,
-        tone_minus: float,
-        qubit_frequency: float,
-        mode_detunings,
-    ) -> "DriveParameters":
-        """Build from the two optical tones, delta = (w+ - w-)/2 - w0."""
-        delta = 0.5 * (tone_plus - tone_minus) - qubit_frequency
-        return cls(
-            rabi=rabi,
-            centerline_detuning=delta,
-            mode_detunings=mode_detunings,
-            qubit_frequency=qubit_frequency,
-            tone_plus=tone_plus,
-            tone_minus=tone_minus,
-        )
 
 
 @dataclass(frozen=True)

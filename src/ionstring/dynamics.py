@@ -276,12 +276,7 @@ def _chebyshev_states(h: sparse.csr_matrix, on_diagonal, bounds, psi: np.ndarray
     return out * np.exp(-1j * centre * times)[:, None]
 
 
-def evolve_grid(
-    state: np.ndarray,
-    spec: HamiltonianSpec,
-    times,
-    max_qubits: int = DEFAULT_QUBIT_CAP,
-) -> GridEvolution:
+def evolve_grid(state: np.ndarray, spec: HamiltonianSpec, times) -> GridEvolution:
     """Unitary evolution of ``state`` to every one of ``times`` (s).
 
     ``times`` must be non-negative and non-decreasing; repeats are
@@ -294,16 +289,15 @@ def evolve_grid(
     bounded below 1e-14 in norm. A K above ``MAX_CHEBYSHEV_TERMS``
     raises :class:`PropagationBudgetError` before any matrix-vector
     product. The norm of every propagated state is checked to 1e-10. A
-    time of 0 gives a copy of ``state``. The qubit cap counts qubits.
+    time of 0 gives a copy of ``state``. A state of more than
+    ``DEFAULT_QUBIT_CAP`` qubits raises :class:`DimensionCapError`
+    before H is built.
     """
     n = qubit_count(state)
     if n != spec.coupling.ion_count:
         raise ValueError("state size and coupling matrix disagree")
-    if n > max_qubits:
-        raise DimensionCapError(
-            f"{n} qubits exceeds the cap of {max_qubits}; raise max_qubits "
-            f"explicitly if you really want a {2**n}-dimensional solve"
-        )
+    if n > DEFAULT_QUBIT_CAP:
+        raise DimensionCapError(f"{n} qubits exceeds the cap of {DEFAULT_QUBIT_CAP} qubits of exact dynamics")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D sequence")
@@ -344,14 +338,9 @@ def evolve_grid(
     return GridEvolution(states, terms, bound, bounds, norm_error, basis.size)
 
 
-def evolve(
-    state: np.ndarray,
-    spec: HamiltonianSpec,
-    t: float,
-    max_qubits: int = DEFAULT_QUBIT_CAP,
-) -> np.ndarray:
+def evolve(state: np.ndarray, spec: HamiltonianSpec, t: float) -> np.ndarray:
     """Unitary evolution of ``state`` for time ``t`` (s); see :func:`evolve_grid`."""
-    return evolve_grid(state, spec, [t], max_qubits)[0]
+    return evolve_grid(state, spec, [t])[0]
 
 
 def magnetization(state: np.ndarray) -> np.ndarray:
@@ -361,8 +350,3 @@ def magnetization(state: np.ndarray) -> np.ndarray:
 
 def total_magnetization(state: np.ndarray) -> float:
     return float(np.sum(magnetization(state)))
-
-
-def energy_expectation(state: np.ndarray, spec: HamiltonianSpec) -> float:
-    h = build_hamiltonian(spec)
-    return float(np.real(np.vdot(state, h @ state)))

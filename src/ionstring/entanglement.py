@@ -17,19 +17,17 @@ import numpy as np
 
 from ionstring.dynamics import qubit_count
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # Columns are eigenvectors of X, Y, Z ordered (+1, -1).
 _BASIS_ROTATIONS = {
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
     "Z": np.eye(2, dtype=complex),
 }
+# 3 |b><b| - I for outcome b of each basis, indexed [basis * 2 + b, row, col]:
+# the single-qubit inverse of measuring one of three Pauli bases at random.
+_INVERSE = np.concatenate(
+    [3.0 * np.einsum("rb,cb->brc", u, u.conj()) - np.eye(2) for u in _BASIS_ROTATIONS.values()]
+)
 
 _SUBSET_CAP = 3
 
@@ -179,46 +177,35 @@ def simulate_tomography(
     inversion, and projects onto the physical set. Sampling uses only
     the explicitly seeded generator, by inverse-CDF draws, so
     roundoff-level changes in the state do not move the counts.
+
+    The inversion averages every Pauli string over the settings that
+    measure it, which is 3^-k sum_settings sum_outcomes f(o) times the
+    product over qubits of 3 |b_q><b_q| - I, with |b_q> the eigenvector
+    of qubit q's basis that its outcome selects.
     """
     rho_exact = reduced_density_matrix(state, subset)
     k = len(subset)
     rng = np.random.default_rng(seed)
 
-    estimates: dict[tuple[str, ...], list[float]] = {}
-    outcomes = np.arange(2**k)
-    bits = (outcomes[:, None] >> (k - 1 - np.arange(k))[None, :]) & 1
-    signs = 1.0 - 2.0 * bits
+    freqs = []
     for setting in itertools.product("XYZ", repeat=k):
         probs = _measurement_probabilities(rho_exact, setting)
         if shots_per_setting is None:
-            freqs = probs
+            freqs.append(probs)
         else:
             if shots_per_setting < 1:
                 raise ValueError("shots_per_setting must be >= 1 or None")
             # not rng.multinomial: its binomial draws flip at p = 1/2,
             # swapping counts under any change of the probabilities
             draws = np.searchsorted(np.cumsum(probs)[:-1], rng.random(shots_per_setting), side="right")
-            freqs = np.bincount(draws, minlength=probs.size) / shots_per_setting
+            freqs.append(np.bincount(draws, minlength=probs.size) / shots_per_setting)
 
-        # every Pauli string supported on this setting gets an estimate;
-        # strings with identities are averaged over compatible settings
-        for support in itertools.product((0, 1), repeat=k):
-            if not any(support):
-                continue
-            label = tuple(setting[q] if support[q] else "I" for q in range(k))
-            mask = np.array(support, dtype=bool)
-            value = float(np.sum(freqs * np.prod(signs[:, mask], axis=1)))
-            estimates.setdefault(label, []).append(value)
-
-    expectations = {label: float(np.mean(vals)) for label, vals in estimates.items()}
-    expectations[("I",) * k] = 1.0
-
-    rho_est = np.zeros((2**k, 2**k), dtype=complex)
-    for label, mean in expectations.items():
-        op = _PAULI[label[0]]
-        for letter in label[1:]:
-            op = np.kron(op, _PAULI[letter])
-        rho_est += mean * op
-    rho_est /= 2**k
+    # axes (basis_1, ..., basis_k, outcome_1, ..., outcome_k), paired per qubit
+    rho_est = np.reshape(freqs, (3,) * k + (2,) * k)
+    rho_est = rho_est.transpose([a for q in range(k) for a in (q, k + q)]).reshape((6,) * k)
+    for _ in range(k):
+        rho_est = np.tensordot(rho_est, _INVERSE, axes=(0, 0))
+    # axes (row_1, col_1, ..., row_k, col_k)
+    rho_est = rho_est.transpose([*range(0, 2 * k, 2), *range(1, 2 * k, 2)]).reshape(2**k, 2**k) / 3**k
 
     return project_to_physical(rho_est)

@@ -25,9 +25,12 @@ reproduces the intermediate peaks at full trap periods that appear
 when Omega is comparable to the trap frequency.
 
 The pulse propagators are banded in Fock space, since one pulse moves a
-state by only about pi eta sqrt(n) levels. They are built once, sparse,
-by scaling and squaring that drops only entries below 1e-20; the norm
-of what is dropped bounds the error and is reported. Each pulse acts
+state by only about pi eta sqrt(n) levels. Only two are built, for the
+pi/2- and pi-pulses about +x, once and sparse, by scaling and squaring
+that drops only entries below 1e-20; the norm of what is dropped bounds
+the error and is reported. A pulse about another axis is one of them
+conjugated by a diagonal phase matrix, which joins the free evolution
+applied before each pulse, so every drive axis is a phase. Each pulse acts
 on the stack of states as dense row-block slabs. Every state keeps a
 row window that holds all of its entries at or above 1e-20, a few
 slabs around its initial Fock level, and a slab multiplies only the
@@ -215,18 +218,6 @@ def temperature_from_nbar(nbar: float, omega: float) -> float:
 
 
 @dataclass(frozen=True)
-class WavefrontGeometry:
-    """Per-ion tilt angles with the derived curvature radius."""
-
-    tilts: np.ndarray
-    span: float
-
-    @property
-    def radius(self) -> float:
-        return curvature_radius(self.tilts[0], self.tilts[-1], self.span)
-
-
-@dataclass(frozen=True)
 class SpinMotionParams:
     """Inputs of the quantum spin-motion solver.
 
@@ -362,13 +353,6 @@ def _axis_phases(rows: int, phase: float) -> np.ndarray:
     return np.tile(np.exp([-0.5j * phase, 0.5j * phase]), rows // 2)
 
 
-def _pulse_about(u: sparse.csr_matrix, phase: float) -> sparse.csr_matrix:
-    """W u W^dag: ``u`` rotated to the drive axis at ``phase``, entry by entry."""
-    w = _axis_phases(u.shape[0], phase)
-    rows = np.repeat(np.arange(u.shape[0]), np.diff(u.indptr))
-    return sparse.csr_matrix((u.data * w[rows] * w.conj()[u.indices], u.indices, u.indptr), shape=u.shape)
-
-
 def _slabs(u: sparse.csr_matrix) -> tuple[np.ndarray, list[np.ndarray]]:
     """The [start, stop) column spans of the ``_SLAB_ROWS``-row blocks of a
     banded matrix, and the blocks, dense over their spans."""
@@ -422,7 +406,10 @@ def quantum_cpmg_scan(
     of consecutive pi-pulses, so every value must exceed the pi-time.
     Pulses rotate about +/-x alternately, the embedding pi/2-pulses
     about -y and +y, all with the finite duration pi/rabi (pi/2-pulses
-    half of it).
+    half of it). Only the pi/2- and pi-pulse propagators about +x are
+    built; each axis enters as the phases diag(e^(-i p/2), e^(i p/2))
+    that conjugate them, folded into the free evolution before each
+    pulse.
 
     Initial states are Fock states |down, n> weighted by a thermal
     distribution of mean ``nbar``, truncated once its cumulative weight
@@ -436,10 +423,13 @@ def quantum_cpmg_scan(
     1e-20. Sorted by initial Fock level, the windows (made
     non-decreasing) that meet a slab's column span form one range of
     columns, found by bisection, and the slab multiplies only that
-    range; the free evolution between pulses is applied to the rows
-    each product reads. Every skipped product involves only sub-floor
-    entries, so each of the n_pulses + 1 windowed pulses adds at most
-    1e-20 sqrt(2 (cutoff + 1)) per state to ``band_dropped_norm``.
+    range; the free evolution and axis phases between pulses are
+    applied to the rows each product reads. The first pi/2-pulse acts
+    once on the unit columns |down, n> for every wait, and skips only
+    exact zeros. Every other skipped product involves only sub-floor
+    entries, so each of the n_pulses + 1 windowed pulses per wait adds
+    at most 1e-20 sqrt(2 (cutoff + 1)) per state to
+    ``band_dropped_norm``. ``column_fill`` counts those pulses only.
 
     Raises
     ------
@@ -448,6 +438,8 @@ def quantum_cpmg_scan(
     """
     t_wait = np.atleast_1d(np.asarray(t_wait_values, dtype=float))
     t_pi = params.pi_time
+    if n_pulses < 1:
+        raise ValueError("n_pulses must be >= 1")
     if np.any(t_wait < t_pi):
         raise ValueError(
             f"t_wait below the pi-time {t_pi:.3e}; pulses would overlap"
@@ -479,14 +471,21 @@ def quantum_cpmg_scan(
     half_bound += 0.5 * t_pi * params.rabi / np.sqrt(2.0) * d_bound
     u_pi, pi_bound = _square(u_half, half_bound)
     band_width = max(_band_width(u_half), _band_width(u_pi))
-    pi_x, pi_minus_x = _slabs(_pulse_about(u_pi, 0.0)), _slabs(_pulse_about(u_pi, np.pi))
-    half_y = _slabs(_pulse_about(u_half, 0.5 * np.pi))
-    # the pi/2 pulse about -y applied to the initial states |down, n>
+    half, pi = _slabs(u_half), _slabs(u_pi)
+    # The pulse about the axis at phase p is W u W^dag (see _axis_phases),
+    # so conj(W_k) W_(k-1) joins the free evolution before pulse k. The
+    # first W^dag only multiplies each |down, n> by a phase and the last W
+    # each amplitude; the populations read below see neither.
+    axes = np.pi * np.array([1.5, *(np.arange(n_pulses) % 2), 0.5])  # -y, +x/-x ..., +y
+    turns = [_axis_phases(2 * dim, before - after) for before, after in zip(axes[:-1], axes[1:])]
+    # the pi/2 pulse about -y applied to the initial states |down, n>, once
+    # for every wait; the unit columns are freed right away, as kept they
+    # would raise the peak memory of the scan
     down = 2 * init_levels + 1
-    w = _axis_phases(2 * dim, 1.5 * np.pi)
-    first = u_half[:, down].toarray() * w[:, None] * w.conj()[down]
-    big = np.abs(first) >= _DROP_FLOOR
-    first_lo, first_hi = np.argmax(big, axis=0), 2 * dim - np.argmax(big[::-1], axis=0)
+    units = np.zeros((2 * dim, down.size), dtype=complex)
+    units[down, np.arange(down.size)] = 1.0
+    first, first_lo, first_hi, _ = _apply(half, units, down, down + 1, np.ones(2 * dim))
+    del units
     # what a windowed pulse leaves out acts on sub-floor entries only, in
     # at most 2 dim rows of each state
     window_bound = (n_pulses + 1) * _DROP_FLOOR * np.sqrt(2.0 * dim)
@@ -499,14 +498,10 @@ def quantum_cpmg_scan(
     for idx, tw in enumerate(t_wait):
         gap = tw - t_pi
         half_gap, full_gap = np.exp(-1j * free * 0.5 * gap), np.exp(-1j * free * gap)
-        # each pulse with the free evolution before it
-        pulses = [(pi_x, half_gap)]
-        pulses += [(pi_minus_x if pulse % 2 else pi_x, full_gap) for pulse in range(1, n_pulses)]
-        pulses.append((half_y, half_gap))
-
+        gaps = [half_gap] + [full_gap] * (n_pulses - 1) + [half_gap]
         psi, lo, hi = first, first_lo, first_hi
-        for slabs, phases in pulses:
-            psi, lo, hi, pairs = _apply(slabs, psi, lo, hi, phases)
+        for k, (free_phases, turn) in enumerate(zip(gaps, turns)):
+            psi, lo, hi, pairs = _apply(pi if k < n_pulses else half, psi, lo, hi, free_phases * turn)
             computed += pairs
 
         # the top two Fock levels of both spins
@@ -522,7 +517,7 @@ def quantum_cpmg_scan(
         p_up = np.sum(np.abs(psi[0::2, :]) ** 2, axis=0)
         excitation[idx] = float(weights @ p_up)
 
-    column_fill = computed / (t_wait.size * (n_pulses + 1) * len(half_y[1]) * init_levels.size)
+    column_fill = computed / (t_wait.size * (n_pulses + 1) * len(half[1]) * init_levels.size)
     logger.debug(
         "quantum_cpmg_scan: band half-width %d, %d squarings, dropped-band norm %.3g, "
         "column fill %.3g, max leak %.3g, max norm error %.3g, truncated weight %.3g",

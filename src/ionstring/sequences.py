@@ -432,19 +432,12 @@ def compensate(
     )
 
 
-def waveform_samples(components, times) -> np.ndarray:
-    """Sampled sum of sinusoids, e.g. for a feedforward generator."""
-    times = np.asarray(times, dtype=float)
-    out = np.zeros(times.shape)
-    for c in components:
-        out += c.amplitude * np.sin(2.0 * np.pi * c.frequency_hz * times + c.phase)
-    return out
-
-
 TRIGGER_AND_COMPENSATION = "trigger_on_comp_on"
 COMPENSATION_ONLY = "comp_only"
 BOTH_OFF = "both_off"
 _SCENARIOS = (TRIGGER_AND_COMPENSATION, COMPENSATION_ONLY, BOTH_OFF)
+_LINE_FREQUENCY_HZ = 50.0  # mains; untriggered shots start uniformly over its period
+_RAMSEY_PHASES = 24  # analysis phases of the closing pulse, over one turn
 
 
 @dataclass(frozen=True)
@@ -459,9 +452,7 @@ class RamseyScenario:
     uncompensated: tuple[NoiseComponent, ...]
     residual: tuple[NoiseComponent, ...]
     base_contrast: float = 1.0
-    line_frequency_hz: float = 50.0
     shots: int = 200
-    phase_points: int = 24
 
 
 def ramsey_contrast(
@@ -484,10 +475,10 @@ def ramsey_contrast(
     triggered = mode == TRIGGER_AND_COMPENSATION
     seq = ramsey(probe_time)
     rng = np.random.default_rng(seed)
-    period = 1.0 / scenario.line_frequency_hz
+    period = 1.0 / _LINE_FREQUENCY_HZ
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, scenario.phase_points, endpoint=False)
-    mean_p = np.empty(scenario.phase_points)
+    thetas = np.linspace(0.0, 2.0 * np.pi, _RAMSEY_PHASES, endpoint=False)
+    mean_p = np.empty(_RAMSEY_PHASES)
     for idx, theta in enumerate(thetas):
         if triggered:
             phase = accumulated_phase(seq, comps, 0.0)

@@ -90,18 +90,13 @@ def fit_heating(data: HeatingDataset) -> HeatingFit:
 
 @dataclass(frozen=True)
 class CollisionModel:
-    """Background-gas collision rates, in the units they are quoted in."""
+    """Background-gas collision rate, in the unit it is quoted in."""
 
     melt_rate: float = 0.0  # crystal-melting collisions, 1/s
-    soft_collision_rate: float = 0.0  # in-probe spoiling collisions, 1/ms
 
     def __post_init__(self):
-        if min(self.melt_rate, self.soft_collision_rate) < 0:
-            raise ValueError("rates must be >= 0")
-
-    def spoil_probability(self, probe_time_ms: float) -> float:
-        """Chance that a soft collision spoils one probe of given length."""
-        return float(1.0 - np.exp(-self.soft_collision_rate * probe_time_ms))
+        if self.melt_rate < 0:
+            raise ValueError("melt_rate must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -178,14 +178,3 @@ def test_aod_ghost_excites_far_end(default_positions):
     ratios = coupling.crosstalk_map(beam, default_positions, "resonant")
     assert ratios[0] > 10.0 * ratios[25]
     assert ratios[1] > 10.0 * ratios[25]
-
-
-def test_from_tones_centerline_relation():
-    drive = coupling.DriveParameters.from_tones(
-        rabi=1.0,
-        tone_plus=2.0e15 + 8.0e5,
-        tone_minus=2.0e15 - 2.0e5,
-        qubit_frequency=2.0e5,
-        mode_detunings=[1.0e4],
-    )
-    np.testing.assert_allclose(drive.centerline_detuning, 3.0e5)

@@ -82,9 +82,11 @@ def test_xy_conserves_total_magnetization():
 @pytest.mark.parametrize("model", [dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE])
 def test_energy_conservation(model):
     spec = dyn.HamiltonianSpec(random_coupling(6, seed=4, field_b=300.0), model)
+    h = dyn.build_hamiltonian(spec)
     psi = dyn.neel_state(6)
-    e0 = dyn.energy_expectation(psi, spec)
-    e1 = dyn.energy_expectation(dyn.evolve(psi, spec, 6e-3), spec)
+    out = dyn.evolve(psi, spec, 6e-3)
+    e0 = np.real(np.vdot(psi, h @ psi))
+    e1 = np.real(np.vdot(out, h @ out))
     scale = max(1.0, abs(e0))
     assert abs(e1 - e0) / scale < 1e-9
 
@@ -124,9 +126,9 @@ def test_ising_converges_to_xy_with_growing_field():
 
 
 def test_dimension_cap():
-    spec = dyn.HamiltonianSpec(random_coupling(4, seed=0), dyn.ISING_TRANSVERSE)
-    with pytest.raises(DimensionCapError, match="cap"):
-        dyn.evolve(dyn.neel_state(4), spec, 1e-3, max_qubits=3)
+    spec = dyn.HamiltonianSpec(random_coupling(15, seed=0), dyn.ISING_TRANSVERSE)
+    with pytest.raises(DimensionCapError, match="15 qubits exceeds the cap of 14"):
+        dyn.evolve(dyn.neel_state(15), spec, 1e-3)
 
 
 def per_point_oracle(state, spec, times):
@@ -226,14 +228,14 @@ def test_evolve_grid_rejects_the_zero_state():
 
 
 def test_evolve_grid_cap_checked_before_build(monkeypatch):
-    spec = dyn.HamiltonianSpec(random_coupling(4, seed=0), dyn.ISING_TRANSVERSE)
+    spec = dyn.HamiltonianSpec(random_coupling(15, seed=0), dyn.ISING_TRANSVERSE)
 
     def no_build(spec):
         raise AssertionError("the qubit cap must be checked before H is built")
 
     monkeypatch.setattr(dyn, "build_hamiltonian", no_build)
     with pytest.raises(DimensionCapError, match="cap"):
-        dyn.evolve_grid(dyn.neel_state(4), spec, [0.0, 1e-3], max_qubits=3)
+        dyn.evolve_grid(dyn.neel_state(15), spec, [0.0, 1e-3])
 
 
 def test_evolve_grid_logs_its_diagnostics(caplog):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,62 @@ def test_tomography_counts_are_stable_under_roundoff():
             ent.simulate_tomography(psi, (1, 2), 200, seed=seed),
             ent.simulate_tomography(moved, (1, 2), 200, seed=seed),
         )
+
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def label_tomography_oracle(state, subset, shots_per_setting, seed=None):
+    """The inversion simulate_tomography replaced: each Pauli string's
+    expectation averaged over the settings that measure it, then summed
+    with its kron-built operator. Sampling is the same."""
+    rho_exact = ent.reduced_density_matrix(state, subset)
+    k = len(subset)
+    rng = np.random.default_rng(seed)
+    estimates = {}
+    outcomes = np.arange(2**k)
+    bits = (outcomes[:, None] >> (k - 1 - np.arange(k))[None, :]) & 1
+    signs = 1.0 - 2.0 * bits
+    for setting in itertools.product("XYZ", repeat=k):
+        probs = ent._measurement_probabilities(rho_exact, setting)
+        if shots_per_setting is None:
+            freqs = probs
+        else:
+            draws = np.searchsorted(np.cumsum(probs)[:-1], rng.random(shots_per_setting), side="right")
+            freqs = np.bincount(draws, minlength=probs.size) / shots_per_setting
+        for support in itertools.product((0, 1), repeat=k):
+            if not any(support):
+                continue
+            label = tuple(setting[q] if support[q] else "I" for q in range(k))
+            mask = np.array(support, dtype=bool)
+            estimates.setdefault(label, []).append(float(np.sum(freqs * np.prod(signs[:, mask], axis=1))))
+    expectations = {label: float(np.mean(vals)) for label, vals in estimates.items()}
+    expectations[("I",) * k] = 1.0
+    rho_est = np.zeros((2**k, 2**k), dtype=complex)
+    for label, mean in expectations.items():
+        op = PAULI[label[0]]
+        for letter in label[1:]:
+            op = np.kron(op, PAULI[letter])
+        rho_est += mean * op
+    return ent.project_to_physical(rho_est / 2**k)
+
+
+@pytest.mark.parametrize("shots", [None, 50, 200])
+def test_tomography_matches_the_label_oracle(shots):
+    rng = np.random.default_rng(21)
+    for n in range(3, 7):
+        psi = random_state(n, seed=100 + n)
+        for size in (2, 3):
+            subset = tuple(int(i) for i in rng.choice(np.arange(1, n + 1), size, replace=False))
+            seed = int(rng.integers(2**31))
+            estimate = ent.simulate_tomography(psi, subset, shots, seed=seed)
+            oracle = label_tomography_oracle(psi, subset, shots, seed=seed)
+            np.testing.assert_allclose(estimate, oracle, rtol=0.0, atol=1e-12)
 
 
 def test_physical_projection_properties():

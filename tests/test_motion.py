@@ -122,8 +122,6 @@ def test_curvature_radius():
         motion.curvature_radius(4.8e-3, 1.4e-3, 269e-6), 79.1e-3, atol=0.1e-3
     )
     assert motion.curvature_radius(1e-3, 1e-3, 269e-6) == np.inf
-    geometry = motion.WavefrontGeometry(tilts=np.array([4.8e-3, 3.0e-3, 1.4e-3]), span=269e-6)
-    np.testing.assert_allclose(geometry.radius, 79.1e-3, atol=0.1e-3)
 
 
 def test_temperature_nbar_mapping():
@@ -212,6 +210,8 @@ def test_quantum_scan_rejects_overlapping_pulses():
     )
     with pytest.raises(ValueError, match="pi-time"):
         motion.quantum_cpmg_scan(p, 2, np.array([0.3]))
+    with pytest.raises(ValueError, match="n_pulses"):
+        motion.quantum_cpmg_scan(p, 0, np.array([0.6]))
 
 
 def test_thermal_excitation_takes_an_array_of_waits():
@@ -318,6 +318,15 @@ ORACLE_CASES = {
             eta=0.02, rabi=3.0 * OMEGA_Q, omega=OMEGA_Q, detuning=0.7 * OMEGA_Q, nbar=5.0, fock_cutoff=100
         ),
         6,
+        np.linspace(0.4, 1.3, 5),
+        None,
+    ),
+    # an odd count: the last pi-pulse is about +x, not -x
+    "detuned_odd": (
+        motion.SpinMotionParams(
+            eta=0.02, rabi=3.0 * OMEGA_Q, omega=OMEGA_Q, detuning=0.7 * OMEGA_Q, nbar=5.0, fock_cutoff=100
+        ),
+        5,
         np.linspace(0.4, 1.3, 5),
         None,
     ),

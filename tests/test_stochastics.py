@@ -97,11 +97,6 @@ def test_lifetime_needs_two_bins_with_survivors(melt_rate, n_bins):
         st.fit_lifetime(curve)
 
 
-def test_spoil_probability_arithmetic():
-    model = st.CollisionModel(melt_rate=0.0, soft_collision_rate=7e-5)
-    np.testing.assert_allclose(model.spoil_probability(10.0), 7e-4, rtol=5e-4)
-
-
 def test_survival_requires_trials():
     with pytest.raises(ValueError):
         st.simulate_survival(st.CollisionModel(melt_rate=0.1), 10.0, 50, seed=0)
