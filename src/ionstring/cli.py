@@ -591,6 +591,9 @@ _HEATING_FIT = (Field("data", [_HEATING_ROW]), Field("synthetic", _HEATING_SYNTH
 def _check_heating_fit(p):
     if (p.data is None) == (p.synthetic is None):
         return ["params: give exactly one of data / synthetic"]
+    given = [row.sigma is not None for row in p.data or []]
+    if any(given) and not all(given):
+        return [f"params.data[{given.index(False)}].sigma: give sigma on every row or on none"]
     return []
 
 
@@ -781,9 +784,7 @@ def run_experiment(config: dict, seed=None, out=None, fmt=None) -> dict:
         },
     }
     summary_path = str(out) + ".summary.json"
-    with open(summary_path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
+    export._atomic_write(summary_path, json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
     summary["summary_path"] = summary_path
     return summary
 

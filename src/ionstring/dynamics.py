@@ -25,9 +25,9 @@ conserve its parity, so a Neel state needs C(N, N/2) states in XY and
 2^(N-1) in Ising. H is built once in the sector, in one vectorised
 pass, scaled into [-1, 1] by its Gershgorin discs, and one Chebyshev
 recurrence serves every time of the grid at once (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967 (1984)). Its weights J_k(r t) come from one
-Miller backward recurrence, at most 2.2e-16 off against 40-digit values
-up to r t = 1500. :func:`evolve` is the single-time case.
+J. Chem. Phys. 81, 3967 (1984)). One Miller table of J_k(r t), 2.2e-16
+off against 40-digit values up to r t = 1500, gives its weights, length
+and truncation bound. :func:`evolve` is the single-time case.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse, special
+from scipy import sparse
 # Not called by the propagation. perfbench traces dynamics.expm_multiply as
 # a scipy entry point, and its tracer test requires every name it counts to
 # exist; the import goes when the benchmark counts the Chebyshev kernel.
@@ -53,12 +53,16 @@ DEFAULT_QUBIT_CAP = 14
 
 # Chebyshev series are cut where the norm of the dropped terms is bounded below this.
 TRUNCATION_TOLERANCE = 1e-14
-# The most Chebyshev terms (matrix-vector products) one evolve_grid call
-# may take: about 2400x the longest series of the quench benchmark
-# (K = 422). At the measured 0.3 ms per term for a 12-ion Ising sector
-# (1.1 ms at 14 ions) that is about 5 (18) minutes. A 1000 s quench would
-# need about 10^8.
+# The most Bessel-table orders, and so Chebyshev terms (matrix-vector
+# products), one evolve_grid call may take: about 2400x the longest series
+# of the quench benchmark (K = 422). At the measured 0.3 ms per term for a
+# 12-ion Ising sector (1.1 ms at 14 ions) that is about 5 (18) minutes. A
+# 1000 s quench would need about 10^8.
 MAX_CHEBYSHEV_TERMS = 10**6
+# The most Bessel-table (orders x distinct positive times) or state (times
+# x 2^N) entries one evolve_grid call may hold: quench runs at this budget
+# peak at 0.9 GB (table) to 1.15 GB (states) resident.
+MAX_GRID_ENTRIES = 2**25
 # Chebyshev vectors added into the outputs per matrix product
 _BLOCK = 32
 # (-i)^k by k mod 4, exact
@@ -193,62 +197,45 @@ class GridEvolution:
         return iter(self.states)
 
 
-def _series_length(half_width: float, t_max: float) -> tuple[int, float]:
-    """First K >= floor(z), z = r t_max, with ``2 sum_{k>=K} |J_k(z)|`` below the tolerance, and that sum.
-
-    The search may start at floor(z): there the sum is still near
-    z^(-1/3) (J_k(k) ~ 0.45 k^(-1/3)), far above the tolerance for any
-    z the budget admits, so K > z. Past k = z each J_k(z) rises with z,
-    so the sum bounds the dropped terms at every earlier time too. A K
-    above ``MAX_CHEBYSHEV_TERMS`` raises :class:`PropagationBudgetError`.
-    """
-    z = half_width * t_max
-    if z < MAX_CHEBYSHEV_TERMS:
-        start = int(z)
-        # |J_k(z)| falls faster than exponentially once k - z passes a few
-        # z^(1/3); at the end of this range it is below 1e-25
-        orders = np.arange(start, int(z + 15.0 * np.cbrt(z)) + 60)
-        tails = 2.0 * np.cumsum(np.abs(special.jv(orders, z))[::-1])[::-1]
-        kept = int(np.count_nonzero(tails >= TRUNCATION_TOLERANCE))
-        if start + kept <= MAX_CHEBYSHEV_TERMS:
-            return start + kept, float(tails[kept])
-    raise PropagationBudgetError(
-        f"propagating to t = {t_max:g} s needs more than {MAX_CHEBYSHEV_TERMS} Chebyshev terms: "
-        f"r*t_max = {z:.4g} (spectral half-width r = {half_width:.4g} rad/s)"
-    )
-
-
-def _bessel_table(z: np.ndarray, terms: int) -> np.ndarray:
-    """J_k(z) for every z > 0 (rows) and order k < ``terms`` (columns).
+def _bessel_table(z: np.ndarray) -> tuple[np.ndarray, float]:
+    """J_k(z) for every z > 0 (rows, ascending) and order k < K (columns), and the bound at K.
 
     Miller's backward recurrence J_(k-1) = (2k / z) J_k - J_(k+1)
-    (Gautschi, SIAM Rev. 9, 24 (1967)) starts in each column where J_k(z)
-    is below about 1e-23, is rescaled by exact powers of two before it
-    overflows, and is normalised by J_0 + 2 sum_k J_2k = 1. A z below
-    1e-150 is raised to it.
+    (Gautschi, SIAM Rev. 9, 24 (1967)) starts in each column at order
+    z + 15 z^(1/3) + 20, where J_k(z) is below about 1e-23, is rescaled
+    by exact powers of two before it overflows, and is normalised by
+    J_0 + 2 sum_k J_2k = 1. A z below 1e-150 is raised to it. K is the
+    first k >= floor(z_max) whose tail ``2 sum_{k'>=k} |J_k'(z_max)|``,
+    the bound returned, is below the tolerance. At floor(z_max) the tail
+    is still near z^(-1/3) (J_k(k) ~ 0.45 k^(-1/3)); past k = z each
+    J_k(z) rises with z, so the tail bounds every smaller argument's too.
     """
     z = np.maximum(z, 1e-150)
     starts = (z + 15.0 * np.cbrt(z)).astype(int) + 20
-    table = np.zeros((max(int(starts.max()), terms) + 2, z.size))
+    table = np.zeros((int(starts.max()) + 2, z.size))
     table[starts, np.arange(z.size)] = 1.0
-    # each 2k / z correctly rounded: one rounded 2 / z would act like a shift of z
-    ratios = 2.0 * np.arange(table.shape[0])[:, None] / z
     for k in range(table.shape[0] - 2, 0, -1):
-        # row k - 1 still holds 0, or the 1 its column starts from
-        table[k - 1] += ratios[k] * table[k] - table[k + 1]
+        # row k - 1 still holds 0, or the 1 its column starts from; each 2k / z
+        # is correctly rounded, as one rounded 2 / z would act like a shift of z
+        table[k - 1] += (2.0 * k / z) * table[k] - table[k + 1]
         peak = np.abs(table[k - 1])
         if peak.max() > 2.0**512:
             table[k - 1 :] = np.ldexp(table[k - 1 :], -np.where(peak > 2.0**512, np.frexp(peak)[1], 0))
-    return (table[:terms] / (table[0] + 2.0 * table[2::2].sum(axis=0))).T
+    table /= table[0] + 2.0 * table[2::2].sum(axis=0)
+    start = int(z[-1])
+    tails = 2.0 * np.cumsum(np.abs(table[start:, -1])[::-1])[::-1]
+    kept = int(np.count_nonzero(tails >= TRUNCATION_TOLERANCE))
+    return table[: start + kept].T, float(tails[kept])
 
 
-def _chebyshev_states(h: sparse.csr_matrix, on_diagonal, bounds, psi: np.ndarray, times: np.ndarray, terms: int):
-    """e^{-iHt} psi at every one of ``times`` from the first ``terms`` of one Chebyshev series.
+def _chebyshev_states(h: sparse.csr_matrix, on_diagonal, bounds, psi: np.ndarray, times: np.ndarray, bessel):
+    """e^{-iHt} psi at every one of ``times`` from one Chebyshev series weighted by ``bessel``.
 
     With H~ = (H - c) / r mapping ``bounds`` onto [-1, 1],
     e^{-iHt} = e^{-ict} sum_k (2 - delta_k0) (-i)^k J_k(rt) T_k(H~).
     T_k(H~) psi comes from the three-term recurrence on A = 2 H~; each
     block of them is added into every time with one matrix product.
+    ``bessel`` holds J_k(r t) by time (rows) and order k < K (columns).
     """
     centre, half_width = (bounds[1] + bounds[0]) / 2.0, (bounds[1] - bounds[0]) / 2.0
     data = h.data * (2.0 / half_width)
@@ -258,8 +245,9 @@ def _chebyshev_states(h: sparse.csr_matrix, on_diagonal, bounds, psi: np.ndarray
     # T_k(H~) is real, so a real state recurs in real arithmetic
     dtype = complex if np.any(np.imag(psi)) else float
     scaled = sparse.csr_matrix((data.astype(dtype, copy=False), h.indices, h.indptr), shape=h.shape)
+    terms = bessel.shape[1]
     orders = np.arange(terms)
-    weights = np.where(orders, 2.0, 1.0) * _MINUS_I_POWERS[orders % 4] * _bessel_table(half_width * times, terms)
+    weights = np.where(orders, 2.0, 1.0) * _MINUS_I_POWERS[orders % 4] * bessel
     out = np.zeros((times.size, psi.size), dtype=complex)
     # T_k sits in row k mod _BLOCK; negative indices reach back into the previous block
     chain = np.empty((min(_BLOCK, terms), psi.size), dtype=dtype)
@@ -286,12 +274,14 @@ def evolve_grid(state: np.ndarray, spec: HamiltonianSpec, times) -> GridEvolutio
     as exact phases; otherwise one Chebyshev recurrence on the scaled H
     serves every distinct positive time (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81, 3967 (1984)), cut at the first K whose dropped terms are
-    bounded below 1e-14 in norm. A K above ``MAX_CHEBYSHEV_TERMS``
-    raises :class:`PropagationBudgetError` before any matrix-vector
-    product. The norm of every propagated state is checked to 1e-10. A
-    time of 0 gives a copy of ``state``. A state of more than
-    ``DEFAULT_QUBIT_CAP`` qubits raises :class:`DimensionCapError`
-    before H is built.
+    bounded below 1e-14 in norm; K, that bound and the weights come from
+    one :func:`_bessel_table`. Before it or any state stack is allocated,
+    :class:`PropagationBudgetError` refuses a table of more than
+    ``MAX_CHEBYSHEV_TERMS`` orders (z + 15 z^(1/3) + 22, z = r t_max), or
+    more than ``MAX_GRID_ENTRIES`` orders x times or times x 2^N entries.
+    The norm of every propagated state is checked to 1e-10. A time of 0
+    gives a copy of ``state``. A state of more than ``DEFAULT_QUBIT_CAP``
+    qubits raises :class:`DimensionCapError` before H is built.
     """
     n = qubit_count(state)
     if n != spec.coupling.ion_count:
@@ -310,9 +300,7 @@ def evolve_grid(state: np.ndarray, spec: HamiltonianSpec, times) -> GridEvolutio
     psi = state[basis]
     grid, where = np.unique(times, return_inverse=True)
     moving = grid > 0
-    sector = np.empty((grid.size, basis.size), dtype=complex)
-    sector[~moving] = psi
-    terms, bound, bounds, norm_error = 0, 0.0, None, 0.0
+    terms, bound, bounds, norm_error, z, orders = 0, 0.0, None, 0.0, 0.0, 0.0
     if moving.any():
         h = build_hamiltonian(spec, basis)
         # Gershgorin discs off the CSR arrays: centre h_ss, radius sum_(s' != s) |h_ss'|
@@ -321,11 +309,26 @@ def evolve_grid(state: np.ndarray, spec: HamiltonianSpec, times) -> GridEvolutio
         diagonal = np.bincount(rows, np.where(on_diagonal, h.data, 0.0), basis.size)
         radii = np.bincount(rows, np.where(on_diagonal, 0.0, np.abs(h.data)), basis.size)
         bounds = (float(np.min(diagonal - radii)), float(np.max(diagonal + radii)))
+        half_width = (bounds[1] - bounds[0]) / 2.0
+        z = half_width * grid[-1]
+        # no fewer than the rows _bessel_table builds, and no Bessel value needed
+        orders = 0.0 if on_diagonal.all() else z + 15.0 * np.cbrt(z) + 22.0
+    entries = max(orders * np.count_nonzero(moving), times.size * state.size)
+    if orders > MAX_CHEBYSHEV_TERMS or entries > MAX_GRID_ENTRIES:
+        raise PropagationBudgetError(
+            f"{times.size} times to t = {grid[-1]:g} s, r*t_max = {z:.4g}: {orders:.0f} Bessel orders "
+            f"(at most {MAX_CHEBYSHEV_TERMS}), {entries:.3g} table or state entries (at most {MAX_GRID_ENTRIES})"
+        )
+
+    sector = np.empty((grid.size, basis.size), dtype=complex)
+    sector[~moving] = psi
+    if moving.any():
         if on_diagonal.all():
             sector[moving] = np.exp(-1j * np.outer(grid[moving], diagonal)) * psi
         else:
-            terms, bound = _series_length((bounds[1] - bounds[0]) / 2.0, grid[-1])
-            sector[moving] = _chebyshev_states(h, on_diagonal, bounds, psi, grid[moving], terms)
+            bessel, bound = _bessel_table(half_width * grid[moving])
+            terms = bessel.shape[1]
+            sector[moving] = _chebyshev_states(h, on_diagonal, bounds, psi, grid[moving], bessel)
         norm_error = float(np.max(np.abs(np.linalg.norm(sector[moving], axis=1) - 1.0)))
         if norm_error > 1e-10 * max(1.0, np.linalg.norm(state)):
             raise FloatingPointError(f"evolution lost norm: | |psi| - 1 | = {norm_error!r}")
@@ -336,6 +339,7 @@ def evolve_grid(state: np.ndarray, spec: HamiltonianSpec, times) -> GridEvolutio
         "max norm error %.3g", basis.size, terms, bound, bounds, norm_error,
     )
     return GridEvolution(states, terms, bound, bounds, norm_error, basis.size)
+
 
 
 def evolve(state: np.ndarray, spec: HamiltonianSpec, t: float) -> np.ndarray:

@@ -278,16 +278,6 @@ class QuantumScanResult:
     column_fill: float
 
 
-def _thermal_weights(nbar: float, n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1)
-    if nbar == 0:
-        w = np.zeros(n_max + 1)
-        w[0] = 1.0
-        return w
-    r = nbar / (nbar + 1.0)
-    return r**n / (nbar + 1.0)
-
-
 def _prune(m: sparse.csr_matrix) -> tuple[sparse.csr_matrix, float]:
     """``m`` without its entries below the drop floor, and their Frobenius norm."""
     small = np.abs(m.data) < _DROP_FLOOR
@@ -391,6 +381,11 @@ def _apply(slabs, psi: np.ndarray, lo: np.ndarray, hi: np.ndarray, phases: np.nd
     return out, new_lo, new_hi, int(np.maximum(stops - firsts, 0).sum())
 
 
+def _populations(psi: np.ndarray) -> np.ndarray:
+    """Column sums of |psi|^2 from its real and imaginary views, with no temporary the size of ``psi``."""
+    return np.einsum("ij,ij->j", psi.real, psi.real) + np.einsum("ij,ij->j", psi.imag, psi.imag)
+
+
 def _band_width(u: sparse.csr_matrix) -> int:
     rows, cols = u.nonzero()
     return int(np.max(np.abs(rows // 2 - cols // 2)))
@@ -456,7 +451,7 @@ def quantum_cpmg_scan(
         truncated = 0.0
     else:
         hard_cap = max(0, params.fock_cutoff - _CUTOFF_MARGIN)
-        w_full = _thermal_weights(params.nbar, hard_cap)
+        w_full = (params.nbar / (params.nbar + 1.0)) ** np.arange(hard_cap + 1) / (params.nbar + 1.0)
         cumulative = np.cumsum(w_full)
         hits = np.nonzero(cumulative >= 1.0 - _THERMAL_TAIL)[0]
         n_top = int(hits[0]) if hits.size else hard_cap
@@ -512,10 +507,8 @@ def quantum_cpmg_scan(
                 f"population {leak:.2e} at the Fock-basis boundary exceeds "
                 f"{_LEAK_TOL:.0e}; increase fock_cutoff beyond {params.fock_cutoff}"
             )
-        norms = np.sum(np.abs(psi) ** 2, axis=0)
-        max_norm_error = max(max_norm_error, float(np.max(np.abs(norms - 1.0))))
-        p_up = np.sum(np.abs(psi[0::2, :]) ** 2, axis=0)
-        excitation[idx] = float(weights @ p_up)
+        max_norm_error = max(max_norm_error, float(np.max(np.abs(_populations(psi) - 1.0))))
+        excitation[idx] = float(weights @ _populations(psi[0::2]))
 
     column_fill = computed / (t_wait.size * (n_pulses + 1) * len(half[1]) * init_levels.size)
     logger.debug(

@@ -1,10 +1,12 @@
 import copy
 import json
 import math
+import os
 import time
 from functools import reduce
 from operator import getitem
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,24 @@ def test_summary_file_contents(tmp_path):
     assert set(on_disk["versions"]) == {"ionstring", "numpy", "scipy", "python"}
     assert on_disk["runtime_s"] >= 0.0
     assert summary["outputs"][0].endswith("surv.csv")
+    del summary["summary_path"]
+    assert on_disk == json.loads(json.dumps(summary, default=str))
+
+
+def test_failed_summary_write_leaves_no_summary(tmp_path, monkeypatch):
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if str(dst).endswith(".summary.json"):
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    config = {"kind": "survival", "out": str(tmp_path / "surv.csv"), "params": {"trials": 100, "horizon_s": 10.0}}
+    with pytest.raises(OSError, match="disk full"):
+        cli.run_experiment(config)
+    names = [path.name for path in tmp_path.iterdir()]
+    assert "surv.csv" in names and not [name for name in names if name.endswith((".summary.json", ".tmp"))]
 
 
 def test_validation_collects_every_field(tmp_path):
@@ -315,6 +335,37 @@ def test_runaway_quench_exits_3_before_propagating(tmp_path, capsys):
     assert not (tmp_path / "q.csv").exists()
 
 
+# past the entry budget: an Ising-12 Bessel table of 1.17e9 entries (r*t_max =
+# 1.16e5 over 9999 times) and 1.64e8 entries of 14-ion states
+OVERSIZED_QUENCHES = {
+    "ising12_table": {"n_ions": 12, "model": "ising_transverse", "t_max_s": 1.0, "time_points": 10**4},
+    "ions14_states": {"n_ions": 14, "time_points": 10**4},
+}
+
+
+@pytest.mark.parametrize("params", OVERSIZED_QUENCHES.values(), ids=OVERSIZED_QUENCHES)
+def test_oversized_quench_grids_exit_3_before_any_table_or_state_stack(tmp_path, capsys, monkeypatch, params):
+    def no_table(z):
+        raise AssertionError("the budget must be checked before the Bessel table is built")
+
+    def small_only(allocate):
+        def allocate_small(shape, *args, **kwargs):
+            if np.prod(shape) > 10**6:
+                raise AssertionError(f"an array of shape {shape} allocated before the budget check")
+            return allocate(shape, *args, **kwargs)
+
+        return allocate_small
+
+    monkeypatch.setattr(cli.dynamics, "_bessel_table", no_table)
+    for name in ("empty", "zeros"):
+        monkeypatch.setattr(np, name, small_only(getattr(np, name)))
+    config = write_config(tmp_path, {"kind": "quench", "out": str(tmp_path / "q.csv"), "params": params})
+    assert cli.main(["run", config]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "r*t_max = " in err and " 10000 times " in err
+    assert not (tmp_path / "q.csv").exists()
+
+
 @pytest.mark.parametrize("kind", ["quench", "negativity"])
 @pytest.mark.parametrize("n_ions", [15, 30, 50, 10**5])
 def test_runs_past_the_qubit_cap_exit_2_before_any_work(tmp_path, capsys, monkeypatch, kind, n_ions):
@@ -533,6 +584,25 @@ def test_heating_fit_list_elements_are_typed(tmp_path, capsys, synthetic, field)
     assert cli.main(["run", path]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("sigmas", [[4.0, 1.2, 0.4, 0.15], [None] * 4, [4.0, None, 0.4, None]])
+def test_heating_fit_takes_sigma_on_every_row_or_on_none(tmp_path, capsys, sigmas):
+    rows = [
+        {"omega_z_hz": f, "rate_quanta_per_s": rate, **({} if sigma is None else {"sigma": sigma})}
+        for f, rate, sigma in zip([3e4, 1e5, 3e5, 5e5], [40.0, 12.0, 4.0, 1.5], sigmas)
+    ]
+    params = {"data": rows}
+    path = write_config(tmp_path, {"kind": "heating-fit", "out": str(tmp_path / "h.csv"), "params": params})
+    if None in sigmas and any(sigma is not None for sigma in sigmas):
+        assert cli.main(["run", path]) == 2
+        assert "config error: params.data[1].sigma: give sigma on every row or on none" in capsys.readouterr().err
+        assert not (tmp_path / "h.csv").exists()
+        return
+    assert cli.main(["run", path]) == 0
+    parsed, errors = cli._parse(params, cli._KINDS["heating-fit"].fields, "params")
+    sigma = cli._heating_dataset(parsed, 0).sigma
+    assert not errors and (sigma is None if None in sigmas else list(sigma) == sigmas)
 
 
 def test_non_string_out_exits_2(tmp_path, capsys):

@@ -349,10 +349,15 @@ def test_gershgorin_bounds_hold_the_spectrum(model, n):
 
 @pytest.mark.parametrize("z", [1e-300, 1e-3, 0.5, 7.0, 348.0, 5000.5])
 def test_series_is_cut_at_the_first_term_below_the_tolerance(z):
-    terms, bound = dyn._series_length(z, 1.0)
+    table, bound = dyn._bessel_table(np.array([z]))
+    terms = table.shape[1]
     tails = 2.0 * np.cumsum(np.abs(special.jv(np.arange(terms + 200), z))[::-1])[::-1]
     assert tails[terms] < dyn.TRUNCATION_TOLERANCE <= tails[terms - 1]
-    assert bound == pytest.approx(tails[terms], rel=1e-9)
+    if z >= 1e-150:
+        assert bound == pytest.approx(tails[terms], rel=1e-9)
+    else:
+        # the table raises z to 1e-150, whose tail still bounds the smaller argument's
+        assert tails[terms] <= bound <= 1e-150
 
 
 def test_runaway_propagation_is_refused_before_the_recurrence(monkeypatch):
@@ -423,10 +428,18 @@ def test_magnetization_of_a_stack_is_per_state():
     np.testing.assert_allclose(dyn.magnetization(grid.states), [dyn.magnetization(s) for s in grid], rtol=0, atol=1e-15)
 
 
-def test_bessel_functions_are_called_only_for_the_series_length(monkeypatch):
-    calls = []
-    jv = dyn.special.jv
-    monkeypatch.setattr(dyn.special, "jv", lambda *args: calls.append(args) or jv(*args))
+def test_one_bessel_table_and_no_special_function_serve_a_grid(monkeypatch):
+    def no_special(*args, **kwargs):
+        raise AssertionError("the propagation must take no scipy.special function")
+
+    for name in special.__all__:
+        if callable(getattr(special, name)):
+            monkeypatch.setattr(special, name, no_special)
+    tables = []
+    bessel_table = dyn._bessel_table
+    monkeypatch.setattr(dyn, "_bessel_table", lambda z: tables.append(z) or bessel_table(z))
     spec = dyn.HamiltonianSpec(random_coupling(6, seed=52, field_b=300.0), dyn.ISING_TRANSVERSE)
     result = dyn.evolve_grid(dyn.neel_state(6), spec, GRIDS["nonuniform"])
-    assert result.chebyshev_terms > 0 and len(calls) == 1
+    assert result.chebyshev_terms > 0 and len(tables) == 1
+    table, bound = bessel_table(tables[0])
+    assert table.shape == (tables[0].size, result.chebyshev_terms) and bound == result.truncation_bound
