@@ -12,6 +12,7 @@ Angular frequencies (rad/s) are used throughout.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +28,13 @@ AXIAL = "axial"
 RADIAL_X = "radial-x"
 RADIAL_Y = "radial-y"
 _DIRECTIONS = (AXIAL, RADIAL_X, RADIAL_Y)
+
+# Largest string the equilibrium solver takes: the roundoff floor of the
+# Coulomb sum, 4.4e-10 at 2000 ions, grows to about ACCEPTANCE at 3000.
+MAX_IONS = 2000
+ACCEPTANCE = 1e-9
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -80,8 +88,8 @@ class ModeSpectrum:
 
     ``frequencies`` are sorted ascending; column ``m`` of
     ``eigenvectors`` is the participation vector of mode ``m`` with the
-    largest-magnitude entry made positive. ``lamb_dicke`` carries signed
-    eta_{i,m} once attached, else None.
+    first entry within 1e-9 relative of the largest magnitude positive.
+    ``lamb_dicke`` carries signed eta_{i,m} once attached, else None.
     """
 
     direction: str
@@ -95,87 +103,124 @@ class ModeSpectrum:
         return self.eigenvectors.shape[0]
 
 
-def _separations(u: np.ndarray) -> np.ndarray:
-    d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
-    return d
+@dataclass(frozen=True)
+class SolverRecord:
+    """Accepted Newton steps, line-search halvings and final residual force of one solve."""
+
+    iterations: int
+    halvings: int
+    residual: float
+    acceptance: float
 
 
-def _potential_gradient(u: np.ndarray) -> np.ndarray:
-    d = _separations(u)
-    return u - np.sum(np.sign(d) / d**2, axis=1)
+def _right_half(v: np.ndarray, odd: int) -> tuple[np.ndarray, np.ndarray]:
+    """Force residual on the right half ``v`` of a mirror-symmetric string, and its Coulomb stiffness.
+
+    ``v`` is positive and ascending; ``odd`` adds an ion at 0. ``inv3[i, j]``
+    is ``1 / |v_i - u_j|^3`` over all ions j of the string, 0 for j = i.
+    """
+    m = v.size
+    d = np.subtract.outer(v, np.concatenate((-v[::-1], np.zeros(odd), v)))
+    d.ravel()[m + odd :: d.shape[1] + 1] = np.inf  # each ion's own column
+    np.reciprocal(d, out=d)
+    inv3 = np.abs(d)
+    d *= inv3  # sign(d) / d^2
+    grad = v - d.sum(axis=1)
+    np.multiply(inv3, inv3, out=d)
+    inv3 *= d
+    return grad, inv3
 
 
-def _potential_hessian(u: np.ndarray) -> np.ndarray:
-    d = _separations(u)
-    inv3 = 1.0 / np.abs(d) ** 3
-    h = -2.0 * inv3
-    np.fill_diagonal(h, 0.0)
-    np.fill_diagonal(h, 1.0 + 2.0 * np.sum(inv3, axis=1))
-    return h
+def _mirror_block(inv3: np.ndarray, odd: int, base: float, coupling: float, parity: int) -> np.ndarray:
+    """Block A + parity BJ of ``base I + coupling (K - diag(K 1))``, K = ``inv3``, on x_L = parity J x_R.
+
+    The matrix commutes with the reversal J, so it splits into a
+    mirror-even block (with the centre ion of an odd string last) and a
+    mirror-odd one. The axial Hessian has (base, coupling) = (1, -2), the
+    radial matrix ((omega_r / omega_z)^2, 1).
+    """
+    m = inv3.shape[0]
+    size = m + odd if parity > 0 else m
+    block = np.empty((size, size))
+    np.multiply(inv3[:, :m][:, ::-1], parity * coupling, out=block[:m, :m])
+    block[:m, :m] += coupling * inv3[:, m + odd:]
+    block.ravel()[: m * (size + 1) : size + 1] += base - coupling * inv3.sum(axis=1)
+    if size > m:
+        block[m, :m] = block[:m, m] = np.sqrt(2.0) * coupling * inv3[:, m]
+        block[m, m] = base - 2.0 * coupling * inv3[:, m].sum()
+    return block
 
 
-def _seed_positions(n: int) -> np.ndarray:
-    if n == 1:
-        return np.zeros(1)
-    # Uniform spacing at the known minimum-spacing scale of a Coulomb
-    # chain; the damped Newton iteration does the rest.
-    spacing = 2.018 / n**0.559
-    return spacing * (np.arange(n) - 0.5 * (n - 1))
+def _mirror_eigh(v: np.ndarray, odd: int, base: float, coupling: float) -> list:
+    """``eigh`` of both mirror blocks of the string with right half ``v``, freeing each input before the next."""
+    inv3 = _right_half(v, odd)[1]
+    return [np.linalg.eigh(_mirror_block(inv3, odd, base, coupling, parity)) for parity in (1, -1)]
 
 
 def equilibrium_positions(
     trap: TrapParameters,
     tol: float = 1e-13,
     max_iter: int = 200,
-) -> np.ndarray:
+    full_output: bool = False,
+):
     """Equilibrium ion positions along the trap axis, in m, ascending.
 
-    Solves the force-balance equations for the harmonic-plus-Coulomb
-    potential with a damped Newton iteration seeded from a uniformly
-    spaced chain. The returned configuration is symmetrized about the
-    trap center and satisfies ``max |residual force| < 1e-9`` in units
-    of the characteristic force ``m omega_z^2 l``.
+    A damped Newton iteration on the N // 2 right-half positions of the
+    mirror-symmetric string solves the force balance of the
+    harmonic-plus-Coulomb potential, each step solving the mirror-odd
+    Hessian block. It is seeded at the quantiles of the
+    continuum density 1 - (z / L)^2 of a long string (Dubin, Phys. Rev. E
+    55, 4017 (1997)), with L^3 = 3 N (ln N - 0.24) fitted to solved
+    strings of 30 to 2000 ions. It stops at ``max |residual force| < tol``
+    (units of ``m omega_z^2 l``), or where no step lowers a residual
+    already under ``ACCEPTANCE``: the roundoff floor of the Coulomb sum.
+    ``full_output`` returns a :class:`SolverRecord` too.
 
     Raises
     ------
+    ValueError
+        If the trap holds more than ``MAX_IONS`` ions.
     ConvergenceError
-        If the residual tolerance is not reached within ``max_iter``.
+        If the residual is not under ``ACCEPTANCE`` after ``max_iter``
+        iterations, or the line search stalls above it.
     """
-    n = trap.ion_count
-    u = _seed_positions(n)
-    if n == 1:
-        return np.zeros(1)
-
-    grad = _potential_gradient(u)
-    for _ in range(max_iter):
-        resid = np.max(np.abs(grad))
-        if resid < tol:
-            break
-        step = np.linalg.solve(_potential_hessian(u), -grad)
-        alpha = 1.0
-        for _ in range(60):
-            trial = u + alpha * step
-            if np.all(np.diff(trial) > 0):
-                trial_grad = _potential_gradient(trial)
+    n, odd = trap.ion_count, trap.ion_count % 2
+    if n > MAX_IONS:
+        raise ValueError(f"{n} ions exceed the {MAX_IONS} the equilibrium solver is measured for")
+    q = (np.arange(n // 2) + (n + 1) // 2 + 0.5) / n  # x = 2 sin(asin(2q - 1) / 3) inverts the distribution
+    v = np.cbrt(3.0 * n * (np.log(n) - 0.24)) * 2.0 * np.sin(np.arcsin(2.0 * q - 1.0) / 3.0)
+    grad, inv3 = _right_half(v, odd)
+    resid = float(np.max(np.abs(grad), initial=0.0))
+    iterations = halvings = 0
+    while resid >= tol and iterations < max_iter:
+        step = np.linalg.solve(_mirror_block(inv3, odd, 1.0, -2.0, -1), -grad)
+        for halving in range(60):
+            trial = v + 0.5**halving * step
+            if trial[0] > 0 and np.all(np.diff(trial) > 0):
+                trial_grad, trial_inv3 = _right_half(trial, odd)
                 if np.max(np.abs(trial_grad)) < resid:
                     break
-            alpha *= 0.5
+            if resid < ACCEPTANCE:  # at the roundoff floor
+                trial = None
+                break
         else:
-            raise ConvergenceError(
-                f"line search stalled at residual {resid:.3e} "
-                f"(characteristic-force units)"
-            )
-        u, grad = trial, trial_grad
+            raise ConvergenceError(f"line search stalled at residual {resid:.3e} (characteristic-force units)")
+        halvings += halving
+        if trial is None:
+            break
+        v, grad, inv3 = trial, trial_grad, trial_inv3
+        resid = float(np.max(np.abs(grad)))
+        iterations += 1
 
-    resid = np.max(np.abs(grad))
-    if resid > 1e-9:
+    if resid > ACCEPTANCE:
         raise ConvergenceError(
-            f"equilibrium solver stopped at residual {resid:.3e} > 1e-9 "
-            f"(characteristic-force units) after {max_iter} iterations"
+            f"equilibrium solver stopped at residual {resid:.3e} > {ACCEPTANCE:g} "
+            f"(characteristic-force units) after {iterations} iterations"
         )
-    u = 0.5 * (u - u[::-1])  # exact mirror symmetry
-    return u * trap.length_scale
+    record = SolverRecord(iterations, halvings, resid, ACCEPTANCE)
+    logger.debug("equilibrium_positions: %d ions, %s", n, record)
+    positions = np.concatenate((-v[::-1], np.zeros(odd), v)) * trap.length_scale
+    return (positions, record) if full_output else positions
 
 
 def chain_span(positions: np.ndarray) -> float:
@@ -183,22 +228,15 @@ def chain_span(positions: np.ndarray) -> float:
     return float(positions[-1] - positions[0])
 
 
-def _radial_matrix(u: np.ndarray, anisotropy_sq: float) -> np.ndarray:
-    d = _separations(u)
-    inv3 = 1.0 / np.abs(d) ** 3
-    np.fill_diagonal(inv3, 0.0)
-    k = inv3.copy()
-    np.fill_diagonal(k, -np.sum(inv3, axis=1))
-    return anisotropy_sq * np.eye(len(u)) + k
-
-
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for m in range(out.shape[1]):
-        pivot = np.argmax(np.abs(out[:, m]))
-        if out[pivot, m] < 0:
-            out[:, m] = -out[:, m]
-    return out
+    """Make each column's first entry within 1e-9 relative of its largest magnitude positive, in place.
+
+    A mirror-symmetric mode has two largest entries, equal up to roundoff.
+    """
+    top = (1.0 - 1e-9) * np.maximum(vectors.max(axis=0), -vectors.min(axis=0))
+    pivot = np.argmax((vectors >= top) | (vectors <= -top), axis=0)
+    vectors *= np.copysign(1.0, vectors[pivot, np.arange(vectors.shape[1])])
+    return vectors
 
 
 def normal_modes(
@@ -209,10 +247,11 @@ def normal_modes(
     """Normal-mode frequencies and eigenvectors for one direction.
 
     ``positions`` must be a converged output of
-    :func:`equilibrium_positions` for the same trap. Frequencies come
-    out sorted ascending, so the axial center-of-mass mode is first and
-    the transverse center-of-mass mode (at the bare radial frequency)
-    is last.
+    :func:`equilibrium_positions` for the same trap: it is mirror-symmetric,
+    so the mirror-even and mirror-odd blocks are diagonalized apart.
+    Frequencies come out sorted ascending, so the axial center-of-mass
+    mode is first and the transverse center-of-mass mode (at the bare
+    radial frequency) is last.
 
     Raises
     ------
@@ -224,28 +263,40 @@ def normal_modes(
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}")
     u = np.asarray(positions, dtype=float) / trap.length_scale
-
+    n, m, odd = u.size, u.size // 2, u.size % 2
     if direction == AXIAL:
-        matrix = _potential_hessian(u)
+        base, coupling = 1.0, -2.0
     else:
         omega_r = trap.omega_x if direction == RADIAL_X else trap.omega_y
-        matrix = _radial_matrix(u, (omega_r / trap.omega_z) ** 2)
-
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+        base, coupling = (omega_r / trap.omega_z) ** 2, 1.0
+    (even_values, even_vectors), (odd_values, odd_vectors) = _mirror_eigh(u[m + odd:], odd, base, coupling)
+    # both blocks come sorted: a mode's rank is its index plus the other block's modes below it
+    rank = np.concatenate((
+        np.arange(m + odd) + np.searchsorted(odd_values, even_values),
+        np.arange(m) + np.searchsorted(even_values, odd_values, side="right"),
+    ))
+    eigenvalues = np.empty(n)
+    eigenvalues[rank] = np.concatenate((even_values, odd_values))
     if direction != AXIAL and eigenvalues[0] <= 0:
-        coulomb_part = _radial_matrix(u, 0.0)
-        critical = trap.omega_z * np.sqrt(
-            np.max(np.linalg.eigvalsh(-coulomb_part))
-        )
+        # the Coulomb part of the radial matrix has eigenvalues eigenvalues - base
+        critical = trap.omega_z * np.sqrt(base - eigenvalues[0])
         raise ZigzagInstabilityError(
             f"{direction} modes unstable: radial frequency must exceed "
             f"{critical:.6e} rad/s at this axial confinement"
         )
 
+    # each mode goes to the column of its rank, with x_R = y / sqrt 2 and x_L = parity J x_R
+    vectors = np.zeros((n, n))
+    for columns, y, parity in ((rank[: m + odd], even_vectors, 1.0), (rank[m + odd:], odd_vectors, -1.0)):
+        half = np.sqrt(0.5) * y[:m]
+        vectors[m + odd:, columns] = half
+        vectors[:m, columns] = parity * half[::-1]
+    if odd:
+        vectors[m, rank[: m + 1]] = even_vectors[m]
     return ModeSpectrum(
         direction=direction,
         frequencies=trap.omega_z * np.sqrt(eigenvalues),
-        eigenvectors=_fix_eigenvector_signs(eigenvectors),
+        eigenvectors=_fix_eigenvector_signs(vectors),
         ion_mass=trap.ion_mass,
     )
 
@@ -258,5 +309,6 @@ def lamb_dicke(spectrum: ModeSpectrum, k_projection: float) -> ModeSpectrum:
     eta_{i,m} eta_{j,m} keep their relative signs.
     """
     zero_point = np.sqrt(HBAR / (2.0 * spectrum.ion_mass * spectrum.frequencies))
-    eta = k_projection * spectrum.eigenvectors * zero_point[None, :]
+    eta = k_projection * spectrum.eigenvectors
+    eta *= zero_point  # in place: one N x N array, not two
     return replace(spectrum, lamb_dicke=eta)

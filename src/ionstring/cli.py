@@ -41,6 +41,7 @@ fixed (config, seed) pair.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import platform
@@ -251,11 +252,11 @@ _CHAIN = (
 
 def _run_chain(p, seed):
     trap = _trap_parameters(p)
-    positions = chain.equilibrium_positions(trap)
+    positions, record = chain.equilibrium_positions(trap, full_output=True)
     spectrum = chain.lamb_dicke(chain.normal_modes(trap, positions, p.direction), wavevector(trap.laser_wavelength))
     header, rows = export.mode_spectrum_rows(spectrum)
     return _Run(
-        header, rows, {"span_m": chain.chain_span(positions)},
+        header, rows, {"span_m": chain.chain_span(positions), "solver": dataclasses.asdict(record)},
         sidecars={"_positions.csv": (["ion", "z_m"], [[i + 1, z] for i, z in enumerate(positions)])},
         payload=lambda: export.mode_spectrum_dict(spectrum),
     )
@@ -287,6 +288,12 @@ _SPINS = (
 def _quench_setup(p):
     mat = _coupling(p)
     return dynamics.HamiltonianSpec(coupling=mat, model=p.model), dynamics.neel_state(mat.ion_count, p.alignment)
+
+
+def _check_chain_size(p):
+    """The ions within the range of the chain solver, before any N x N array."""
+    cap = chain.MAX_IONS
+    return [f"params.n_ions: {p.n_ions} ions exceed the {cap} the chain solver is measured for"] if p.n_ions > cap else []
 
 
 def _check_qubits(p):
@@ -697,8 +704,8 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "chain": _Kind(_CHAIN, _run_chain),
-    "couplings": _Kind(_COUPLINGS, _run_couplings),
+    "chain": _Kind(_CHAIN, _run_chain, _check_chain_size),
+    "couplings": _Kind(_COUPLINGS, _run_couplings, _check_chain_size),
     "quench": _Kind(_QUENCH, _run_quench, _check_qubits),
     "negativity": _Kind(_NEGATIVITY, _run_negativity, _check_negativity),
     "cpmg-sense": _Kind(_CPMG_SENSE, _run_cpmg_sense, _check_cpmg_sense),

@@ -3,18 +3,18 @@
 Numbers are written with 12 significant digits so that repeated runs
 of the same seeded experiment produce byte-identical files; a CSV row
 of Python floats and ints takes a cached %-template, with the same
-bytes. Writers go through a temporary file and an atomic rename, so a
-failed run never leaves a partial output behind.
+bytes. Writers stream into a temporary file and rename it atomically,
+so a failed run never leaves a partial output behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
-import io
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -50,18 +50,25 @@ def _round_floats(obj):
     return obj
 
 
-def _atomic_write(path, text: str):
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A handle on a new file renamed onto ``path`` if the block succeeds; ``open()`` gives its mode."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    handle = open(tmp, "x", newline="")  # fails rather than share a name
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+        with handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def _atomic_write(path, text: str):
+    with _atomic_open(path) as handle:
+        handle.write(text)
 
 
 _CODES = {float: f"%.{SIG_DIGITS}g", int: "%d"}
@@ -74,17 +81,16 @@ def _row_template(signature: tuple) -> str | None:
 
 
 def write_csv(path, header: list[str], rows):
-    """Write rows of numbers (or strings) with deterministic formatting."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        template = _row_template(tuple(map(type, row)))
-        if template is None:
-            writer.writerow([v if isinstance(v, str) else fmt(v) for v in row])
-        else:
-            buffer.write(template % tuple(row))
-    _atomic_write(path, buffer.getvalue())
+    """Write rows of numbers (or strings) with deterministic formatting, streamed row by row."""
+    with _atomic_open(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            template = _row_template(tuple(map(type, row)))
+            if template is None:
+                writer.writerow([v if isinstance(v, str) else fmt(v) for v in row])
+            else:
+                handle.write(template % tuple(row))
 
 
 def write_json(path, payload: dict):
@@ -93,14 +99,22 @@ def write_json(path, payload: dict):
     _atomic_write(path, text + "\n")
 
 
+class _ModeRows:
+    """Rows ``[mode, frequency_hz, b_ion1, ...]`` of Python numbers, made one at a time on each pass."""
+
+    def __init__(self, spectrum: ModeSpectrum):
+        self.spectrum = spectrum
+
+    def __iter__(self):
+        frequencies = (self.spectrum.frequencies / (2.0 * np.pi)).tolist()
+        return ([m, f, *b.tolist()] for m, (f, b) in enumerate(zip(frequencies, self.spectrum.eigenvectors.T)))
+
+
 def mode_spectrum_rows(spectrum: ModeSpectrum):
     header = ["mode", "frequency_hz"] + [
         f"b_ion{i + 1}" for i in range(spectrum.ion_count)
     ]
-    frequencies = (spectrum.frequencies / (2.0 * np.pi)).tolist()
-    vectors = spectrum.eigenvectors.T.tolist()
-    rows = [[m, f, *b] for m, (f, b) in enumerate(zip(frequencies, vectors))]
-    return header, rows
+    return header, _ModeRows(spectrum)
 
 
 def mode_spectrum_dict(spectrum: ModeSpectrum) -> dict:

@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+from scipy import linalg
 
 from conftest import small_trap
 from ionstring import chain
@@ -155,3 +158,105 @@ def test_eta_bounded_by_softest_mode(default_trap, default_positions):
         HBAR / (2.0 * default_trap.ion_mass * spectrum.frequencies.min())
     )
     assert np.max(np.abs(spectrum.lamb_dicke)) <= bound * (1.0 + 1e-12)
+
+
+# ------------------------------------------------- full-size oracles
+
+
+def _full_separations(u):
+    d = u[:, None] - u[None, :]
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
+def _full_gradient(u):
+    d = _full_separations(u)
+    return u - np.sum(np.sign(d) / d**2, axis=1)
+
+
+def _full_matrix(u, base, coupling):
+    """base I + coupling (K - diag(K 1)), K_ij = 1 / |u_i - u_j|^3: the axial Hessian at (1, -2), radial at (a^2, 1)."""
+    k = 1.0 / np.abs(_full_separations(u)) ** 3
+    np.fill_diagonal(k, 0.0)
+    return base * np.eye(u.size) + coupling * (k - np.diag(k.sum(axis=1)))
+
+
+def _full_size_positions(n, tol=1e-13):
+    """The solver before the mirror-half one: damped Newton on all N positions from a uniform seed."""
+    if n == 1:
+        return np.zeros(1)
+    u = 2.018 / n**0.559 * (np.arange(n) - 0.5 * (n - 1))
+    grad = _full_gradient(u)
+    while np.max(np.abs(grad)) >= tol:
+        step = np.linalg.solve(_full_matrix(u, 1.0, -2.0), -grad)
+        alpha = 1.0
+        for _ in range(60):
+            trial = u + alpha * step
+            if np.all(np.diff(trial) > 0) and np.max(np.abs(_full_gradient(trial))) < np.max(np.abs(grad)):
+                break
+            alpha *= 0.5
+        else:
+            raise ConvergenceError("line search stalled")
+        u, grad = trial, _full_gradient(trial)
+    return 0.5 * (u - u[::-1])
+
+
+@pytest.mark.parametrize("n", [60, 61, 200, 1000])
+def test_long_strings_are_ascending_mirror_exact_and_converged(n):
+    trap = small_trap(n)
+    z, record = chain.equilibrium_positions(trap, full_output=True)
+    assert np.all(np.diff(z) > 0)
+    assert np.array_equal(z, -z[::-1])
+    assert record.acceptance == chain.ACCEPTANCE
+    assert record.residual < chain.ACCEPTANCE and record.iterations > 0
+    assert np.max(np.abs(_full_gradient(z / trap.length_scale))) < chain.ACCEPTANCE
+
+
+@pytest.mark.parametrize("n", range(1, 52))
+def test_short_strings_match_the_full_size_solver(n):
+    trap = small_trap(n)
+    u = chain.equilibrium_positions(trap) / trap.length_scale
+    np.testing.assert_allclose(u, _full_size_positions(n), rtol=1e-12, atol=1e-12 * np.max(np.abs(u)))
+
+
+def test_solver_range_is_stated():
+    z, record = chain.equilibrium_positions(small_trap(chain.MAX_IONS), full_output=True)
+    assert z.size == chain.MAX_IONS and record.residual < chain.ACCEPTANCE
+    with pytest.raises(ValueError, match=f"{chain.MAX_IONS + 1} ions exceed"):
+        chain.equilibrium_positions(small_trap(chain.MAX_IONS + 1))
+
+
+def test_solver_logs_its_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="ionstring.chain"):
+        _, record = chain.equilibrium_positions(small_trap(60), full_output=True)
+    assert f"60 ions, {record}" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "n, direction",
+    [(1, chain.AXIAL), (2, chain.RADIAL_X), (7, chain.RADIAL_Y), (50, chain.RADIAL_X), (51, chain.RADIAL_X),
+     (51, chain.AXIAL), (400, chain.AXIAL), (1000, chain.AXIAL)],
+)
+def test_split_modes_match_the_full_eigh_oracle(n, direction):
+    trap = small_trap(n)
+    z = chain.equilibrium_positions(trap)
+    spectrum = chain.normal_modes(trap, z, direction)
+    u = z / trap.length_scale
+    if direction == chain.AXIAL:
+        matrix = _full_matrix(u, 1.0, -2.0)
+    else:
+        omega_r = trap.omega_x if direction == chain.RADIAL_X else trap.omega_y
+        matrix = _full_matrix(u, (omega_r / trap.omega_z) ** 2, 1.0)
+    values, vectors = np.linalg.eigh(matrix)
+    # relative to the largest eigenvalue: the full eigh is accurate to eps |H|, not to eps per eigenvalue
+    np.testing.assert_allclose((spectrum.frequencies / trap.omega_z) ** 2, values, rtol=0, atol=1e-12 * values[-1])
+    np.testing.assert_allclose(spectrum.eigenvectors, chain._fix_eigenvector_signs(vectors), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [51, 400])
+def test_sign_rule_is_the_same_under_two_lapack_drivers(n):
+    trap = small_trap(n)
+    matrix = _full_matrix(chain.equilibrium_positions(trap) / trap.length_scale, 1.0, -2.0)
+    evd = chain._fix_eigenvector_signs(np.linalg.eigh(matrix)[1])
+    evr = chain._fix_eigenvector_signs(linalg.eigh(matrix, driver="evr")[1])
+    np.testing.assert_allclose(evd, evr, rtol=0, atol=1e-12)

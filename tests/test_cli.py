@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import math
 import os
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ionstring import cli, sequences
+from ionstring import chain, cli, sequences
 from ionstring.errors import FitError
 
 # One small valid params block per kind: at most 4 ions, 100 trials,
@@ -236,6 +237,33 @@ def test_chain_emits_positions_and_spectrum(tmp_path):
     assert (tmp_path / "modes.csv").exists()
     assert (tmp_path / "modes_positions.csv").exists()
     assert summary["result"]["span_m"] > 0
+
+
+def test_long_chain_records_its_solver_in_the_summary_and_the_log(tmp_path, caplog):
+    config = {"kind": "chain", "out": str(tmp_path / "modes.csv"), "params": {"n_ions": 200}}
+    with caplog.at_level(logging.DEBUG, logger="ionstring.chain"):
+        summary = cli.run_experiment(config)
+    solver = summary["result"]["solver"]
+    assert set(solver) == {"iterations", "halvings", "residual", "acceptance"}
+    assert solver["iterations"] > 0 and solver["residual"] < solver["acceptance"] == chain.ACCEPTANCE
+    on_disk = json.loads((tmp_path / "modes.csv.summary.json").read_text())
+    assert on_disk["result"]["solver"] == solver
+    assert f"200 ions, {chain.SolverRecord(**solver)}" in caplog.text
+
+
+@pytest.mark.parametrize("kind", ["chain", "couplings"])
+def test_strings_past_the_chain_solver_range_exit_2_before_any_work(tmp_path, capsys, monkeypatch, kind):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the range must be checked before the chain solve")
+
+    monkeypatch.setattr(cli.chain, "equilibrium_positions", no_work)
+    n = chain.MAX_IONS + 1
+    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "c.csv"), "params": {"n_ions": n}})
+    assert cli.main(["run", config]) == 2
+    assert f"config error: params.n_ions: {n} ions exceed the {chain.MAX_IONS}" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+    params, errors = cli._parse({"n_ions": chain.MAX_IONS}, cli._KINDS[kind].fields, "params")
+    assert not errors and not cli._KINDS[kind].check(params)
 
 
 def test_negativity_run(tmp_path):

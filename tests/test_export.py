@@ -1,8 +1,11 @@
 import csv
 import io
 import math
+import os
+import stat
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,3 +86,38 @@ def test_mode_table_rows_are_python_numbers_with_the_old_values():
     assert all(type(m) is int and all(type(v) is float for v in rest) for m, *rest in rows)
     old = [[m, spectrum.frequencies[m] / (2.0 * np.pi), *spectrum.eigenvectors[:, m]] for m in range(5)]
     assert cell_by_cell_csv(header, rows) == cell_by_cell_csv(header, old)
+
+
+def test_streamed_mode_table_writes_the_bytes_of_the_list_built_table(tmp_path):
+    trap = small_trap(1000)
+    spectrum = chain.normal_modes(trap, chain.equilibrium_positions(trap), chain.AXIAL)
+    header, rows = export.mode_spectrum_rows(spectrum)
+    export.write_csv(tmp_path / "modes.csv", header, rows)
+    frequencies = (spectrum.frequencies / (2.0 * np.pi)).tolist()
+    listed = [[m, frequencies[m], *spectrum.eigenvectors[:, m].tolist()] for m in range(1000)]
+    assert (tmp_path / "modes.csv").read_bytes() == cell_by_cell_csv(header, listed)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_take_the_file_mode_of_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        export.write_csv(tmp_path / "a.csv", ["x"], [[1.0]])
+        export.write_json(tmp_path / "a.json", {"x": 1.0})
+    finally:
+        os.umask(previous)
+    for name in ("a.csv", "a.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.csv", "a.json"]
+
+
+def test_a_table_that_fails_midway_leaves_no_file(tmp_path):
+    def rows():
+        yield [1.0]
+        raise FloatingPointError("row 2")
+
+    (tmp_path / "a.csv").write_text("before\n")
+    with pytest.raises(FloatingPointError):
+        export.write_csv(tmp_path / "a.csv", ["x"], rows())
+    assert [path.name for path in tmp_path.iterdir()] == ["a.csv"]
+    assert (tmp_path / "a.csv").read_text() == "before\n"
