@@ -6,9 +6,9 @@ Two subcommands:
     Execute one experiment described by a JSON config file. The file
     carries ``kind``, ``seed``, ``out``, ``format``, and a kind-specific
     ``params`` block; command-line flags override the file. Every kind
-    writes its main table to ``out`` as CSV or, in ``json`` format, as
-    ``{"columns": [...], "rows": [...]}`` (``chain`` and ``couplings``
-    write their mode-spectrum and coupling objects). A summary JSON
+    writes its main table to ``out`` through ``export.write_table``, as
+    CSV or, in ``json`` format, as ``{"columns": [...], "rows": [...]}``
+    with the same header, cells and number text. A summary JSON
     (input echo, package versions, runtime, output list) is written next
     to the main output as ``<out>.summary.json``. Its
     ``effective.params`` holds every field the run used, defaults filled
@@ -174,9 +174,9 @@ def _plain(value):
     return value
 
 
-def _trap(n_ions=8):
+def _trap(n_ions=8, least_ions=1):
     return (
-        Field("n_ions", int, n_ions, _within(1, 10**5)),
+        Field("n_ions", int, n_ions, _within(least_ions, 10**5)),
         Field("omega_z_hz", float, 127e3, _positive),
         Field("omega_x_hz", float, 2.93e6, _positive),
         Field("omega_y_hz", float, 2.89e6, _positive),
@@ -203,8 +203,6 @@ class _Run(NamedTuple):
     result: dict
     # file-name suffix -> (header, rows) for a ``.csv``, a payload for a ``.json``
     sidecars: dict = {}
-    # the main output in json format, when that is not the table
-    payload: Callable[[], dict] | None = None
 
 
 def _trap_parameters(p) -> chain.TrapParameters:
@@ -253,16 +251,14 @@ _CHAIN = (
 def _run_chain(p, seed):
     trap = _trap_parameters(p)
     positions, record = chain.equilibrium_positions(trap, full_output=True)
-    spectrum = chain.lamb_dicke(chain.normal_modes(trap, positions, p.direction), wavevector(trap.laser_wavelength))
-    header, rows = export.mode_spectrum_rows(spectrum)
+    header, rows = export.mode_spectrum_rows(chain.normal_modes(trap, positions, p.direction))
     return _Run(
         header, rows, {"span_m": chain.chain_span(positions), "solver": dataclasses.asdict(record)},
         sidecars={"_positions.csv": (["ion", "z_m"], [[i + 1, z] for i, z in enumerate(positions)])},
-        payload=lambda: export.mode_spectrum_dict(spectrum),
     )
 
 
-_COUPLINGS = (*_trap(), *_drive())
+_COUPLINGS = (*_trap(least_ions=coupling.POWERLAW_MIN_IONS), *_drive())
 
 
 def _run_couplings(p, seed):
@@ -274,7 +270,7 @@ def _run_couplings(p, seed):
         "powerlaw_exponent": fit.exponent,
     }
     header = [f"j_ion{k + 1}_rad_s" for k in range(mat.ion_count)]
-    return _Run(header, mat.j.tolist(), summary, payload=lambda: export.coupling_dict(mat))
+    return _Run(header, mat.j.tolist(), summary)
 
 
 _SPINS = (
@@ -601,6 +597,10 @@ def _check_heating_fit(p):
     given = [row.sigma is not None for row in p.data or []]
     if any(given) and not all(given):
         return [f"params.data[{given.index(False)}].sigma: give sigma on every row or on none"]
+    freqs = [row.omega_z_hz for row in p.data] if p.data else p.synthetic.freqs_hz
+    if len(set(freqs)) < stochastics.HEATING_MIN_FREQUENCIES:
+        where = "data[].omega_z_hz" if p.data else "synthetic.freqs_hz"
+        return [f"params.{where}: {len(set(freqs))} distinct trap frequencies are too few for the fit"]
     return []
 
 
@@ -738,15 +738,12 @@ def _sibling(out, suffix: str) -> str:
 
 def _write(out: str, fmt: str, run: _Run) -> list[str]:
     """Write the main table in ``fmt`` and the sidecars; returns the paths."""
-    if fmt == "csv":
-        export.write_csv(out, run.header, run.rows)
-    else:
-        export.write_json(out, run.payload() if run.payload else {"columns": run.header, "rows": run.rows})
+    export.write_table(out, run.header, run.rows, as_json=fmt == "json")
     outputs = [out]
     for suffix, content in run.sidecars.items():
         path = _sibling(out, suffix)
         if suffix.endswith(".csv"):
-            export.write_csv(path, *content)
+            export.write_table(path, *content)
         else:
             export.write_json(path, content)
         outputs.append(path)
@@ -834,7 +831,7 @@ def _fig4c(outdir: Path, seed: int) -> dict:
     p_before = sequences.simulate_scan(seq, before, 1.0, t0, shots=100, rng=rng)
     p_after = sequences.simulate_scan(seq, result.residuals, 1.0, t0, shots=100, rng=rng)
     out = str(outdir / "fig4c_scan.csv")
-    export.write_csv(out, ["t0_s", "p_up_before", "p_up_after"], np.column_stack([t0, p_before, p_after]).tolist())
+    export.write_table(out, ["t0_s", "p_up_before", "p_up_after"], np.column_stack([t0, p_before, p_after]).tolist())
     return {"scan": out}
 
 
@@ -851,7 +848,7 @@ def _fig4d(outdir: Path, seed: int) -> dict:
         contrast = sequences.ramsey_contrast(4.5e-3, scenario, mode, seed=seed + idx)
         rows.append([mode, contrast])
     out = str(outdir / "fig4d_contrast.csv")
-    export.write_csv(out, ["scenario", "contrast"], rows)
+    export.write_table(out, ["scenario", "contrast"], rows)
     return {"contrast": out}
 
 
@@ -871,7 +868,7 @@ def _fig8(outdir: Path, seed: int) -> dict:
         for ion in range(51):
             rows.append([addressed + 1, ion + 1, resonant[ion], stark[ion], nn])
     out = str(outdir / "fig8_crosstalk.csv")
-    export.write_csv(out, ["addressed_ion", "ion", "resonant_ratio", "ac_stark_ratio", "nn_resonant_ratio"], rows)
+    export.write_table(out, ["addressed_ion", "ion", "resonant_ratio", "ac_stark_ratio", "nn_resonant_ratio"], rows)
     return {"crosstalk": out}
 
 
@@ -903,7 +900,7 @@ def _fig12(outdir: Path, seed: int) -> dict:
     )
     paths["semiclassical"] = str(outdir / "fig12_semiclassical.csv")
     rows = np.column_stack([t_waits * 1e6, excitation]).tolist()
-    export.write_csv(paths["semiclassical"], ["t_wait_us", "excitation"], rows)
+    export.write_table(paths["semiclassical"], ["t_wait_us", "excitation"], rows)
     return paths
 
 

@@ -20,6 +20,7 @@ from ionstring.chain import ModeSpectrum
 from ionstring.errors import FitError, ResonanceGuardError
 
 DEFAULT_RESONANCE_GUARD = 2.0 * np.pi * 10.0
+POWERLAW_MIN_IONS = 4
 
 
 @dataclass(frozen=True)
@@ -138,8 +139,8 @@ def powerlaw_fit(coupling: CouplingMatrix) -> PowerLawFit:
     averaged couplings.
     """
     n = coupling.ion_count
-    if n < 4:
-        raise FitError("power-law fit needs at least 4 ions")
+    if n < POWERLAW_MIN_IONS:
+        raise FitError(f"power-law fit needs at least {POWERLAW_MIN_IONS} ions")
     distances = np.arange(1, n)
     means = np.array(
         [np.mean(np.abs(np.diagonal(coupling.j, offset=d))) for d in distances]

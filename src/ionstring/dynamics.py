@@ -247,7 +247,8 @@ def _chebyshev_states(h: sparse.csr_matrix, on_diagonal, bounds, psi: np.ndarray
     scaled = sparse.csr_matrix((data.astype(dtype, copy=False), h.indices, h.indptr), shape=h.shape)
     terms = bessel.shape[1]
     orders = np.arange(terms)
-    weights = np.where(orders, 2.0, 1.0) * _MINUS_I_POWERS[orders % 4] * bessel
+    # (2 - delta_k0) (-i)^k, taken into each block's slice of the real table rather than into a complex copy
+    factors = np.where(orders, 2.0, 1.0) * _MINUS_I_POWERS[orders % 4]
     out = np.zeros((times.size, psi.size), dtype=complex)
     # T_k sits in row k mod _BLOCK; negative indices reach back into the previous block
     chain = np.empty((min(_BLOCK, terms), psi.size), dtype=dtype)
@@ -260,7 +261,7 @@ def _chebyshev_states(h: sparse.csr_matrix, on_diagonal, bounds, psi: np.ndarray
         else:
             np.subtract(scaled @ chain[row - 1], chain[row - 2], out=chain[row])
         if row == _BLOCK - 1 or k == terms - 1:
-            out += weights[:, k - row : k + 1] @ chain[: row + 1]
+            out += (factors[k - row : k + 1] * bessel[:, k - row : k + 1]) @ chain[: row + 1]
     return out * np.exp(-1j * centre * times)[:, None]
 
 

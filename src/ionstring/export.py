@@ -1,34 +1,33 @@
 """Deterministic CSV/JSON serialization helpers.
 
 Numbers are written with 12 significant digits so that repeated runs
-of the same seeded experiment produce byte-identical files; a CSV row
-of Python floats and ints takes a cached %-template, with the same
-bytes. Writers stream into a temporary file and rename it atomically,
-so a failed run never leaves a partial output behind.
+of the same seeded experiment produce byte-identical files. A table is
+written row by row through one cached %-template per row of cell types,
+as CSV or as the JSON document ``{"columns": header, "rows": [...]}``
+with one row a line and the same number text. Writers stream into a
+temporary file and rename it atomically, so a failed run never leaves a
+partial output behind.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import json
 import os
+import re
 import secrets
 from pathlib import Path
 
 import numpy as np
 
 from ionstring.chain import ModeSpectrum
-from ionstring.coupling import CouplingMatrix
 
 SIG_DIGITS = 12
 
 
 def fmt(value) -> str:
     """Render a number with 12 significant digits."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), f".{SIG_DIGITS}g")
@@ -37,10 +36,6 @@ def fmt(value) -> str:
 def _round_floats(obj):
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round_floats(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -71,26 +66,61 @@ def _atomic_write(path, text: str):
         handle.write(text)
 
 
-_CODES = {float: f"%.{SIG_DIGITS}g", int: "%d"}
+_LABEL = re.compile(r'[^,"\\]+')  # nothing that CSV would quote or JSON escape
+# %g spells non-finite floats nan, inf and -inf; JSON readers take NaN, Infinity and -Infinity
+_NON_FINITE = re.compile(r"(?<=[\[,])-?(?:nan|inf)(?=[,\]])")
+
+
+def _check_label(label):
+    if not (isinstance(label, str) and label.isprintable() and _LABEL.fullmatch(label)):
+        raise ValueError(f'table label {label!r} must be a non-empty printable string without , " or \\')
+
+
+def _cell_code(cell_type: type, as_json: bool) -> str:
+    """%-code of one cell: a number as ``fmt`` renders it, a label as it is (quoted in JSON)."""
+    if issubclass(cell_type, (float, np.floating)):
+        return f"%.{SIG_DIGITS}g"
+    if issubclass(cell_type, (int, np.integer)) and cell_type is not bool:
+        return "%d"
+    if issubclass(cell_type, str):
+        return '"%s"' if as_json else "%s"
+    raise TypeError(f"a table cell must be a number or a label, not {cell_type.__name__}")
 
 
 @functools.lru_cache(maxsize=256)
-def _row_template(signature: tuple) -> str | None:
-    """%-template for a row of these cell types, if all are Python floats or ints (a bool is neither)."""
-    return ",".join(map(_CODES.get, signature)) + "\n" if set(signature) <= _CODES.keys() else None
+def _row_template(signature: tuple, as_json: bool) -> tuple[str, tuple]:
+    """%-template for a row of these cell types, and the columns that hold labels."""
+    row = ",".join(_cell_code(cell_type, as_json) for cell_type in signature)
+    return (f"[{row}]" if as_json else row), tuple(i for i, t in enumerate(signature) if issubclass(t, str))
 
 
-def write_csv(path, header: list[str], rows):
-    """Write rows of numbers (or strings) with deterministic formatting, streamed row by row."""
+def write_table(path, header: list[str], rows, as_json: bool = False):
+    """Write ``rows`` under ``header`` as CSV, or as JSON ``{"columns": header, "rows": [...]}``, row by row.
+
+    A cell is a number (a Python or numpy float or int, not a bool),
+    rendered as ``fmt`` renders it, or a label: a non-empty printable
+    string without ``,``, ``"`` or ``\\``, written as it is (quoted in
+    JSON); the header holds labels. Anything else raises ``TypeError``
+    or ``ValueError`` and leaves no file.
+    """
+    for label in header:
+        _check_label(label)
+    columns = _row_template((str,) * len(header), as_json)[0] % tuple(header)
+    head, between, tail = (f'{{"columns": {columns}, "rows": [', ",\n", "\n]}\n") if as_json else (columns, "\n", "\n")
     with _atomic_open(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
+        handle.write(head)
+        separator = "\n"
         for row in rows:
-            template = _row_template(tuple(map(type, row)))
-            if template is None:
-                writer.writerow([v if isinstance(v, str) else fmt(v) for v in row])
-            else:
-                handle.write(template % tuple(row))
+            cells = tuple(row)
+            template, labels = _row_template(tuple(map(type, cells)), as_json)
+            for column in labels:
+                _check_label(cells[column])
+            line = template % cells
+            if as_json and "n" in line:
+                line = _NON_FINITE.sub(lambda match: match[0].replace("nan", "NaN").replace("inf", "Infinity"), line)
+            handle.write(separator + line)
+            separator = between
+        handle.write(tail)
 
 
 def write_json(path, payload: dict):
@@ -99,38 +129,8 @@ def write_json(path, payload: dict):
     _atomic_write(path, text + "\n")
 
 
-class _ModeRows:
-    """Rows ``[mode, frequency_hz, b_ion1, ...]`` of Python numbers, made one at a time on each pass."""
-
-    def __init__(self, spectrum: ModeSpectrum):
-        self.spectrum = spectrum
-
-    def __iter__(self):
-        frequencies = (self.spectrum.frequencies / (2.0 * np.pi)).tolist()
-        return ([m, f, *b.tolist()] for m, (f, b) in enumerate(zip(frequencies, self.spectrum.eigenvectors.T)))
-
-
 def mode_spectrum_rows(spectrum: ModeSpectrum):
-    header = ["mode", "frequency_hz"] + [
-        f"b_ion{i + 1}" for i in range(spectrum.ion_count)
-    ]
-    return header, _ModeRows(spectrum)
-
-
-def mode_spectrum_dict(spectrum: ModeSpectrum) -> dict:
-    out = {
-        "direction": spectrum.direction,
-        "frequencies_hz": (spectrum.frequencies / (2.0 * np.pi)).tolist(),
-        "eigenvectors": spectrum.eigenvectors.tolist(),
-        "ion_mass_kg": spectrum.ion_mass,
-    }
-    if spectrum.lamb_dicke is not None:
-        out["lamb_dicke"] = spectrum.lamb_dicke.tolist()
-    return out
-
-
-def coupling_dict(coupling: CouplingMatrix) -> dict:
-    return {
-        "j_rad_s": coupling.j.tolist(),
-        "field_b_rad_s": coupling.field_b,
-    }
+    """Header and rows ``(mode, frequency_hz, b_ion1, ...)`` of Python numbers, made one at a time for one pass."""
+    header = ["mode", "frequency_hz"] + [f"b_ion{i + 1}" for i in range(spectrum.ion_count)]
+    frequencies = (spectrum.frequencies / (2.0 * np.pi)).tolist()
+    return header, ((m, f, *b.tolist()) for m, (f, b) in enumerate(zip(frequencies, spectrum.eigenvectors.T)))

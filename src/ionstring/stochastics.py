@@ -18,6 +18,8 @@ from ionstring.errors import FitError
 
 logger = logging.getLogger(__name__)
 
+HEATING_MIN_FREQUENCIES = 3
+
 
 @dataclass(frozen=True)
 class HeatingDataset:
@@ -63,10 +65,10 @@ def fit_heating(data: HeatingDataset) -> HeatingFit:
 
     Rates are normalized by the ion count before fitting, which
     collapses datasets taken with different string sizes onto one
-    power law. Needs at least three distinct frequencies.
+    power law. Needs ``HEATING_MIN_FREQUENCIES`` distinct frequencies.
     """
-    if np.unique(data.omega_z).size < 3:
-        raise FitError("need >= 3 distinct trap frequencies")
+    if np.unique(data.omega_z).size < HEATING_MIN_FREQUENCIES:
+        raise FitError(f"need >= {HEATING_MIN_FREQUENCIES} distinct trap frequencies")
     x = np.log(data.omega_z)
     y = np.log(data.rate / data.ion_count)
     if data.sigma is not None:
@@ -107,7 +109,6 @@ class SurvivalCurve:
     fraction: np.ndarray
     trials: int
     n_melted: int
-    seed: int | None
 
 
 def simulate_survival(
@@ -134,7 +135,6 @@ def simulate_survival(
         fraction=fraction,
         trials=trials,
         n_melted=int(np.sum(melt_times <= horizon)),
-        seed=seed,
     )
 
 

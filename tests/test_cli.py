@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import logging
 import math
@@ -264,6 +265,51 @@ def test_strings_past_the_chain_solver_range_exit_2_before_any_work(tmp_path, ca
     assert not (tmp_path / "c.csv").exists()
     params, errors = cli._parse({"n_ions": chain.MAX_IONS}, cli._KINDS[kind].fields, "params")
     assert not errors and not cli._KINDS[kind].check(params)
+
+
+def _fail_if_run(monkeypatch, kind):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the config must be refused before the run")
+
+    monkeypatch.setitem(cli._KINDS, kind, cli._KINDS[kind]._replace(run=no_work))
+
+
+@pytest.mark.parametrize("n_ions, code", [(3, 2), (4, 0)])
+def test_couplings_too_short_for_the_power_law_fit_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, n_ions, code
+):
+    if code == 2:
+        _fail_if_run(monkeypatch, "couplings")
+    config = write_config(tmp_path, {"kind": "couplings", "out": str(tmp_path / "j.csv"), "params": {"n_ions": n_ions}})
+    assert cli.main(["run", config]) == code
+    if code == 2:
+        assert "config error: params.n_ions: must lie in [4, 100000]" in capsys.readouterr().err
+        assert not (tmp_path / "j.csv").exists()
+
+
+_HEATING_FREQS = {2: [3e4, 1e5, 1e5], 3: [3e4, 1e5, 3e5]}
+
+
+@pytest.mark.parametrize("source", ["data", "synthetic"])
+@pytest.mark.parametrize("distinct, code", [(2, 2), (3, 0)])
+def test_heating_fits_with_too_few_frequencies_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, source, distinct, code
+):
+    freqs = _HEATING_FREQS[distinct]
+    if source == "data":
+        params = {"data": [{"omega_z_hz": f, "rate_quanta_per_s": 1e12 * f ** -1.9} for f in freqs]}
+        where = "params.data[].omega_z_hz"
+    else:
+        params = {"synthetic": {"freqs_hz": freqs, "ion_counts": [1, 2]}}
+        where = "params.synthetic.freqs_hz"
+    if code == 2:
+        _fail_if_run(monkeypatch, "heating-fit")
+    config = write_config(tmp_path, {"kind": "heating-fit", "out": str(tmp_path / "h.csv"), "params": params})
+    assert cli.main(["run", config]) == code
+    if code == 2:
+        message = f"config error: {where}: 2 distinct trap frequencies are too few for the fit"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "h.csv").exists()
 
 
 def test_negativity_run(tmp_path):
@@ -665,17 +711,18 @@ def test_ignored_inputs_exit_2(tmp_path, capsys, kind, params, message):
 @pytest.mark.parametrize("kind", sorted(SMALL))
 def test_every_kind_honours_json_format(tmp_path, kind):
     config = write_config(tmp_path, {"kind": kind, "seed": 3, "params": SMALL[kind]})
-    out = tmp_path / "main.json"
-    assert cli.main(["run", config, "--format", "json", "--out", str(out)]) == 0
-    with open(out) as handle:
-        payload = json.load(handle)
-    if kind == "chain":
-        assert len(payload["frequencies_hz"]) == 4 and len(payload["eigenvectors"]) == 4
-    elif kind == "couplings":
-        assert len(payload["j_rad_s"]) == 4 and "field_b_rad_s" in payload
-    else:
-        assert set(payload) == {"columns", "rows"}
-        assert payload["rows"] and all(len(row) == len(payload["columns"]) for row in payload["rows"])
+    out_json, out_csv = tmp_path / "main.json", tmp_path / "main.csv"
+    assert cli.main(["run", config, "--format", "json", "--out", str(out_json)]) == 0
+    assert cli.main(["run", config, "--format", "csv", "--out", str(out_csv)]) == 0
+    with open(out_csv, newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    payload = json.loads(out_json.read_text())
+    # the CSV's table: its header, and every cell read back as the JSON cell's type
+    assert set(payload) == {"columns", "rows"} and payload["columns"] == header
+    assert rows and len(payload["rows"]) == len(rows)
+    for json_row, csv_row in zip(payload["rows"], rows):
+        assert json_row == [type(cell)(text) for cell, text in zip(json_row, csv_row)]
+        assert len(json_row) == len(header)
 
 
 def test_summary_records_the_resolved_params(tmp_path):
