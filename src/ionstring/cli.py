@@ -32,6 +32,11 @@ Each kind declares its ``params`` in one table of fields, read by
 work. Unknown fields, wrong types, non-finite numbers and failed checks
 are config errors, all reported at once. Every integer field has an
 upper bound, so no count can ask for an unbounded allocation or loop.
+A kind takes only fields that change its outputs: ``quench`` and
+``negativity`` scale J to ``target_max_j_rad_s``, which cancels the Rabi
+frequency, wavelength and mass, so they take none of these; ``couplings``
+writes J in rad/s; ``wavefront-semiclassical`` takes ``nbar`` or
+``temperature_k`` (4.6 mK if neither), not both.
 Frequencies in config files are plain Hz and use ``_hz``-suffixed
 keys; they are converted to angular frequencies internally. Exit codes: 0 success, 2 config
 validation error, 3 numerical failure. Outputs are deterministic for a
@@ -180,19 +185,17 @@ def _trap(n_ions=8, least_ions=1):
         Field("omega_z_hz", float, 127e3, _positive),
         Field("omega_x_hz", float, 2.93e6, _positive),
         Field("omega_y_hz", float, 2.89e6, _positive),
-        Field("ion_mass_amu", float, 40.0, _positive),
-        Field("wavelength_m", float, 729e-9, _positive),
     )
 
 
-def _drive(target_max_j=None):
-    return (
-        Field("beatnote_offset_hz", float, 100e3, _positive),
-        Field("centerline_detuning_hz", float, 3000.0),
-        Field("rabi_hz", float, 50e3, _positive),
-        Field("target_max_j_rad_s", float, target_max_j, _positive),
-        Field("resonance_guard_hz", float, 10.0, _positive),
-    )
+_SPECIES = (Field("ion_mass_amu", float, 40.0, _positive), Field("wavelength_m", float, 729e-9, _positive))
+_RABI = Field("rabi_hz", float, 50e3, _positive)
+
+_DRIVE = (
+    Field("beatnote_offset_hz", float, 100e3, _positive),
+    Field("centerline_detuning_hz", float, 3000.0),
+    Field("resonance_guard_hz", float, 10.0, _positive),
+)
 
 
 class _Run(NamedTuple):
@@ -217,7 +220,7 @@ def _trap_parameters(p) -> chain.TrapParameters:
 
 
 def _coupling(p) -> coupling.CouplingMatrix:
-    """Chain + drive -> CouplingMatrix, scaled to a target max |J|."""
+    """Chain + drive -> CouplingMatrix, in rad/s."""
     trap = _trap_parameters(p)
     positions = chain.equilibrium_positions(trap)
     k = wavevector(trap.laser_wavelength)
@@ -231,12 +234,7 @@ def _coupling(p) -> coupling.CouplingMatrix:
         centerline_detuning=omega_from_hz(p.centerline_detuning_hz),
         mode_detunings=coupling.detunings_from_beatnote(spectra, beatnote),
     )
-    mat = coupling.spin_spin_matrix(spectra, drive, resonance_guard=omega_from_hz(p.resonance_guard_hz))
-    if p.target_max_j_rad_s is not None:
-        current = float(np.max(np.abs(mat.j)))
-        if current > 0:
-            mat = coupling.CouplingMatrix(j=mat.j * (p.target_max_j_rad_s / current), field_b=mat.field_b)
-    return mat
+    return coupling.spin_spin_matrix(spectra, drive, resonance_guard=omega_from_hz(p.resonance_guard_hz))
 
 
 # ----------------------------------------------------------------- runs
@@ -245,6 +243,7 @@ def _coupling(p) -> coupling.CouplingMatrix:
 _CHAIN = (
     Field("direction", str, chain.AXIAL, _one_of(chain.AXIAL, chain.RADIAL_X, chain.RADIAL_Y)),
     *_trap(n_ions=51),
+    *_SPECIES,
 )
 
 
@@ -258,7 +257,7 @@ def _run_chain(p, seed):
     )
 
 
-_COUPLINGS = (*_trap(least_ions=coupling.POWERLAW_MIN_IONS), *_drive())
+_COUPLINGS = (*_trap(least_ions=coupling.POWERLAW_MIN_IONS), *_SPECIES, *_DRIVE, _RABI)
 
 
 def _run_couplings(p, seed):
@@ -277,12 +276,20 @@ _SPINS = (
     Field("model", str, dynamics.XY_EFFECTIVE, _one_of(dynamics.ISING_TRANSVERSE, dynamics.XY_EFFECTIVE)),
     Field("alignment", str, "odd_up", _one_of("odd_up", "even_up")),
     *_trap(),
-    *_drive(target_max_j=240.0),
+    *_DRIVE,
+    Field("target_max_j_rad_s", float, 240.0, _positive),
 )
+
+# J is rabi^2 k^2 / mass times a shape set by the trap frequencies alone,
+# so scaling it to target_max_j_rad_s cancels these three inputs.
+_SCALED_AWAY = {field.name: field.default for field in (*_SPECIES, _RABI)}
 
 
 def _quench_setup(p):
-    mat = _coupling(p)
+    mat = _coupling(SimpleNamespace(**vars(p), **_SCALED_AWAY))
+    current = float(np.max(np.abs(mat.j)))
+    if current > 0:
+        mat = coupling.CouplingMatrix(j=mat.j * (p.target_max_j_rad_s / current), field_b=mat.field_b)
     return dynamics.HamiltonianSpec(coupling=mat, model=p.model), dynamics.neel_state(mat.ion_count, p.alignment)
 
 
@@ -472,7 +479,7 @@ _WAVEFRONT_SEMICLASSICAL = (
     Field("wavelength_m", float, 729e-9, _positive),
     Field("tilt_mrad", float, 4.8, _within(0.0, 500.0 * np.pi)),
     Field("nbar", float, None, _non_negative),
-    Field("temperature_k", float, 4.6e-3, _positive),
+    Field("temperature_k", float, None, _positive),
     Field("t_wait_min_us", float, 1.0, _positive),
     Field("t_wait_max_us", float, 20.0, _positive),
     Field("n_points", int, 200, _within(1, 10**5)),
@@ -480,9 +487,15 @@ _WAVEFRONT_SEMICLASSICAL = (
 
 
 def _check_wavefront_semiclassical(p):
+    """Waits in order; at most one of nbar / temperature_k, 4.6 mK when neither is given."""
+    errors = []
     if p.t_wait_min_us > p.t_wait_max_us:
-        return [f"params.t_wait_min_us: {p.t_wait_min_us:g} exceeds t_wait_max_us {p.t_wait_max_us:g}"]
-    return []
+        errors.append(f"params.t_wait_min_us: {p.t_wait_min_us:g} exceeds t_wait_max_us {p.t_wait_max_us:g}")
+    if p.nbar is not None and p.temperature_k is not None:
+        errors.append("params: give at most one of nbar / temperature_k")
+    elif p.nbar is None and p.temperature_k is None:
+        p.temperature_k = 4.6e-3
+    return errors
 
 
 def _run_wavefront_semiclassical(p, seed):
@@ -853,19 +866,17 @@ def _fig4d(outdir: Path, seed: int) -> dict:
 
 
 def _fig8(outdir: Path, seed: int) -> dict:
-    trap = chain.TrapParameters(
-        omega_x=omega_from_hz(2.93e6), omega_y=omega_from_hz(2.89e6),
-        omega_z=omega_from_hz(127e3), ion_mass=mass_from_amu(40.0), ion_count=51,
-    )
-    positions = chain.equilibrium_positions(trap)
+    # the chain kind's default 51-ion string
+    positions = chain.equilibrium_positions(_trap_parameters(_parse({}, _CHAIN, "")[0]))
+    n_ions = len(positions)
     rows = []
-    for addressed in range(0, 51, 5):
+    for addressed in range(0, n_ions, 5):
         beam = coupling.AddressingBeam(waist=2.5e-6, center=positions[addressed], pedestal_floor=0.03)
         resonant = coupling.crosstalk_map(beam, positions, "resonant")
         stark = coupling.crosstalk_map(beam, positions, "ac_stark")
-        neighbors = [i for i in (addressed - 1, addressed + 1) if 0 <= i < 51]
+        neighbors = [i for i in (addressed - 1, addressed + 1) if 0 <= i < n_ions]
         nn = max(resonant[i] for i in neighbors)
-        for ion in range(51):
+        for ion in range(n_ions):
             rows.append([addressed + 1, ion + 1, resonant[ion], stark[ion], nn])
     out = str(outdir / "fig8_crosstalk.csv")
     export.write_table(out, ["addressed_ion", "ion", "resonant_ratio", "ac_stark_ratio", "nn_resonant_ratio"], rows)

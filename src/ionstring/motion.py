@@ -112,9 +112,13 @@ def phase_coefficients(n_pulses: int, x) -> PhaseCoefficients:
         2.0 * np.einsum("n,n...->...", sign, np.sin(np.multiply.outer(n, x)))
         + (-1.0) ** (n_pulses + 1) * np.sin((n_pulses + 1) * x)
     )
-    u = 0.5 * (x + np.pi)
-    ratio = eval_chebyu(n_pulses, np.cos(u)) * np.cos(u)
-    return PhaseCoefficients(a=a, b=b, c2=a**2 + b**2, c2_closed=4.0 * ratio**2)
+    return PhaseCoefficients(a=a, b=b, c2=a**2 + b**2, c2_closed=_c2_closed(n_pulses, x))
+
+
+def _c2_closed(n_pulses: int, x):
+    """C^2 in closed form, through the Chebyshev identity of ``phase_coefficients``."""
+    cos_u = np.cos(0.5 * (x + np.pi))
+    return 4.0 * (eval_chebyu(n_pulses, cos_u) * cos_u) ** 2
 
 
 def trajectory_excitation(
@@ -142,7 +146,7 @@ def thermal_excitation(params: SemiclassicalParams) -> float | np.ndarray:
 
     An array of waits ``params.t_wait`` gives the array of excitations.
     """
-    c2 = phase_coefficients(params.n_pulses, params.omega * params.t_wait).c2_closed
+    c2 = _c2_closed(params.n_pulses, params.omega * params.t_wait)
     exponent = (
         KB
         * params.temperature

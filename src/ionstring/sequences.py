@@ -479,9 +479,10 @@ def ramsey_contrast(
 
     thetas = np.linspace(0.0, 2.0 * np.pi, _RAMSEY_PHASES, endpoint=False)
     mean_p = np.empty(_RAMSEY_PHASES)
+    # every triggered shot starts at line phase 0
+    phase = accumulated_phase(seq, comps, 0.0) if triggered else None
     for idx, theta in enumerate(thetas):
         if triggered:
-            phase = accumulated_phase(seq, comps, 0.0)
             p = 0.5 + 0.5 * scenario.base_contrast * np.cos(theta - phase)
             mean_p[idx] = rng.binomial(scenario.shots, p) / scenario.shots
         else:

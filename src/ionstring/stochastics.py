@@ -226,9 +226,8 @@ def simulate_phase_noise(
     freqs = rng.uniform(*_DRIFT_BAND_HZ, size=_DRIFT_MODES)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=_DRIFT_MODES)
     amplitude = np.sqrt(2.0 * strength / _DRIFT_MODES)
-    return amplitude * np.sum(
-        np.sin(2.0 * np.pi * np.outer(freqs, t) + phases[:, None]), axis=0
-    )
+    # mode by mode: the bits of a sum over the rows of a modes x n array, without that array
+    return amplitude * sum(np.sin(2.0 * np.pi * (freq * t) + phase) for freq, phase in zip(freqs, phases))
 
 
 @dataclass(frozen=True)

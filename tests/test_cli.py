@@ -592,6 +592,29 @@ def test_ints_stay_valid_for_float_fields(tmp_path):
     assert 0.0 < summary["result"]["peak_excitation"] < 0.5
 
 
+def test_semiclassical_nbar_and_temperature_exclude_each_other(tmp_path, capsys, monkeypatch):
+    def run(name, params):
+        out = tmp_path / f"{name}.csv"
+        summary = cli.run_experiment({"kind": "wavefront-semiclassical", "out": str(out), "params": params})
+        return out.read_bytes(), summary["effective"]["params"]
+
+    # neither given: 4.6 mK
+    _, params = run("neither", {"n_points": 3})
+    assert params["temperature_k"] == 4.6e-3 and params["nbar"] is None
+    # nbar alone sets the temperature, and the temperature field stays unset
+    table, params = run("nbar", {"n_points": 3, "nbar": 170.0})
+    assert params["nbar"] == 170.0 and params["temperature_k"] is None
+    temperature = cli.motion.temperature_from_nbar(170.0, cli.omega_from_hz(params["omega_z_hz"]))
+    assert run("temperature", {"n_points": 3, "temperature_k": temperature})[0] == table
+    # both given
+    _fail_if_run(monkeypatch, "wavefront-semiclassical")
+    both = {"kind": "wavefront-semiclassical", "out": str(tmp_path / "both.csv")}
+    config = write_config(tmp_path, {**both, "params": {"nbar": 1.0, "temperature_k": 1e-3}})
+    assert cli.main(["run", config]) == 2
+    assert "config error: params: give at most one of nbar / temperature_k" in capsys.readouterr().err
+    assert not (tmp_path / "both.csv").exists()
+
+
 def test_figure_kind_validation(tmp_path):
     with pytest.raises(cli.ConfigError):
         cli.emit_figure_data("fig99", outdir=tmp_path)
@@ -697,11 +720,19 @@ def test_non_string_out_exits_2(tmp_path, capsys):
         ),
         ("survival", {"soft_collision_rate_per_ms": 1e-3}, "params.soft_collision_rate_per_ms: unknown field"),
         ("quench", {"n_ions": 4, "target_max_j_rad_s": 0.0}, "params.target_max_j_rad_s: must be positive"),
-        ("couplings", {"n_ions": 4, "target_max_j_rad_s": -5.0}, "params.target_max_j_rad_s: must be positive"),
+        # couplings are written in rad/s, unscaled
+        ("couplings", {"n_ions": 4, "target_max_j_rad_s": 240.0}, "params.target_max_j_rad_s: unknown field"),
         ("negativity", {"n_ions": 4, "subsets": []}, "params.subsets: expected a non-empty list"),
+        # scaling J to target_max_j_rad_s cancels the Rabi frequency, the wavelength and the mass
+        *(
+            (kind, {"n_ions": 4, field: value}, f"params.{field}: unknown field")
+            for kind in ("quench", "negativity")
+            for field, value in (("rabi_hz", 80e3), ("wavelength_m", 400e-9), ("ion_mass_amu", 9.0))
+        ),
     ],
 )
-def test_ignored_inputs_exit_2(tmp_path, capsys, kind, params, message):
+def test_ignored_inputs_exit_2(tmp_path, capsys, monkeypatch, kind, params, message):
+    _fail_if_run(monkeypatch, kind)
     path = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": params})
     assert cli.main(["run", path]) == 2
     assert f"config error: {message}" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ionstring import motion
-from ionstring.constants import mass_from_amu, omega_from_hz, wavevector
+from ionstring.constants import KB, mass_from_amu, omega_from_hz, wavevector
 from ionstring.errors import FockCutoffError
 
 MASS = mass_from_amu(40.0)
@@ -222,6 +222,17 @@ def test_thermal_excitation_takes_an_array_of_waits():
     assert vectorized.tolist() == looped
     with pytest.raises(ValueError, match="positive"):
         params(np.array([1e-6, 0.0]))
+
+
+@pytest.mark.parametrize("n_pulses", [1, 2, 20])
+def test_thermal_excitation_equals_the_phase_coefficients_route(n_pulses):
+    # the closed form alone, against C^2 taken from phase_coefficients next to the direct sums
+    waits = np.concatenate([np.linspace(1e-6, 20e-6, 200), [np.pi / OMEGA, 2.0 * np.pi / OMEGA]])
+    p = params(waits, n_pulses=n_pulses)
+    c2 = motion.phase_coefficients(n_pulses, OMEGA * waits).c2_closed
+    exponent = KB * p.temperature * p.k_z**2 * c2 / (2.0 * MASS * OMEGA**2)
+    assert np.array_equal(motion.thermal_excitation(p), 0.5 * (1.0 - np.exp(-exponent)))
+    assert motion.thermal_excitation(params(waits[7], n_pulses=n_pulses)) == 0.5 * (1.0 - np.exp(-exponent[7]))
 
 
 def dense_scan_oracle(params, n_pulses, t_wait_values, initial_fock=None, thermal_tail=1e-4):

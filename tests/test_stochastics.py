@@ -111,6 +111,20 @@ def test_phase_noise_reproducible_and_kinds():
         st.simulate_phase_noise("pink", 1.0, 1e-3, 100, seed=0)
 
 
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_slow_drift_equals_the_outer_product_sum(seed):
+    # the 40 modes summed one at a time give the bits of the modes x n sum
+    n, dt, strength = 20000, 1e-3, 4.0
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(*st._DRIFT_BAND_HZ, size=st._DRIFT_MODES)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=st._DRIFT_MODES)
+    t = np.arange(n) * dt
+    oracle = np.sqrt(2.0 * strength / st._DRIFT_MODES) * np.sum(
+        np.sin(2.0 * np.pi * np.outer(freqs, t) + phases[:, None]), axis=0
+    )
+    assert np.array_equal(st.simulate_phase_noise(st.SLOW_DRIFT, strength, dt, n, seed=seed), oracle)
+
+
 def test_vanishing_strength_keeps_correlations_at_one():
     series = st.simulate_phase_noise(st.RANDOM_WALK, 1e-12, 1e-3, 2000, seed=0)
     corr = st.phase_correlations(series, 1e-3, 20)
