@@ -9,20 +9,13 @@ Two subcommands:
     writes its main table to ``out`` through ``export.write_table``, as
     CSV or, in ``json`` format, as ``{"columns": [...], "rows": [...]}``
     with the same header, cells and number text. A summary JSON
-    (input echo, package versions, runtime, output list) is written next
-    to the main output as ``<out>.summary.json``. Its
+    (input echo, package versions, stage times, output list) is written
+    next to the main output as ``<out>.summary.json``. Its
     ``effective.params`` holds every field the run used, defaults filled
-    in; for ``quench`` and ``negativity`` its ``result.solver`` holds the
-    number of Chebyshev terms summed, the bound on the terms dropped, the
-    Gershgorin bounds on the spectrum, the worst norm error and the
-    dimension of the symmetry sector propagated, for
-    ``wavefront-quantum`` the Fock solver's boundary leak, norm error,
-    truncated thermal weight, band half-width, squarings, dropped-band
-    error bound and the share of (slab, column) products its row windows
-    left to compute, for ``cpmg-sense`` the fit's grid size, polishes,
-    evaluations and cost, for ``compensate`` the skipped (round, f_hz),
-    for ``ramsey-correlations`` each decay model's evaluations, RSS and
-    whether its scale sits at an edge of the searched range.
+    in; its ``stages`` the parse, solve and write times, also logged at
+    DEBUG; its ``result.solver`` the record of the solver the kind ran
+    (the domain result's ``record()``, the chain's ``SolverRecord``), or
+    ``{}`` for a closed-form kind.
 
 ``ionstring figure KIND [--outdir DIR] [--seed N]``
     Emit the CSV bundle behind one of the canned figure analogs.
@@ -48,6 +41,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import platform
 import sys
@@ -64,6 +58,8 @@ from ionstring import chain, coupling, dynamics, entanglement, motion, sequences
 from ionstring import export
 from ionstring.constants import HBAR, mass_from_amu, omega_from_hz, wavevector
 from ionstring.errors import IonstringError
+
+logger = logging.getLogger(__name__)
 
 
 class ConfigError(Exception):
@@ -199,11 +195,12 @@ _DRIVE = (
 
 
 class _Run(NamedTuple):
-    """What a runner hands back; ``run_experiment`` writes it."""
+    """What a runner hands back; ``run_experiment`` writes it, ``solver`` as ``result.solver``."""
 
     header: list
     rows: list
     result: dict
+    solver: dict = {}
     # file-name suffix -> (header, rows) for a ``.csv``, a payload for a ``.json``
     sidecars: dict = {}
 
@@ -219,22 +216,19 @@ def _trap_parameters(p) -> chain.TrapParameters:
     )
 
 
-def _coupling(p) -> coupling.CouplingMatrix:
-    """Chain + drive -> CouplingMatrix, in rad/s."""
+def _coupling(p) -> tuple[coupling.CouplingMatrix, chain.SolverRecord]:
+    """Chain + drive -> CouplingMatrix, in rad/s, and the chain solver's record."""
     trap = _trap_parameters(p)
-    positions = chain.equilibrium_positions(trap)
+    positions, record = chain.equilibrium_positions(trap, full_output=True)
     k = wavevector(trap.laser_wavelength)
-    spectra = []
-    for direction in (chain.RADIAL_X, chain.RADIAL_Y):
-        spec = chain.normal_modes(trap, positions, direction)
-        spectra.append(chain.lamb_dicke(spec, k))
+    spectra = [chain.lamb_dicke(chain.normal_modes(trap, positions, d), k) for d in (chain.RADIAL_X, chain.RADIAL_Y)]
     beatnote = max(s.frequencies[-1] for s in spectra) + omega_from_hz(p.beatnote_offset_hz)
     drive = coupling.DriveParameters(
         rabi=omega_from_hz(p.rabi_hz),
         centerline_detuning=omega_from_hz(p.centerline_detuning_hz),
         mode_detunings=coupling.detunings_from_beatnote(spectra, beatnote),
     )
-    return coupling.spin_spin_matrix(spectra, drive, resonance_guard=omega_from_hz(p.resonance_guard_hz))
+    return coupling.spin_spin_matrix(spectra, drive, resonance_guard=omega_from_hz(p.resonance_guard_hz)), record
 
 
 # ----------------------------------------------------------------- runs
@@ -252,7 +246,7 @@ def _run_chain(p, seed):
     positions, record = chain.equilibrium_positions(trap, full_output=True)
     header, rows = export.mode_spectrum_rows(chain.normal_modes(trap, positions, p.direction))
     return _Run(
-        header, rows, {"span_m": chain.chain_span(positions), "solver": dataclasses.asdict(record)},
+        header, rows, {"span_m": chain.chain_span(positions)}, dataclasses.asdict(record),
         sidecars={"_positions.csv": (["ion", "z_m"], [[i + 1, z] for i, z in enumerate(positions)])},
     )
 
@@ -261,7 +255,7 @@ _COUPLINGS = (*_trap(least_ions=coupling.POWERLAW_MIN_IONS), *_SPECIES, *_DRIVE,
 
 
 def _run_couplings(p, seed):
-    mat = _coupling(p)
+    mat, record = _coupling(p)
     fit = coupling.powerlaw_fit(mat)
     summary = {
         "max_j_rad_s": float(np.max(np.abs(mat.j))),
@@ -269,7 +263,7 @@ def _run_couplings(p, seed):
         "powerlaw_exponent": fit.exponent,
     }
     header = [f"j_ion{k + 1}_rad_s" for k in range(mat.ion_count)]
-    return _Run(header, mat.j.tolist(), summary)
+    return _Run(header, mat.j.tolist(), summary, dataclasses.asdict(record))
 
 
 _SPINS = (
@@ -286,7 +280,7 @@ _SCALED_AWAY = {field.name: field.default for field in (*_SPECIES, _RABI)}
 
 
 def _quench_setup(p):
-    mat = _coupling(SimpleNamespace(**vars(p), **_SCALED_AWAY))
+    mat, _ = _coupling(SimpleNamespace(**vars(p), **_SCALED_AWAY))
     current = float(np.max(np.abs(mat.j)))
     if current > 0:
         mat = coupling.CouplingMatrix(j=mat.j * (p.target_max_j_rad_s / current), field_b=mat.field_b)
@@ -305,11 +299,6 @@ def _check_qubits(p):
     return [f"params.n_ions: {p.n_ions} ions exceed the {cap}-qubit cap of exact dynamics"] if p.n_ions > cap else []
 
 
-def _solver_summary(grid: dynamics.GridEvolution) -> dict:
-    keys = ("chebyshev_terms", "truncation_bound", "max_norm_error", "sector_dim")
-    return {key: getattr(grid, key) for key in keys} | {"spectral_bounds": list(grid.spectral_bounds)}
-
-
 _QUENCH = (
     *_SPINS,
     Field("t_max_s", float, 3e-3, _positive),
@@ -323,7 +312,7 @@ def _run_quench(p, seed):
     grid = dynamics.evolve_grid(state, spec, times)
     rows = np.column_stack([times, dynamics.magnetization(grid.states)]).tolist()
     header = ["t_s"] + [f"sz_ion{k + 1}" for k in range(p.n_ions)]
-    return _Run(header, rows, {"n_ions": p.n_ions, "model": spec.model, "solver": _solver_summary(grid)})
+    return _Run(header, rows, {"n_ions": p.n_ions, "model": spec.model}, grid.record())
 
 
 def _subset_shape(subset):
@@ -345,7 +334,9 @@ _NEGATIVITY = (
 
 
 def _check_negativity(p):
-    """The ions within the qubit cap and every subset inside the string; adjacent pairs by default."""
+    """A pair at least, the ions within the qubit cap and every subset inside the string; adjacent pairs by default."""
+    if p.n_ions < 2:
+        return [f"params.n_ions: {p.n_ions} ion has no pair to take a negativity of; give at least 2"]
     if p.subsets is None:
         p.subsets = [[i, i + 1] for i in range(1, p.n_ions)]
     return _check_qubits(p) + [
@@ -371,7 +362,7 @@ def _run_negativity(p, seed):
             value = entanglement.log_negativity_3(rho).value
         rows.append(["-".join(str(i) for i in subset), value, p.shots_per_setting or 0, seed])
     header = ["subset", "log_negativity", "shots_per_setting", "seed"]
-    return _Run(header, rows, {"time_s": p.time_s, "solver": _solver_summary(grid)})
+    return _Run(header, rows, {"time_s": p.time_s}, grid.record())
 
 
 _COMPONENT = (
@@ -441,9 +432,8 @@ def _run_cpmg_sense(p, seed):
         "seed": seed,
     }
     rows = np.column_stack([t0, data]).tolist()
-    solver = {"grid_points": sequences.GRID_POINTS, "polishes": sequences.POLISHES, "nfev": fit.nfev, "cost": fit.cost}
-    summary = {"amplitude_rad_s": fit.amplitude, "solver": solver}
-    return _Run(["t0_s", "p_up"], rows, summary, sidecars={"_fit.json": fit_record})
+    summary = {"amplitude_rad_s": fit.amplitude}
+    return _Run(["t0_s", "p_up"], rows, summary, fit.record(), sidecars={"_fit.json": fit_record})
 
 
 _COMPENSATE = (
@@ -452,6 +442,15 @@ _COMPENSATE = (
     Field("max_rounds", int, 2, _within(1, 1000)),
     Field("phase_drift_rad", float, 0.0, _non_negative),
 )
+
+
+def _check_compensate(p):
+    """The components' check, and one component per frequency, as the loop senses each frequency once."""
+    freqs = [c.f_hz for c in p.components]
+    return _check_components(p) + [
+        f"params.components[{idx}].f_hz: {f:g} Hz repeats an earlier component's frequency"
+        for idx, f in enumerate(freqs) if f in freqs[:idx]
+    ]
 
 
 def _run_compensate(p, seed):
@@ -467,9 +466,7 @@ def _run_compensate(p, seed):
         rows.append([before.frequency_hz, before.field_ug, after.field_ug, *shift_hz])
     header = ["f_hz", "b_microgauss", "b_after_microgauss", "delta_hz", "delta_after_hz"]
     reductions = result.reduction_factors(comps)
-    skipped = [list(event) for event in result.skipped]
-    summary = {"reduction_factors": {str(k): v for k, v in reductions.items()}, "solver": {"skipped": skipped}}
-    return _Run(header, rows, summary)
+    return _Run(header, rows, {"reduction_factors": {str(k): v for k, v in reductions.items()}}, result.record())
 
 
 _WAVEFRONT_SEMICLASSICAL = (
@@ -574,14 +571,9 @@ def _run_wavefront_quantum(p, seed):
     meta_keys = ("eta", "omega_rad_s", "detuning_rad_s", "nbar", "initial_fock", "fock_cutoff", "n_pulses")
     meta = {key: getattr(p, key) for key in meta_keys}
     meta.update(rabi_rad_s=params.rabi, truncated_weight=result.truncated_weight, max_leak=result.max_leak)
-    solver_keys = (
-        "max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm", "column_fill",
-    )
-    solver = {key: getattr(result, key) for key in solver_keys}
     rows = np.column_stack([result.t_wait * 1e6, result.excitation]).tolist()
     return _Run(
-        ["t_wait_us", "excitation"], rows,
-        {"max_excitation": float(result.excitation.max()), "solver": solver},
+        ["t_wait_us", "excitation"], rows, {"max_excitation": float(result.excitation.max())}, result.record(),
         sidecars={"_meta.json": meta},
     )
 
@@ -703,10 +695,9 @@ def _run_ramsey_correlations(p, seed):
         "rss_gaussian": fits[stochastics.GAUSSIAN].rss if fits else None,
         "seed": seed,
     }
-    solver = {name: {"nfev": fit.nfev, "rss": fit.rss, "at_edge": fit.at_edge} for name, fit in fits.items()}
     rows = np.column_stack([corr.lags, corr.values, corr.pair_counts]).tolist()
-    result = {"selected_model": selection.kind, "solver": solver}
-    return _Run(["lag_s", "correlation", "pairs"], rows, result, sidecars={"_fit.json": fit_record})
+    result = {"selected_model": selection.kind}
+    return _Run(["lag_s", "correlation", "pairs"], rows, result, selection.record(), sidecars={"_fit.json": fit_record})
 
 
 class _Kind(NamedTuple):
@@ -722,7 +713,7 @@ _KINDS = {
     "quench": _Kind(_QUENCH, _run_quench, _check_qubits),
     "negativity": _Kind(_NEGATIVITY, _run_negativity, _check_negativity),
     "cpmg-sense": _Kind(_CPMG_SENSE, _run_cpmg_sense, _check_cpmg_sense),
-    "compensate": _Kind(_COMPENSATE, _run_compensate, _check_components),
+    "compensate": _Kind(_COMPENSATE, _run_compensate, _check_compensate),
     "wavefront-semiclassical": _Kind(
         _WAVEFRONT_SEMICLASSICAL, _run_wavefront_semiclassical, _check_wavefront_semiclassical
     ),
@@ -765,6 +756,7 @@ def _write(out: str, fmt: str, run: _Run) -> list[str]:
 
 def run_experiment(config: dict, seed=None, out=None, fmt=None) -> dict:
     """Validate and execute one experiment; returns the summary dict."""
+    start = time.perf_counter()
     if not isinstance(config, dict):
         raise ConfigError(["config: expected a JSON object"])
     block = {field.name: config[field.name] for field in _CONFIG if field.name in config}
@@ -780,10 +772,12 @@ def run_experiment(config: dict, seed=None, out=None, fmt=None) -> dict:
         raise ConfigError(errors)
     out = top.out or f"ionstring_{top.kind}.{top.format}"
 
-    start = time.perf_counter()
+    parsed = time.perf_counter()
     run = kind.run(params, top.seed)
+    solved = time.perf_counter()
     outputs = _write(out, top.format, run)
-    runtime = time.perf_counter() - start
+    stages = {"parse_s": parsed - start, "solve_s": solved - parsed, "write_s": time.perf_counter() - solved}
+    logger.debug("run_experiment %s: stages %s", top.kind, stages)
 
     summary = {
         "config": config,
@@ -791,8 +785,8 @@ def run_experiment(config: dict, seed=None, out=None, fmt=None) -> dict:
             "kind": top.kind, "seed": top.seed, "out": out, "format": top.format, "params": _plain(params),
         },
         "outputs": [str(o) for o in outputs],
-        "result": run.result,
-        "runtime_s": runtime,
+        "result": {**run.result, "solver": run.solver},
+        "stages": stages,
         "versions": {
             "ionstring": ionstring.__version__,
             "numpy": np.__version__,
@@ -854,12 +848,8 @@ def _fig4d(outdir: Path, seed: int) -> dict:
         sequences.NoiseComponent.from_field(*row) for row in ((50.0, 1.3, 0.1), (150.0, 0.9, -0.5), (250.0, 0.7, 2.0))
     )
     scenario = sequences.RamseyScenario(uncompensated=table, residual=residual, base_contrast=0.85, shots=400)
-    rows = []
-    for idx, mode in enumerate(
-        (sequences.TRIGGER_AND_COMPENSATION, sequences.COMPENSATION_ONLY, sequences.BOTH_OFF)
-    ):
-        contrast = sequences.ramsey_contrast(4.5e-3, scenario, mode, seed=seed + idx)
-        rows.append([mode, contrast])
+    modes = (sequences.TRIGGER_AND_COMPENSATION, sequences.COMPENSATION_ONLY, sequences.BOTH_OFF)
+    rows = [[mode, sequences.ramsey_contrast(4.5e-3, scenario, mode, seed=seed + i)] for i, mode in enumerate(modes)]
     out = str(outdir / "fig4d_contrast.csv")
     export.write_table(out, ["scenario", "contrast"], rows)
     return {"contrast": out}
@@ -993,6 +983,9 @@ def main(argv=None) -> int:
         return 2
     except (IonstringError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 3
     return 0
 

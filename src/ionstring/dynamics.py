@@ -196,6 +196,16 @@ class GridEvolution:
     def __iter__(self):
         return iter(self.states)
 
+    def record(self) -> dict:
+        """Every field but the states: the solver's diagnostics, as logged and summarised."""
+        return {
+            "chebyshev_terms": self.chebyshev_terms,
+            "truncation_bound": self.truncation_bound,
+            "spectral_bounds": None if self.spectral_bounds is None else list(self.spectral_bounds),
+            "max_norm_error": self.max_norm_error,
+            "sector_dim": self.sector_dim,
+        }
+
 
 def _bessel_table(z: np.ndarray) -> tuple[np.ndarray, float]:
     """J_k(z) for every z > 0 (rows, ascending) and order k < K (columns), and the bound at K.
@@ -335,11 +345,9 @@ def evolve_grid(state: np.ndarray, spec: HamiltonianSpec, times) -> GridEvolutio
             raise FloatingPointError(f"evolution lost norm: | |psi| - 1 | = {norm_error!r}")
     states = np.zeros((times.size, state.size), dtype=complex)
     states[:, basis] = sector[where]
-    logger.debug(
-        "evolve_grid: sector of %d states, %d Chebyshev terms, truncation bound %.3g, spectral bounds %s, "
-        "max norm error %.3g", basis.size, terms, bound, bounds, norm_error,
-    )
-    return GridEvolution(states, terms, bound, bounds, norm_error, basis.size)
+    result = GridEvolution(states, terms, bound, bounds, norm_error, basis.size)
+    logger.debug("evolve_grid: %s", result.record())
+    return result
 
 
 

@@ -281,6 +281,18 @@ class QuantumScanResult:
     band_dropped_norm: float
     column_fill: float
 
+    def record(self) -> dict:
+        """The solver's diagnostics, as logged and summarised."""
+        return {
+            "max_leak": self.max_leak,
+            "max_norm_error": self.max_norm_error,
+            "truncated_weight": self.truncated_weight,
+            "band_width": self.band_width,
+            "squarings": self.squarings,
+            "band_dropped_norm": self.band_dropped_norm,
+            "column_fill": self.column_fill,
+        }
+
 
 def _prune(m: sparse.csr_matrix) -> tuple[sparse.csr_matrix, float]:
     """``m`` without its entries below the drop floor, and their Frobenius norm."""
@@ -488,7 +500,7 @@ def quantum_cpmg_scan(
     # what a windowed pulse leaves out acts on sub-floor entries only, in
     # at most 2 dim rows of each state
     window_bound = (n_pulses + 1) * _DROP_FLOOR * np.sqrt(2.0 * dim)
-    band_dropped_norm = 2.0 * half_bound + n_pulses * pi_bound + window_bound
+    band_dropped_norm = float(2.0 * half_bound + n_pulses * pi_bound + window_bound)
 
     excitation = np.empty(t_wait.shape)
     max_leak = 0.0
@@ -515,12 +527,7 @@ def quantum_cpmg_scan(
         excitation[idx] = float(weights @ _populations(psi[0::2]))
 
     column_fill = computed / (t_wait.size * (n_pulses + 1) * len(half[1]) * init_levels.size)
-    logger.debug(
-        "quantum_cpmg_scan: band half-width %d, %d squarings, dropped-band norm %.3g, "
-        "column fill %.3g, max leak %.3g, max norm error %.3g, truncated weight %.3g",
-        band_width, squarings + 1, band_dropped_norm, column_fill, max_leak, max_norm_error, truncated,
-    )
-    return QuantumScanResult(
+    result = QuantumScanResult(
         t_wait=t_wait,
         excitation=excitation,
         truncated_weight=truncated,
@@ -532,3 +539,5 @@ def quantum_cpmg_scan(
         band_dropped_norm=band_dropped_norm,
         column_fill=column_fill,
     )
+    logger.debug("quantum_cpmg_scan: %s", result.record())
+    return result

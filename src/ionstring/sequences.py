@@ -209,6 +209,10 @@ class SenseResult:
     nfev: int  # function evaluations summed over the polishes
     cost: float  # half the residual sum of squares at the fit
 
+    def record(self) -> dict:
+        """The fit's diagnostics, as logged and summarised."""
+        return {"grid_points": GRID_POINTS, "polishes": POLISHES, "nfev": self.nfev, "cost": self.cost}
+
 
 def sense(
     t0_values: np.ndarray,
@@ -299,14 +303,13 @@ def sense(
         ))
     best = min(fits, key=lambda res: res.cost)
     nfev = sum(res.nfev for res in fits)
-    logger.debug("sense: %d grid points, %d polishes, %d evaluations, cost %.6g", cost.size, len(fits), nfev, best.cost)
 
     variance = 2.0 * best.cost / max(1, t0.size - n)
     try:
         sigmas = np.sqrt(np.clip(np.diag(variance * np.linalg.pinv(best.jac.T @ best.jac)), 0.0, None))
     except np.linalg.LinAlgError:
         sigmas = np.full(n, np.nan)
-    return SenseResult(
+    result = SenseResult(
         amplitude=float(best.x[0]),
         amplitude_sigma=float(sigmas[0]),
         phase=float(np.angle(np.exp(1j * best.x[1]))),  # wrapped to (-pi, pi]
@@ -317,6 +320,8 @@ def sense(
         nfev=int(nfev),
         cost=float(best.cost),
     )
+    logger.debug("sense: %s", result.record())
+    return result
 
 
 def sequence_for_frequency(frequency_hz: float, tau: float = 0.02) -> PulseSequence:
@@ -353,6 +358,10 @@ class CompensationResult:
     waveform: tuple[NoiseComponent, ...]
     sense_log: tuple[SenseEvent, ...]
     skipped: tuple[tuple[int, float], ...]
+
+    def record(self) -> dict:
+        """The loop's diagnostics, as logged and summarised."""
+        return {"skipped": [list(event) for event in self.skipped]}
 
     def reduction_factors(self, inputs) -> dict[float, float]:
         """Residual/input amplitude ratio per frequency."""
@@ -394,8 +403,13 @@ def compensate(
     component between rounds, modelling slow drifts that put a floor on
     the achievable residual. After ``max_rounds`` the loop reports the
     best residuals reached; it never raises for lack of convergence.
+    Two components at one frequency raise ``ValueError``: the loop
+    senses and corrects each frequency once, as one phasor.
     """
     components = sorted(components, key=lambda c: c.frequency_hz)
+    repeated = [a.frequency_hz for a, b in zip(components, components[1:]) if a.frequency_hz == b.frequency_hz]
+    if repeated:
+        raise ValueError(f"two components at {repeated[0]:g} Hz; the loop senses each frequency once")
     rng = np.random.default_rng(seed)
     true = {c.frequency_hz: c.amplitude * np.exp(1j * c.phase) for c in components}
     applied = {c.frequency_hz: 0.0 + 0.0j for c in components}
@@ -424,12 +438,14 @@ def compensate(
 
     residuals = tuple(_component(f, true[f] + applied[f]) for f in sorted(true))
     waveform = tuple(_component(f, applied[f]) for f in sorted(applied))
-    return CompensationResult(
+    result = CompensationResult(
         residuals=residuals,
         waveform=waveform,
         sense_log=tuple(log),
         skipped=tuple(skipped),
     )
+    logger.debug("compensate: %s", result.record())
+    return result
 
 
 TRIGGER_AND_COMPENSATION = "trigger_on_comp_on"

@@ -282,6 +282,10 @@ class DecayModelSelection:
     scale: float
     fits: dict[str, DecayFit]
 
+    def record(self) -> dict:
+        """Each fitted model's evaluations, RSS and edge flag, as logged and summarised."""
+        return {name: {"nfev": fit.nfev, "rss": fit.rss, "at_edge": fit.at_edge} for name, fit in self.fits.items()}
+
 
 def _fit_decay(shape, lags, c) -> DecayFit:
     def profiled(scales):  # the RSS is quadratic in a, so clipping its optimum into [0, 2] is exact
@@ -324,6 +328,7 @@ def select_decay_model(correlations: CorrelationSeries) -> DecayModelSelection:
         return DecayModelSelection(kind=FLAT, amplitude=float(np.mean(c)), scale=np.inf, fits={})
 
     fits = {name: _fit_decay(shape, lags, c) for name, shape in _DECAY_SHAPES.items()}
-    logger.debug("select_decay_model: %s", fits)
     winner = EXPONENTIAL if fits[EXPONENTIAL].rss <= fits[GAUSSIAN].rss else GAUSSIAN
-    return DecayModelSelection(kind=winner, amplitude=fits[winner].amplitude, scale=fits[winner].scale, fits=fits)
+    selection = DecayModelSelection(kind=winner, amplitude=fits[winner].amplitude, scale=fits[winner].scale, fits=fits)
+    logger.debug("select_decay_model: %s", selection.record())
+    return selection

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -7,6 +8,7 @@ import os
 import time
 from functools import reduce
 from operator import getitem
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,11 +55,39 @@ def test_run_quench_and_determinism(tmp_path):
     }
     summary = cli.run_experiment(config)
     first = (tmp_path / "quench.csv").read_bytes()
-    assert "runtime_s" in summary and "versions" in summary
+    assert "versions" in summary
     cli.run_experiment({**config, "out": str(tmp_path / "again.csv")})
     assert (tmp_path / "again.csv").read_bytes() == first
     header = first.decode().splitlines()[0]
     assert header == "t_s,sz_ion1,sz_ion2,sz_ion3,sz_ion4,sz_ion5"
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL))
+def test_every_kind_records_its_stages_and_solver(tmp_path, caplog, kind):
+    config = {"kind": kind, "seed": 1, "out": str(tmp_path / "out.csv"), "params": SMALL[kind]}
+    with caplog.at_level(logging.DEBUG, logger="ionstring.cli"):
+        summary = cli.run_experiment(config)
+    on_disk = json.loads((tmp_path / "out.csv.summary.json").read_text())
+    stages = on_disk["stages"]
+    assert set(stages) == {"parse_s", "solve_s", "write_s"} and min(stages.values()) >= 0.0
+    assert "runtime_s" not in on_disk
+    assert isinstance(on_disk["result"]["solver"], dict)
+    assert f"run_experiment {kind}: stages {summary['stages']}" in caplog.text
+    if kind == "couplings":
+        trap = cli._trap_parameters(SimpleNamespace(**on_disk["effective"]["params"]))
+        _, record = chain.equilibrium_positions(trap, full_output=True)
+        assert on_disk["result"]["solver"] == dataclasses.asdict(record)
+
+
+def test_memory_errors_exit_3_and_leave_no_output(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.11 PiB")
+
+    monkeypatch.setitem(cli._KINDS, "survival", cli._KINDS["survival"]._replace(run=out_of_memory))
+    path = write_config(tmp_path, {"kind": "survival", "out": str(tmp_path / "s.csv"), "params": SMALL["survival"]})
+    assert cli.main(["run", path]) == 3
+    assert "numerical failure: out of memory: Unable to allocate" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_summary_file_contents(tmp_path):
@@ -71,7 +101,6 @@ def test_summary_file_contents(tmp_path):
     on_disk = json.loads((tmp_path / "surv.csv.summary.json").read_text())
     assert on_disk["config"]["kind"] == "survival"
     assert set(on_disk["versions"]) == {"ionstring", "numpy", "scipy", "python"}
-    assert on_disk["runtime_s"] >= 0.0
     assert summary["outputs"][0].endswith("surv.csv")
     del summary["summary_path"]
     assert on_disk == json.loads(json.dumps(summary, default=str))
@@ -728,6 +757,15 @@ def test_non_string_out_exits_2(tmp_path, capsys):
             (kind, {"n_ions": 4, field: value}, f"params.{field}: unknown field")
             for kind in ("quench", "negativity")
             for field, value in (("rabi_hz", 80e3), ("wavelength_m", 400e-9), ("ion_mass_amu", 9.0))
+        ),
+        # one ion has no pair to take a negativity of
+        ("negativity", {"n_ions": 1}, "params.n_ions: 1 ion has no pair"),
+        ("negativity", {"n_ions": 1, "subsets": [[1, 2]]}, "params.n_ions: 1 ion has no pair"),
+        # the loop senses each frequency once, as one phasor
+        (
+            "compensate",
+            {"components": [{"f_hz": 50.0, "b_microgauss": 30.0}, {**_COMPONENT, "b_microgauss": 10.0}]},
+            "params.components[1].f_hz: 50 Hz repeats",
         ),
     ],
 )

@@ -242,10 +242,13 @@ def test_evolve_grid_logs_its_diagnostics(caplog):
     spec = dyn.HamiltonianSpec(random_coupling(4, seed=1), dyn.XY_EFFECTIVE)
     with caplog.at_level(logging.DEBUG, logger="ionstring.dynamics"):
         result = dyn.evolve_grid(dyn.neel_state(4), spec, [0.0, 1e-3, 2e-3])
-    assert f"{result.chebyshev_terms} Chebyshev terms" in caplog.text
-    assert f"truncation bound {result.truncation_bound:.3g}" in caplog.text
-    assert f"spectral bounds {result.spectral_bounds}" in caplog.text
-    assert "max norm error" in caplog.text
+    record = result.record()
+    assert f"evolve_grid: {record}" in caplog.text
+    assert record == {
+        "chebyshev_terms": result.chebyshev_terms, "truncation_bound": result.truncation_bound,
+        "spectral_bounds": list(result.spectral_bounds), "max_norm_error": result.max_norm_error,
+        "sector_dim": result.sector_dim,
+    }
 
 
 def two_label_state(n, seed):
@@ -280,7 +283,7 @@ def test_neel_sector_dimensions(n, alignment, caplog):
         with caplog.at_level(logging.DEBUG, logger="ionstring.dynamics"):
             result = dyn.evolve_grid(psi, spec, [0.0, 1e-4])
         assert result.sector_dim == dim
-        assert f"sector of {dim} states" in caplog.text
+        assert f"'sector_dim': {dim}}}" in caplog.text
 
 
 @pytest.mark.parametrize("model", [dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE])

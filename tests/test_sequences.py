@@ -273,7 +273,8 @@ def test_sense_makes_at_most_four_polishes(monkeypatch, caplog, contrast_fixed):
     assert fit.nfev == sum(r.nfev for r in results)
     assert fit.cost == min(r.cost for r in results)
     assert sq.GRID_POINTS == 2000 * 18
-    assert f"{sq.GRID_POINTS} grid points, 4 polishes, {fit.nfev} evaluations" in caplog.text
+    assert fit.record() == {"grid_points": sq.GRID_POINTS, "polishes": 4, "nfev": fit.nfev, "cost": fit.cost}
+    assert f"sense: {fit.record()}" in caplog.text
 
 
 def test_sense_grid_blocks_do_not_change_the_fit(monkeypatch):
@@ -386,3 +387,9 @@ def test_ramsey_trigger_and_compensation_indistinguishable():
         [sq.ramsey_contrast(4.5e-3, scenario, sq.TRIGGER_AND_COMPENSATION, seed=s) for s in range(4)]
     )
     assert abs(comp_only - both) < 0.05
+
+
+def test_compensate_refuses_two_components_at_one_frequency():
+    components = [sq.NoiseComponent.from_field(50.0, 30.0, 0.0), sq.NoiseComponent.from_field(50.0, 10.0, 1.0)]
+    with pytest.raises(ValueError, match="two components at 50 Hz"):
+        sq.compensate(components, seed=0, max_rounds=1)
