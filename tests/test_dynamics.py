@@ -350,6 +350,59 @@ def test_gershgorin_bounds_hold_the_spectrum(model, n):
     assert result.sector_dim == 2**n
 
 
+def parity_states(n):
+    """Both Neel alignments (opposite parities at odd N) and their odd_up one mixed with its ion-1 flip (both parities)."""
+    odd_up, even_up = dyn.neel_state(n, "odd_up"), dyn.neel_state(n, "even_up")
+    # rolling by 2^(N-1) moves the one amplitude to the index with ion 1 flipped
+    return odd_up, even_up, (odd_up + np.roll(odd_up, 2 ** (n - 1))) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9, 10])
+def test_ising_parity_folds_match_the_eigendecomposition_oracle(n):
+    spec = dyn.HamiltonianSpec(random_coupling(n, seed=60 + n, field_b=np.pi * 3e3), dyn.ISING_TRANSVERSE)
+    times = GRIDS["nonuniform"]
+    for psi, dim in zip(parity_states(n), (2 ** (n - 1), 2 ** (n - 1), 2**n)):
+        result = dyn.evolve_grid(psi, spec, times)
+        assert result.sector_dim == dim
+        np.testing.assert_allclose(result.states, eigendecomposition_oracle(psi, spec, times), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(result.states[0], psi)
+
+
+def test_ising_without_field_takes_exact_phases_in_the_sigma_x_basis():
+    n = 7
+    spec = dyn.HamiltonianSpec(random_coupling(n, seed=70, field_b=0.0), dyn.ISING_TRANSVERSE)
+    times = GRIDS["uniform"]
+    for psi in parity_states(n):
+        result = dyn.evolve_grid(psi, spec, times)
+        assert result.chebyshev_terms == 0 and result.truncation_bound == 0.0
+        np.testing.assert_allclose(result.states, eigendecomposition_oracle(psi, spec, times), rtol=0, atol=1e-12)
+        # diag(E) is the whole H, so its range is the sector's spectrum
+        energies = np.linalg.eigvalsh(dyn.build_hamiltonian(spec, dyn._sector_basis(psi, spec.model)).toarray())
+        np.testing.assert_allclose(result.spectral_bounds, (energies.min(), energies.max()), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+def test_ising_weyl_bounds_hold_the_spectrum_within_the_gershgorin_interval(n):
+    spec = dyn.HamiltonianSpec(random_coupling(n, seed=80 + n, field_b=np.pi * 3e3), dyn.ISING_TRANSVERSE)
+    for psi in parity_states(n):
+        block = dyn.build_hamiltonian(spec, dyn._sector_basis(psi, spec.model)).toarray()
+        energies = np.linalg.eigvalsh(block)
+        radii = np.sum(np.abs(block), axis=1) - np.abs(np.diag(block))
+        gershgorin = (np.min(np.diag(block) - radii), np.max(np.diag(block) + radii))
+        lo, hi = dyn.evolve_grid(psi, spec, [1e-4]).spectral_bounds
+        assert gershgorin[0] <= lo <= energies.min() and energies.max() <= hi <= gershgorin[1]
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_ising_folds_store_n_plus_one_entries_per_row(n):
+    # against 1 + N (N - 1) / 2 in the sigma^z parity sector: 13 against 67 at N = 12
+    spec = dyn.HamiltonianSpec(random_coupling(n, seed=90, field_b=400.0), dyn.ISING_TRANSVERSE)
+    for parities in ([1.0], [-1.0], [1.0, -1.0]):
+        h = dyn._ising_x_folds(spec, np.array(parities))
+        assert h.shape == (len(parities) * 2 ** (n - 1),) * 2
+        np.testing.assert_array_equal(np.diff(h.indptr), n + 1)
+
+
 @pytest.mark.parametrize("z", [1e-300, 1e-3, 0.5, 7.0, 348.0, 5000.5])
 def test_series_is_cut_at_the_first_term_below_the_tolerance(z):
     table, bound = dyn._bessel_table(np.array([z]))
