@@ -795,7 +795,7 @@ def run_experiment(config: dict, seed=None, out=None, fmt=None) -> dict:
         },
     }
     summary_path = str(out) + ".summary.json"
-    export._atomic_write(summary_path, json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
+    export._atomic_write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     summary["summary_path"] = summary_path
     return summary
 

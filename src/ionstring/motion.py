@@ -275,7 +275,6 @@ class QuantumScanResult:
     truncated_weight: float
     max_leak: float
     max_norm_error: float
-    fock_cutoff: int
     band_width: int
     squarings: int
     band_dropped_norm: float
@@ -533,7 +532,6 @@ def quantum_cpmg_scan(
         truncated_weight=truncated,
         max_leak=max_leak,
         max_norm_error=max_norm_error,
-        fock_cutoff=params.fock_cutoff,
         band_width=band_width,
         squarings=squarings + 1,
         band_dropped_norm=band_dropped_norm,

@@ -103,7 +103,7 @@ def test_summary_file_contents(tmp_path):
     assert set(on_disk["versions"]) == {"ionstring", "numpy", "scipy", "python"}
     assert summary["outputs"][0].endswith("surv.csv")
     del summary["summary_path"]
-    assert on_disk == json.loads(json.dumps(summary, default=str))
+    assert on_disk == json.loads(json.dumps(summary))
 
 
 def test_failed_summary_write_leaves_no_summary(tmp_path, monkeypatch):

@@ -191,14 +191,28 @@ def test_evolve_grid_leading_zero_is_a_copy():
 
 
 def test_evolve_grid_all_zero_times_builds_nothing(monkeypatch):
-    spec = dyn.HamiltonianSpec(random_coupling(4, seed=2), dyn.ISING_TRANSVERSE)
-
-    def no_build(spec):
+    def no_build(*args):
         raise AssertionError("no propagation, so no Hamiltonian")
 
     monkeypatch.setattr(dyn, "build_hamiltonian", no_build)
-    result = dyn.evolve_grid(dyn.neel_state(4), spec, [0.0, 0.0])
-    assert result.chebyshev_terms == 0 and result.spectral_bounds is None and result.max_norm_error == 0.0
+    monkeypatch.setattr(dyn, "_ising_x_folds", no_build)
+    for model in (dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE):
+        spec = dyn.HamiltonianSpec(random_coupling(4, seed=2, field_b=400.0), model)
+        result = dyn.evolve_grid(dyn.neel_state(4), spec, [0.0, 0.0])
+        assert result.chebyshev_terms == 0 and result.spectral_bounds is None and result.max_norm_error == 0.0
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0, 1j, 0.6 - 0.8j])
+@pytest.mark.parametrize("model", [dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE])
+def test_evolve_grid_is_linear_in_the_input(model, scale):
+    # a state of any norm, real, imaginary or complex, evolves as that factor times the unit Neel state
+    spec = dyn.HamiltonianSpec(random_coupling(4, seed=2, field_b=400.0), model)
+    times = [0.0, 1e-3, 2e-3]
+    unit = dyn.evolve_grid(dyn.neel_state(4), spec, times)
+    result = dyn.evolve_grid(scale * dyn.neel_state(4), spec, times)
+    np.testing.assert_allclose(result.states, scale * unit.states, rtol=0, atol=1e-12)
+    assert result.chebyshev_terms == unit.chebyshev_terms > 0
+    assert 0.0 <= result.max_norm_error < 1e-10
 
 
 def test_evolve_grid_repeated_times():
@@ -228,14 +242,15 @@ def test_evolve_grid_rejects_the_zero_state():
 
 
 def test_evolve_grid_cap_checked_before_build(monkeypatch):
-    spec = dyn.HamiltonianSpec(random_coupling(15, seed=0), dyn.ISING_TRANSVERSE)
-
-    def no_build(spec):
+    def no_build(*args):
         raise AssertionError("the qubit cap must be checked before H is built")
 
     monkeypatch.setattr(dyn, "build_hamiltonian", no_build)
-    with pytest.raises(DimensionCapError, match="cap"):
-        dyn.evolve_grid(dyn.neel_state(15), spec, [0.0, 1e-3])
+    monkeypatch.setattr(dyn, "_ising_x_folds", no_build)
+    for model in (dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE):
+        spec = dyn.HamiltonianSpec(random_coupling(15, seed=0, field_b=400.0), model)
+        with pytest.raises(DimensionCapError, match="cap"):
+            dyn.evolve_grid(dyn.neel_state(15), spec, [0.0, 1e-3])
 
 
 def test_evolve_grid_logs_its_diagnostics(caplog):
