@@ -33,6 +33,8 @@ _DIRECTIONS = (AXIAL, RADIAL_X, RADIAL_Y)
 # Coulomb sum, 4.4e-10 at 2000 ions, grows to about ACCEPTANCE at 3000.
 MAX_IONS = 2000
 ACCEPTANCE = 1e-9
+# Newton iteration stops once max |residual force| falls below this.
+_TOL = 1e-13
 
 logger = logging.getLogger(__name__)
 
@@ -159,7 +161,6 @@ def _mirror_eigh(v: np.ndarray, odd: int, base: float, coupling: float) -> list:
 
 def equilibrium_positions(
     trap: TrapParameters,
-    tol: float = 1e-13,
     max_iter: int = 200,
     full_output: bool = False,
 ):
@@ -171,7 +172,7 @@ def equilibrium_positions(
     Hessian block. It is seeded at the quantiles of the
     continuum density 1 - (z / L)^2 of a long string (Dubin, Phys. Rev. E
     55, 4017 (1997)), with L^3 = 3 N (ln N - 0.24) fitted to solved
-    strings of 30 to 2000 ions. It stops at ``max |residual force| < tol``
+    strings of 30 to 2000 ions. It stops at ``max |residual force| < 1e-13``
     (units of ``m omega_z^2 l``), or where no step lowers a residual
     already under ``ACCEPTANCE``: the roundoff floor of the Coulomb sum.
     ``full_output`` returns a :class:`SolverRecord` too.
@@ -192,7 +193,7 @@ def equilibrium_positions(
     grad, inv3 = _right_half(v, odd)
     resid = float(np.max(np.abs(grad), initial=0.0))
     iterations = halvings = 0
-    while resid >= tol and iterations < max_iter:
+    while resid >= _TOL and iterations < max_iter:
         step = np.linalg.solve(_mirror_block(inv3, odd, 1.0, -2.0, -1), -grad)
         for halving in range(60):
             trial = v + 0.5**halving * step

@@ -18,18 +18,25 @@ Two subcommands:
     ``{}`` for a closed-form kind.
 
 ``ionstring figure KIND [--outdir DIR] [--seed N]``
-    Emit the CSV bundle behind one of the canned figure analogs.
+    Emit the CSV bundle behind one of the canned figure analogs. A
+    bundle of ``run`` jobs (all but ``fig4c``, ``fig4d`` and ``fig8``)
+    writes each job's summary next to its CSV.
 
 Each kind declares its ``params`` in one table of fields, read by
-``_parse``; one cross-field check per kind follows before any numerical
-work. Unknown fields, wrong types, non-finite numbers and failed checks
-are config errors, all reported at once. Every integer field has an
-upper bound, so no count can ask for an unbounded allocation or loop.
-A kind takes only fields that change its outputs: ``quench`` and
-``negativity`` scale J to ``target_max_j_rad_s``, which cancels the Rabi
-frequency, wavelength and mass, so they take none of these; ``couplings``
-writes J in rad/s; ``wavefront-semiclassical`` takes ``nbar`` or
-``temperature_k`` (4.6 mK if neither), not both.
+``_parse``; a kind's cross-field check, if any, follows before any
+numerical work. Unknown fields, wrong types, non-finite numbers and
+failed checks are config errors, all reported at once. Every integer
+field has an upper bound, so no count can ask for an unbounded
+allocation or loop; ``n_ions`` is held to the solver's range,
+``chain.MAX_IONS`` for ``chain`` and ``couplings`` and
+``dynamics.DEFAULT_QUBIT_CAP`` for ``quench`` and ``negativity``.
+A kind takes only fields that change its outputs: ``chain`` takes no
+wavelength; ``quench`` and ``negativity`` scale J to
+``target_max_j_rad_s``, which cancels the Rabi frequency, wavelength
+and mass, so they take none of these; ``couplings`` writes J in rad/s;
+``wavefront-semiclassical`` takes ``nbar`` or ``temperature_k`` (4.6 mK
+if neither), and ``wavefront-quantum`` ``nbar`` or ``initial_fock``
+(``nbar`` 10 if neither), not both.
 Frequencies in config files are plain Hz and use ``_hz``-suffixed
 keys; they are converted to angular frequencies internally. Exit codes: 0 success, 2 config
 validation error, 3 numerical failure. Outputs are deterministic for a
@@ -175,16 +182,18 @@ def _plain(value):
     return value
 
 
-def _trap(n_ions=8, least_ions=1):
+def _trap(most_ions, n_ions=8, least_ions=1):
+    """Trap fields; ``most_ions`` is the largest string the kind's solver takes."""
     return (
-        Field("n_ions", int, n_ions, _within(least_ions, 10**5)),
+        Field("n_ions", int, n_ions, _within(least_ions, most_ions)),
         Field("omega_z_hz", float, 127e3, _positive),
         Field("omega_x_hz", float, 2.93e6, _positive),
         Field("omega_y_hz", float, 2.89e6, _positive),
     )
 
 
-_SPECIES = (Field("ion_mass_amu", float, 40.0, _positive), Field("wavelength_m", float, 729e-9, _positive))
+_MASS = Field("ion_mass_amu", float, 40.0, _positive)
+_WAVELENGTH = Field("wavelength_m", float, 729e-9, _positive)
 _RABI = Field("rabi_hz", float, 50e3, _positive)
 
 _DRIVE = (
@@ -212,7 +221,6 @@ def _trap_parameters(p) -> chain.TrapParameters:
         omega_z=omega_from_hz(p.omega_z_hz),
         ion_mass=mass_from_amu(p.ion_mass_amu),
         ion_count=p.n_ions,
-        laser_wavelength=p.wavelength_m,
     )
 
 
@@ -220,7 +228,7 @@ def _coupling(p) -> tuple[coupling.CouplingMatrix, chain.SolverRecord]:
     """Chain + drive -> CouplingMatrix, in rad/s, and the chain solver's record."""
     trap = _trap_parameters(p)
     positions, record = chain.equilibrium_positions(trap, full_output=True)
-    k = wavevector(trap.laser_wavelength)
+    k = wavevector(p.wavelength_m)
     spectra = [chain.lamb_dicke(chain.normal_modes(trap, positions, d), k) for d in (chain.RADIAL_X, chain.RADIAL_Y)]
     beatnote = max(s.frequencies[-1] for s in spectra) + omega_from_hz(p.beatnote_offset_hz)
     drive = coupling.DriveParameters(
@@ -236,8 +244,8 @@ def _coupling(p) -> tuple[coupling.CouplingMatrix, chain.SolverRecord]:
 
 _CHAIN = (
     Field("direction", str, chain.AXIAL, _one_of(chain.AXIAL, chain.RADIAL_X, chain.RADIAL_Y)),
-    *_trap(n_ions=51),
-    *_SPECIES,
+    *_trap(chain.MAX_IONS, n_ions=51),
+    _MASS,
 )
 
 
@@ -251,7 +259,7 @@ def _run_chain(p, seed):
     )
 
 
-_COUPLINGS = (*_trap(least_ions=coupling.POWERLAW_MIN_IONS), *_SPECIES, *_DRIVE, _RABI)
+_COUPLINGS = (*_trap(chain.MAX_IONS, least_ions=coupling.POWERLAW_MIN_IONS), _MASS, _WAVELENGTH, *_DRIVE, _RABI)
 
 
 def _run_couplings(p, seed):
@@ -269,14 +277,14 @@ def _run_couplings(p, seed):
 _SPINS = (
     Field("model", str, dynamics.XY_EFFECTIVE, _one_of(dynamics.ISING_TRANSVERSE, dynamics.XY_EFFECTIVE)),
     Field("alignment", str, "odd_up", _one_of("odd_up", "even_up")),
-    *_trap(),
+    *_trap(dynamics.DEFAULT_QUBIT_CAP),
     *_DRIVE,
     Field("target_max_j_rad_s", float, 240.0, _positive),
 )
 
 # J is rabi^2 k^2 / mass times a shape set by the trap frequencies alone,
 # so scaling it to target_max_j_rad_s cancels these three inputs.
-_SCALED_AWAY = {field.name: field.default for field in (*_SPECIES, _RABI)}
+_SCALED_AWAY = {field.name: field.default for field in (_MASS, _WAVELENGTH, _RABI)}
 
 
 def _quench_setup(p):
@@ -285,18 +293,6 @@ def _quench_setup(p):
     if current > 0:
         mat = coupling.CouplingMatrix(j=mat.j * (p.target_max_j_rad_s / current), field_b=mat.field_b)
     return dynamics.HamiltonianSpec(coupling=mat, model=p.model), dynamics.neel_state(mat.ion_count, p.alignment)
-
-
-def _check_chain_size(p):
-    """The ions within the range of the chain solver, before any N x N array."""
-    cap = chain.MAX_IONS
-    return [f"params.n_ions: {p.n_ions} ions exceed the {cap} the chain solver is measured for"] if p.n_ions > cap else []
-
-
-def _check_qubits(p):
-    """The ions of an exact-dynamics run within the qubit cap, before any chain solve or 2^N array."""
-    cap = dynamics.DEFAULT_QUBIT_CAP
-    return [f"params.n_ions: {p.n_ions} ions exceed the {cap}-qubit cap of exact dynamics"] if p.n_ions > cap else []
 
 
 _QUENCH = (
@@ -334,12 +330,12 @@ _NEGATIVITY = (
 
 
 def _check_negativity(p):
-    """A pair at least, the ions within the qubit cap and every subset inside the string; adjacent pairs by default."""
+    """A pair at least and every subset inside the string; adjacent pairs by default."""
     if p.n_ions < 2:
         return [f"params.n_ions: {p.n_ions} ion has no pair to take a negativity of; give at least 2"]
     if p.subsets is None:
         p.subsets = [[i, i + 1] for i in range(1, p.n_ions)]
-    return _check_qubits(p) + [
+    return [
         f"params.subsets[{idx}]: {subset} has an ion outside 1..{p.n_ions}"
         for idx, subset in enumerate(p.subsets)
         if not all(1 <= i <= p.n_ions for i in subset)
@@ -472,8 +468,8 @@ def _run_compensate(p, seed):
 _WAVEFRONT_SEMICLASSICAL = (
     Field("omega_z_hz", float, 112e3, _positive),
     Field("n_pulses", int, 20, _within(1, 10**4)),
-    Field("ion_mass_amu", float, 40.0, _positive),
-    Field("wavelength_m", float, 729e-9, _positive),
+    _MASS,
+    _WAVELENGTH,
     Field("tilt_mrad", float, 4.8, _within(0.0, 500.0 * np.pi)),
     Field("nbar", float, None, _non_negative),
     Field("temperature_k", float, None, _positive),
@@ -507,7 +503,8 @@ def _run_wavefront_semiclassical(p, seed):
     }
     t_waits = np.linspace(p.t_wait_min_us * 1e-6, p.t_wait_max_us * 1e-6, p.n_points)
     excitation = motion.thermal_excitation(motion.SemiclassicalParams(t_wait=t_waits, **common))
-    peak = motion.peak_excitation(motion.SemiclassicalParams(t_wait=np.pi / omega_z, **common))
+    # C^2 peaks at 4 (n_pulses + 1)^2 where omega t_wait is pi
+    peak = motion.thermal_excitation(motion.SemiclassicalParams(t_wait=np.pi / omega_z, **common))
     rows = np.column_stack([t_waits * 1e6, excitation]).tolist()
     return _Run(["t_wait_us", "excitation"], rows, {"peak_excitation": peak})
 
@@ -519,7 +516,7 @@ _WAVEFRONT_QUANTUM = (
     Field("rabi_over_omega", float, 50.0, _positive),
     Field("eta", float, 0.01, _non_negative),
     Field("n_pulses", int, 10, _within(1, 10**4)),
-    Field("nbar", float, 10.0, _non_negative),
+    Field("nbar", float, None, _non_negative),
     Field("initial_fock", int, None, _within(0, 10**5)),
     Field("fock_cutoff", int, None, _within(1, _MAX_FOCK_CUTOFF)),
     Field("detuning_rad_s", float, 0.0),
@@ -530,7 +527,7 @@ _WAVEFRONT_QUANTUM = (
 
 
 def _check_wavefront_quantum(p):
-    """Waits past the pi-time and in order; a cutoff that holds the state."""
+    """Waits past the pi-time and in order; nbar (10 if neither) or initial_fock; a cutoff that holds the state."""
     errors = []
     lo, hi = p.t_wait_min_periods, p.t_wait_max_periods
     period = 2.0 * np.pi / p.omega_rad_s
@@ -542,15 +539,19 @@ def _check_wavefront_quantum(p):
         )
     elif lo > hi:
         errors.append(f"params.t_wait_min_periods: {lo:g} exceeds t_wait_max_periods {hi:g}")
+    if p.nbar is not None and p.initial_fock is not None:
+        return errors + ["params: give at most one of nbar / initial_fock"]
+    if p.initial_fock is None and p.nbar is None:
+        p.nbar = 10.0
     if p.fock_cutoff is None:
-        source = "initial_fock" if p.initial_fock is not None else "nbar"
+        source = "nbar" if p.initial_fock is None else "initial_fock"
         base = getattr(p, source)
         # compared as a float: int() refuses the inf that 5 * 1e308 gives
         if 5 * base + 20 + motion._CUTOFF_MARGIN >= _MAX_FOCK_CUTOFF + 1:
             errors.append(f"params.{source}: {base:g} needs a fock_cutoff above {_MAX_FOCK_CUTOFF}")
             return errors
         p.fock_cutoff = int(5 * base + 20) + motion._CUTOFF_MARGIN
-    if p.fock_cutoff < 5 * p.nbar + 20:
+    if p.nbar is not None and p.fock_cutoff < 5 * p.nbar + 20:
         errors.append(f"params.fock_cutoff: {p.fock_cutoff} is below 5*nbar + 20 = {5 * p.nbar + 20:g}")
     if p.initial_fock is not None and p.initial_fock > p.fock_cutoff - motion._CUTOFF_MARGIN:
         errors.append(
@@ -563,7 +564,7 @@ def _check_wavefront_quantum(p):
 def _run_wavefront_quantum(p, seed):
     params = motion.SpinMotionParams(
         eta=p.eta, rabi=p.rabi_over_omega * p.omega_rad_s, omega=p.omega_rad_s,
-        detuning=p.detuning_rad_s, nbar=p.nbar, fock_cutoff=p.fock_cutoff,
+        detuning=p.detuning_rad_s, nbar=p.nbar or 0.0, fock_cutoff=p.fock_cutoff,
     )
     period = 2.0 * np.pi / p.omega_rad_s
     t_waits = np.linspace(p.t_wait_min_periods * period, p.t_wait_max_periods * period, p.n_points)
@@ -708,9 +709,9 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    "chain": _Kind(_CHAIN, _run_chain, _check_chain_size),
-    "couplings": _Kind(_COUPLINGS, _run_couplings, _check_chain_size),
-    "quench": _Kind(_QUENCH, _run_quench, _check_qubits),
+    "chain": _Kind(_CHAIN, _run_chain),
+    "couplings": _Kind(_COUPLINGS, _run_couplings),
+    "quench": _Kind(_QUENCH, _run_quench),
     "negativity": _Kind(_NEGATIVITY, _run_negativity, _check_negativity),
     "cpmg-sense": _Kind(_CPMG_SENSE, _run_cpmg_sense, _check_cpmg_sense),
     "compensate": _Kind(_COMPENSATE, _run_compensate, _check_compensate),
@@ -862,8 +863,8 @@ def _fig8(outdir: Path, seed: int) -> dict:
     rows = []
     for addressed in range(0, n_ions, 5):
         beam = coupling.AddressingBeam(waist=2.5e-6, center=positions[addressed], pedestal_floor=0.03)
-        resonant = coupling.crosstalk_map(beam, positions, "resonant")
-        stark = coupling.crosstalk_map(beam, positions, "ac_stark")
+        resonant = coupling.crosstalk_map(beam, positions)
+        stark = resonant**2  # the intensity ratio
         neighbors = [i for i in (addressed - 1, addressed + 1) if 0 <= i < n_ions]
         nn = max(resonant[i] for i in neighbors)
         for ion in range(n_ions):
@@ -881,28 +882,25 @@ def _fig11_params(ratio: float) -> dict:
     }
 
 
-def _fig12(outdir: Path, seed: int) -> dict:
-    nbar, n_pulses, omega = 60.0, 20, 2.0 * np.pi
+def _fig12_jobs() -> dict:
+    """The quantum scan of a thermal state and the semiclassical curve at its eta, on a 1 Hz trap."""
+    nbar, n_pulses = 60.0, 20
     eta = float(np.sqrt(-np.log(0.4) / (4.0 * (nbar + 0.5) * (n_pulses + 1) ** 2)))
     quantum = {
         "rabi_over_omega": 50.0, "eta": eta, "n_pulses": n_pulses, "nbar": nbar, "fock_cutoff": 400,
         "t_wait_min_periods": 0.4, "t_wait_max_periods": 1.15, "n_points": 46,
     }
-    paths = _runs({"quantum": ("fig12_quantum.csv", "wavefront-quantum", 0, quantum)})(outdir, seed)
-    mass = mass_from_amu(40.0)
-    temperature = motion.temperature_from_nbar(nbar, omega)
-    k_z = eta / np.sqrt(HBAR / (2.0 * mass * omega))
-    t_waits = np.linspace(0.4, 1.15, 151) * 2.0 * np.pi / omega
-    excitation = motion.thermal_excitation(
-        motion.SemiclassicalParams(
-            omega=omega, t_wait=t_waits, n_pulses=n_pulses,
-            k_z=k_z, temperature=temperature, mass=mass,
-        )
-    )
-    paths["semiclassical"] = str(outdir / "fig12_semiclassical.csv")
-    rows = np.column_stack([t_waits * 1e6, excitation]).tolist()
-    export.write_table(paths["semiclassical"], ["t_wait_us", "excitation"], rows)
-    return paths
+    # eta = k_z sqrt(hbar / (2 m omega)), with k_z the tilt's share of the 729 nm wavevector
+    k_z = eta / np.sqrt(HBAR / (2.0 * mass_from_amu(_MASS.default) * omega_from_hz(1.0)))
+    semiclassical = {
+        "omega_z_hz": 1.0, "n_pulses": n_pulses, "nbar": nbar,
+        "tilt_mrad": 1e3 * math.asin(k_z / wavevector(_WAVELENGTH.default)),
+        "t_wait_min_us": 0.4e6, "t_wait_max_us": 1.15e6, "n_points": 151,
+    }
+    return {
+        "quantum": ("fig12_quantum.csv", "wavefront-quantum", 0, quantum),
+        "semiclassical": ("fig12_semiclassical.csv", "wavefront-semiclassical", 0, semiclassical),
+    }
 
 
 def _fig6_survival(tau_s: float) -> dict:
@@ -933,7 +931,7 @@ _FIGURES = {
             for ratio in (0.5, 1.0, 5.0, 50.0)
         }
     ),
-    "fig12": _fig12,
+    "fig12": _runs(_fig12_jobs()),
 }
 
 FIGURE_KINDS = tuple(_FIGURES)

@@ -194,21 +194,13 @@ class AddressingBeam:
         return amp
 
 
-def crosstalk_map(
-    beam: AddressingBeam,
-    positions: np.ndarray,
-    mode: str = "resonant",
-) -> np.ndarray:
-    """Crosstalk ratio at every ion for a beam centered on one ion.
+def crosstalk_map(beam: AddressingBeam, positions: np.ndarray) -> np.ndarray:
+    """Resonant crosstalk ratio at every ion for a beam centered on one ion.
 
-    ``resonant`` returns the field-amplitude ratio (Rabi-frequency
-    ratio) relative to the addressed ion; ``ac_stark`` returns its
-    square (intensity ratio). The addressed ion, i.e. the position
-    closest to the beam center, has ratio exactly 1.
+    The ratio is that of field amplitudes (Rabi frequencies) to the
+    addressed ion's, the position closest to the beam center, which has
+    ratio exactly 1. Its square is the AC-Stark (intensity) ratio.
     """
-    if mode not in ("resonant", "ac_stark"):
-        raise ValueError("mode must be 'resonant' or 'ac_stark'")
     amp = beam.field_amplitude(positions)
     addressed = np.argmin(np.abs(np.asarray(positions) - beam.center))
-    ratio = amp / amp[addressed]
-    return ratio**2 if mode == "ac_stark" else ratio
+    return amp / amp[addressed]

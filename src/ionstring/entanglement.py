@@ -59,28 +59,17 @@ def reduced_density_matrix(state: np.ndarray, subset: tuple[int, ...]) -> np.nda
     return rho.reshape(2**k, 2**k)
 
 
-def partial_transpose(rho: np.ndarray, dims: tuple[int, int], which: int = 0) -> np.ndarray:
-    """Partial transpose of a bipartite density matrix.
+def partial_transpose(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Partial transpose of a bipartite density matrix over its first factor.
 
-    ``dims = (dA, dB)`` factor the Hilbert space, ``which`` selects the
-    transposed factor. The operation is an involution.
+    ``dims = (dA, dB)`` factor the Hilbert space. The operation is an
+    involution, and transposing the second factor instead gives the full
+    transpose of this, with the same spectrum.
     """
     da, db = dims
     if rho.shape != (da * db, da * db):
         raise ValueError("dims do not match matrix size")
-    r = rho.reshape(da, db, da, db)
-    if which == 0:
-        r = r.transpose(2, 1, 0, 3)
-    elif which == 1:
-        r = r.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError("which must be 0 or 1")
-    return r.reshape(da * db, da * db)
-
-
-def _check_hermitian(rho: np.ndarray, tol: float = 1e-8):
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
+    return rho.reshape(da, db, da, db).transpose(2, 1, 0, 3).reshape(da * db, da * db)
 
 
 @dataclass(frozen=True)
@@ -94,24 +83,24 @@ class LogNegativity:
         return self.value
 
 
-def _bipartite_log_negativity(rho: np.ndarray, dims: tuple[int, int], which: int) -> LogNegativity:
-    _check_hermitian(rho)
-    pt = partial_transpose(rho, dims, which)
+def _bipartite_log_negativity(rho: np.ndarray, dims: tuple[int, int]) -> LogNegativity:
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    pt = partial_transpose(rho, dims)
     trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
     raw = float(np.log2(trace_norm))
     return LogNegativity(value=max(raw, 0.0), raw=raw)
 
 
-def log_negativity_2(rho: np.ndarray, cut: int = 0) -> LogNegativity:
+def log_negativity_2(rho: np.ndarray) -> LogNegativity:
     """Logarithmic negativity of a two-qubit state across one qubit.
 
-    ``cut`` selects which qubit is transposed; both choices give the
-    same trace norm. The raw value is reported alongside the
-    clipped-at-zero one so that tiny negative round-off is visible.
+    The raw value is reported alongside the clipped-at-zero one so that
+    tiny negative round-off is visible.
     """
     if rho.shape != (4, 4):
         raise ValueError("log_negativity_2 expects a 4x4 density matrix")
-    return _bipartite_log_negativity(rho, (2, 2), cut)
+    return _bipartite_log_negativity(rho, (2, 2))
 
 
 def log_negativity_3(rho: np.ndarray) -> LogNegativity:
@@ -122,7 +111,7 @@ def log_negativity_3(rho: np.ndarray) -> LogNegativity:
     for i in range(3):
         order = [i] + [q for q in range(3) if q != i]
         perm = _permute_qubits(rho, order)
-        values.append(_bipartite_log_negativity(perm, (2, 4), 0).value)
+        values.append(_bipartite_log_negativity(perm, (2, 4)).value)
     value = float(np.cbrt(values[0] * values[1] * values[2]))
     return LogNegativity(value=value, raw=value)
 

@@ -15,7 +15,8 @@ temperature T gives
 
 where C^2 also has the closed form
 4 (sin((Np+1)(x+pi)/2) / tan((x+pi)/2))^2, peaking at 4 (Np+1)^2 for x
-an odd multiple of pi.
+an odd multiple of pi. The peak excitation is ``thermal_excitation`` at
+T_wait = pi / w, and ``infer_k_z`` inverts it.
 
 Quantum model: a two-level system coupled to one harmonic mode through
 H = w (a+ a + 1/2) + (Omega/2)(e^(i eta (a + a+)) s+ e^(-i Delta t)
@@ -158,19 +159,6 @@ def thermal_excitation(params: SemiclassicalParams) -> float | np.ndarray:
     return float(excitation) if excitation.ndim == 0 else excitation
 
 
-def peak_excitation(params: SemiclassicalParams) -> float:
-    """Excitation at the C^2 maximum (T_wait at odd half trap periods)."""
-    exponent = (
-        2.0
-        * KB
-        * params.temperature
-        * params.k_z**2
-        * (params.n_pulses + 1) ** 2
-        / (params.mass * params.omega**2)
-    )
-    return float(0.5 * (1.0 - np.exp(-exponent)))
-
-
 def infer_k_z(
     e_max: float,
     omega: float,
@@ -178,7 +166,8 @@ def infer_k_z(
     temperature: float,
     mass: float,
 ) -> float:
-    """Invert the peak-excitation formula for the axial wavevector."""
+    """The axial wavevector giving the peak excitation ``e_max``: ``thermal_excitation``
+    inverted at T_wait = pi / omega, where C^2 = 4 (n_pulses + 1)^2."""
     if not 0.0 < e_max < 0.5:
         raise ValueError("peak excitation must lie strictly between 0 and 1/2 (model saturates at 1/2)")
     if temperature <= 0:

@@ -281,19 +281,30 @@ def test_long_chain_records_its_solver_in_the_summary_and_the_log(tmp_path, capl
     assert f"200 ions, {chain.SolverRecord(**solver)}" in caplog.text
 
 
-@pytest.mark.parametrize("kind", ["chain", "couplings"])
-def test_strings_past_the_chain_solver_range_exit_2_before_any_work(tmp_path, capsys, monkeypatch, kind):
+# the ions each kind's solver takes: (fewest, most)
+_ION_RANGES = {
+    "chain": (1, chain.MAX_IONS),
+    "couplings": (cli.coupling.POWERLAW_MIN_IONS, chain.MAX_IONS),
+    "quench": (1, cli.dynamics.DEFAULT_QUBIT_CAP),
+    "negativity": (1, cli.dynamics.DEFAULT_QUBIT_CAP),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ION_RANGES))
+def test_runs_past_the_ion_cap_exit_2_before_any_work(tmp_path, capsys, monkeypatch, kind):
+    least, cap = _ION_RANGES[kind]
+    params, errors = cli._parse({"n_ions": cap}, cli._KINDS[kind].fields, "params")
+    check = cli._KINDS[kind].check
+    assert not errors and not (check and check(params))
+
     def no_work(*args, **kwargs):
-        raise AssertionError("the range must be checked before the chain solve")
+        raise AssertionError("the ion cap must be checked before the chain solve")
 
     monkeypatch.setattr(cli.chain, "equilibrium_positions", no_work)
-    n = chain.MAX_IONS + 1
-    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "c.csv"), "params": {"n_ions": n}})
+    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "c.csv"), "params": {"n_ions": cap + 1}})
     assert cli.main(["run", config]) == 2
-    assert f"config error: params.n_ions: {n} ions exceed the {chain.MAX_IONS}" in capsys.readouterr().err
+    assert f"config error: params.n_ions: must lie in [{least}, {cap}]" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
-    params, errors = cli._parse({"n_ions": chain.MAX_IONS}, cli._KINDS[kind].fields, "params")
-    assert not errors and not cli._KINDS[kind].check(params)
 
 
 def _fail_if_run(monkeypatch, kind):
@@ -312,7 +323,7 @@ def test_couplings_too_short_for_the_power_law_fit_exit_2_before_any_work(
     config = write_config(tmp_path, {"kind": "couplings", "out": str(tmp_path / "j.csv"), "params": {"n_ions": n_ions}})
     assert cli.main(["run", config]) == code
     if code == 2:
-        assert "config error: params.n_ions: must lie in [4, 100000]" in capsys.readouterr().err
+        assert "config error: params.n_ions: must lie in [4, 2000]" in capsys.readouterr().err
         assert not (tmp_path / "j.csv").exists()
 
 
@@ -469,27 +480,6 @@ def test_oversized_quench_grids_exit_3_before_any_table_or_state_stack(tmp_path,
     assert not (tmp_path / "q.csv").exists()
 
 
-@pytest.mark.parametrize("kind", ["quench", "negativity"])
-@pytest.mark.parametrize("n_ions", [15, 30, 50, 10**5])
-def test_runs_past_the_qubit_cap_exit_2_before_any_work(tmp_path, capsys, monkeypatch, kind, n_ions):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the qubit cap must be checked before the chain or any 2^N array")
-
-    monkeypatch.setattr(cli.dynamics, "neel_state", no_work)
-    monkeypatch.setattr(cli, "_coupling", no_work)
-    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "q.csv"), "params": {"n_ions": n_ions}})
-    assert cli.main(["run", config]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: params.n_ions: {n_ions} ions exceed the {cli.dynamics.DEFAULT_QUBIT_CAP}-qubit cap" in err
-    assert not (tmp_path / "q.csv").exists()
-
-
-def test_runs_at_the_qubit_cap_pass_the_check():
-    for kind in ("quench", "negativity"):
-        params, errors = cli._parse({"n_ions": cli.dynamics.DEFAULT_QUBIT_CAP}, cli._KINDS[kind].fields, "params")
-        assert not errors and not cli._KINDS[kind].check(params)
-
-
 @pytest.mark.parametrize(
     "config, field",
     [
@@ -578,7 +568,7 @@ def test_survival_without_two_surviving_bins_exits_3(tmp_path, capsys, params):
         # the default Fock cutoff follows nbar or initial_fock; it is capped like a given one
         ("wavefront-quantum", {"nbar": 1e15}, "params.nbar"),
         ("wavefront-quantum", {"nbar": 1e308}, "params.nbar"),
-        ("wavefront-quantum", {"nbar": 0.0, "initial_fock": 100000}, "params.initial_fock"),
+        ("wavefront-quantum", {"initial_fock": 100000}, "params.initial_fock"),
     ],
 )
 def test_bad_wavefront_ranges_exit_2(tmp_path, capsys, monkeypatch, kind, params, field):
@@ -641,6 +631,25 @@ def test_semiclassical_nbar_and_temperature_exclude_each_other(tmp_path, capsys,
     config = write_config(tmp_path, {**both, "params": {"nbar": 1.0, "temperature_k": 1e-3}})
     assert cli.main(["run", config]) == 2
     assert "config error: params: give at most one of nbar / temperature_k" in capsys.readouterr().err
+    assert not (tmp_path / "both.csv").exists()
+
+
+def test_wavefront_quantum_nbar_and_initial_fock_exclude_each_other(tmp_path, capsys, monkeypatch):
+    # a Fock-state scan is held to no thermal cutoff rule, and records no nbar
+    fock = {"initial_fock": 5, "fock_cutoff": 60, "n_points": 3, "n_pulses": 2}
+    summary = cli.run_experiment({"kind": "wavefront-quantum", "out": str(tmp_path / "f.csv"), "params": fock})
+    assert summary["effective"]["params"]["nbar"] is None
+    assert json.loads((tmp_path / "f_meta.json").read_text())["nbar"] is None
+    # neither given: nbar 10
+    params, errors = cli._parse({}, cli._KINDS["wavefront-quantum"].fields, "params")
+    assert not errors and not cli._check_wavefront_quantum(params) and params.nbar == 10.0
+    # both given
+    _fail_if_run(monkeypatch, "wavefront-quantum")
+    config = write_config(
+        tmp_path, {"kind": "wavefront-quantum", "out": str(tmp_path / "both.csv"), "params": {**fock, "nbar": 0.0}}
+    )
+    assert cli.main(["run", config]) == 2
+    assert "config error: params: give at most one of nbar / initial_fock" in capsys.readouterr().err
     assert not (tmp_path / "both.csv").exists()
 
 
@@ -767,6 +776,8 @@ def test_non_string_out_exits_2(tmp_path, capsys):
             {"components": [{"f_hz": 50.0, "b_microgauss": 30.0}, {**_COMPONENT, "b_microgauss": 10.0}]},
             "params.components[1].f_hz: 50 Hz repeats",
         ),
+        # chain modes and positions do not depend on the laser
+        ("chain", {"n_ions": 4, "wavelength_m": 780e-9}, "params.wavelength_m: unknown field"),
     ],
 )
 def test_ignored_inputs_exit_2(tmp_path, capsys, monkeypatch, kind, params, message):

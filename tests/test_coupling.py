@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import small_trap
-from ionstring import chain, coupling
+from ionstring import chain, cli, coupling
 from ionstring.constants import omega_from_hz, wavevector
 from ionstring.errors import FitError, ResonanceGuardError
 
@@ -135,17 +135,20 @@ def test_51_ion_max_coupling_capped(default_trap, default_positions):
 
 def test_crosstalk_addressed_ion_is_unity(default_positions):
     beam = coupling.AddressingBeam(waist=2.5e-6, center=default_positions[25])
-    ratios = coupling.crosstalk_map(beam, default_positions, "resonant")
+    ratios = coupling.crosstalk_map(beam, default_positions)
     assert ratios[25] == 1.0
 
 
-def test_ac_stark_is_squared_resonant(default_positions):
-    beam = coupling.AddressingBeam(
-        waist=2.5e-6, center=default_positions[10], pedestal_floor=0.05
-    )
-    resonant = coupling.crosstalk_map(beam, default_positions, "resonant")
-    stark = coupling.crosstalk_map(beam, default_positions, "ac_stark")
-    np.testing.assert_array_equal(stark, resonant**2)
+def test_ac_stark_is_squared_resonant(tmp_path):
+    # the fig8 map holds the AC-Stark (intensity) ratio as the resonant ratio squared
+    path = cli.emit_figure_data("fig8", outdir=tmp_path)["crosstalk"]
+    with open(path) as handle:
+        header = handle.readline().strip().split(",")
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    resonant, stark = (table[:, header.index(name)] for name in ("resonant_ratio", "ac_stark_ratio"))
+    assert np.any(stark < 0.01)
+    # each cell holds 12 significant digits
+    np.testing.assert_allclose(stark, resonant**2, rtol=2e-11, atol=0.0)
 
 
 def test_nearest_neighbor_crosstalk_band(default_positions):
@@ -154,7 +157,7 @@ def test_nearest_neighbor_crosstalk_band(default_positions):
         beam = coupling.AddressingBeam(
             waist=3.0e-6, center=default_positions[addressed], pedestal_floor=0.032
         )
-        resonant = coupling.crosstalk_map(beam, default_positions, "resonant")
+        resonant = coupling.crosstalk_map(beam, default_positions)
         for neighbor in (addressed - 1, addressed + 1):
             if 0 <= neighbor < 51:
                 ratios.append(resonant[neighbor])
@@ -175,6 +178,6 @@ def test_aod_ghost_excites_far_end(default_positions):
         aod_ghost_amplitude=0.3,
         aod_ghost_waist=5.0e-6,
     )
-    ratios = coupling.crosstalk_map(beam, default_positions, "resonant")
+    ratios = coupling.crosstalk_map(beam, default_positions)
     assert ratios[0] > 10.0 * ratios[25]
     assert ratios[1] > 10.0 * ratios[25]

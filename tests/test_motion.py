@@ -84,30 +84,33 @@ def test_thermal_excitation_periodic_in_wait_time():
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+PEAK_WAIT = np.pi / OMEGA  # C^2 peaks at 4 (n_pulses + 1)^2 here
+
+
 def test_peak_excitation_hardware_parameters():
     # 20 pulses, 112 kHz, 4.6 mK, tilt 4.8 mrad: the formula gives ~0.47
-    value = motion.peak_excitation(params(np.pi / OMEGA))
+    value = motion.thermal_excitation(params(PEAK_WAIT))
     np.testing.assert_allclose(value, 0.4729, atol=5e-4)
-    np.testing.assert_allclose(
-        motion.thermal_excitation(params(np.pi / OMEGA)), value, rtol=1e-12
-    )
+    k_z = K729 * 4.8e-3
+    closed_form = 0.5 * (1.0 - np.exp(-2.0 * KB * 4.6e-3 * k_z**2 * (20 + 1) ** 2 / (MASS * OMEGA**2)))
+    np.testing.assert_allclose(value, closed_form, rtol=1e-12)
 
 
 def test_excitation_monotonic_in_temperature_kz_and_pulses():
     temps = [1e-3, 2e-3, 4e-3, 8e-3]
-    values = [motion.peak_excitation(params(1.0, temperature=t)) for t in temps]
+    values = [motion.thermal_excitation(params(PEAK_WAIT, temperature=t)) for t in temps]
     assert np.all(np.diff(values) > 0)
     kzs = [100.0, 1e3, 1e4, 1e5]
-    values = [motion.peak_excitation(params(1.0, k_z=k)) for k in kzs]
+    values = [motion.thermal_excitation(params(PEAK_WAIT, k_z=k)) for k in kzs]
     assert np.all(np.diff(values) > 0)
     pulses = [1, 2, 5, 10, 30]
-    values = [motion.peak_excitation(params(1.0, n_pulses=n)) for n in pulses]
+    values = [motion.thermal_excitation(params(PEAK_WAIT, n_pulses=n)) for n in pulses]
     assert np.all(np.diff(values) > 0)
 
 
 def test_tilt_inference_roundtrip():
     for tilt in (0.5e-3, 1.4e-3, 4.8e-3):
-        e_max = motion.peak_excitation(params(1.0, k_z=K729 * np.sin(tilt)))
+        e_max = motion.thermal_excitation(params(PEAK_WAIT, k_z=K729 * np.sin(tilt)))
         back = motion.infer_tilt(e_max, OMEGA, 20, 4.6e-3, MASS, K729)
         assert abs(back - tilt) < 1e-9
 
