@@ -281,12 +281,10 @@ def test_long_chain_records_its_solver_in_the_summary_and_the_log(tmp_path, capl
     assert f"200 ions, {chain.SolverRecord(**solver)}" in caplog.text
 
 
-# the ions each kind's solver takes: (fewest, most)
+# the ions each chain-solver kind takes: (fewest, most)
 _ION_RANGES = {
     "chain": (1, chain.MAX_IONS),
     "couplings": (cli.coupling.POWERLAW_MIN_IONS, chain.MAX_IONS),
-    "quench": (1, cli.dynamics.DEFAULT_QUBIT_CAP),
-    "negativity": (1, cli.dynamics.DEFAULT_QUBIT_CAP),
 }
 
 
@@ -478,6 +476,28 @@ def test_oversized_quench_grids_exit_3_before_any_table_or_state_stack(tmp_path,
     err = capsys.readouterr().err
     assert "numerical failure" in err and "r*t_max = " in err and " 10000 times " in err
     assert not (tmp_path / "q.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["quench", "negativity"])
+@pytest.mark.parametrize("n_ions", [15, 30, 50, 10**5])
+def test_runs_past_the_qubit_cap_exit_2_before_any_work(tmp_path, capsys, monkeypatch, kind, n_ions):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the qubit cap must be checked before the chain or any 2^N array")
+
+    monkeypatch.setattr(cli.dynamics, "neel_state", no_work)
+    monkeypatch.setattr(cli, "_coupling", no_work)
+    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "q.csv"), "params": {"n_ions": n_ions}})
+    assert cli.main(["run", config]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: params.n_ions: must lie in [1, {cli.dynamics.DEFAULT_QUBIT_CAP}]" in err
+    assert not (tmp_path / "q.csv").exists()
+
+
+def test_runs_at_the_qubit_cap_pass_the_check():
+    for kind in ("quench", "negativity"):
+        params, errors = cli._parse({"n_ions": cli.dynamics.DEFAULT_QUBIT_CAP}, cli._KINDS[kind].fields, "params")
+        check = cli._KINDS[kind].check
+        assert not errors and not (check and check(params))
 
 
 @pytest.mark.parametrize(
