@@ -29,14 +29,23 @@ The pulse propagators are banded in Fock space, since one pulse moves a
 state by only about pi eta sqrt(n) levels. Only two are built, for the
 pi/2- and pi-pulses about +x, once and sparse, by scaling and squaring
 that drops only entries below 1e-20; the norm of what is dropped bounds
-the error and is reported. A pulse about another axis is one of them
-conjugated by a diagonal phase matrix, which joins the free evolution
-applied before each pulse, so every drive axis is a phase. Each pulse acts
-on the stack of states as dense row-block slabs. Every state keeps a
-row window that holds all of its entries at or above 1e-20, a few
-slabs around its initial Fock level, and a slab multiplies only the
-states whose windows meet its column span, so a pulse costs
-O(window x band) per state instead of O(cutoff x band). The products
+the error and is reported. They are built where H is real and splits:
+in the gauge diag(i^n), which turns the displacement into the real
+rotation exp(eta (a+ - a)), and in the basis |n, +/-> of the parity
+(-1)^n sigma_x, which H conserves at zero detuning, so each propagator
+holds about half the entries of its spin-basis form. The Taylor steps
+run in real arithmetic, on H with its diagonal centred on its midpoint
+(a global phase, which halves the 1-norm and saves one squaring), and
+the squared propagators are brought once to the (n, spin) basis by an
+orthogonal map per level. The gauge is diagonal and commutes with every
+phase of the sequence, so the scan runs in it. A pulse about another
+axis is one of them conjugated by a diagonal phase matrix, which joins
+the free evolution applied before each pulse, so every drive axis is a
+phase. Each pulse acts on the stack of states as dense row-block slabs.
+Every state keeps a row window that holds all of its entries at or
+above 1e-20, a few slabs around its initial Fock level, and a slab
+multiplies only the states whose windows meet its column span, so a
+pulse costs O(window x band) per state instead of O(cutoff x band). The products
 left out hold only entries below 1e-20; their norm, at most
 1e-20 sqrt(2 (cutoff + 1)) per state and pulse, is added to the bound.
 """
@@ -51,7 +60,7 @@ from scipy import sparse
 from scipy.special import eval_chebyu
 
 from ionstring.constants import HBAR, KB
-from ionstring.errors import FockCutoffError
+from ionstring.errors import FockCutoffError, IonstringError
 
 _CUTOFF_MARGIN = 50
 _THERMAL_TAIL = 1e-4  # thermal weight left out above the highest initial Fock level
@@ -252,7 +261,7 @@ class QuantumScanResult:
 
     ``band_width`` is the largest Fock-level distance |n - m| kept in a
     pulse propagator, ``squarings`` the squarings behind the pi-pulse
-    propagator, and ``band_dropped_norm`` a bound on the norm of the
+    propagator (set by the 1-norm of H with its diagonal centred), and ``band_dropped_norm`` a bound on the norm of the
     error that the dropped propagator entries and the products left out
     of the row windows cause in any final state. ``column_fill`` is the
     share of (slab, state) products the windows left to compute: 1 when
@@ -293,53 +302,88 @@ def _prune(m: sparse.csr_matrix) -> tuple[sparse.csr_matrix, float]:
 
 def _square(u: sparse.csr_matrix, bound: float) -> tuple[sparse.csr_matrix, float]:
     """u @ u and its error bound: for unitary U and error E, (U+E)^2 - U^2
-    is at most 2|E| + |E|^2, plus the entries this product drops."""
+    is at most 2|E| + |E|^2, plus the entries this product drops. The
+    bound saturates to inf rather than overflowing."""
     u, dropped = _prune(u @ u)
-    return u, 2.0 * bound + bound**2 + dropped
+    return u, 2.0 * bound + bound * bound + dropped
 
 
-def _banded_expm(a: sparse.spmatrix) -> tuple[sparse.csr_matrix, int, float]:
-    """exp(a) of a sparse anti-Hermitian matrix by scaling and squaring.
+def _banded_expm(b: sparse.spmatrix, unit: complex) -> tuple[sparse.csr_matrix, int, float]:
+    """exp(unit b) of a sparse real b by scaling and squaring, for unit 1
+    (b antisymmetric) or -1j (b symmetric).
 
-    Taylor steps on a / 2^s, scaled to 1-norm <= 1, run until a term
-    has no entry left above the drop floor; s squarings follow
-    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)).
-    Returns the exponential, s, and a bound on the Frobenius norm of
-    its error from every dropped entry.
+    Taylor terms (b / 2^s)^k / k!, scaled to 1-norm <= 1, run in real
+    arithmetic until a term has no entry left above the drop floor. Even
+    and odd terms are summed apart, each with the sign of unit^k, and
+    joined once as even + unit odd; s squarings follow (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970 (2009)). Returns the exponential,
+    s, and a bound on the Frobenius norm of its error from every dropped
+    entry.
     """
-    a = sparse.csr_matrix(a, dtype=complex)
-    norm = float(abs(a).sum(axis=0).max())
+    b = sparse.csr_matrix(b)
+    if np.iscomplexobj(b.data):
+        raise TypeError("_banded_expm takes a real generator; its phase goes in unit")
+    norm = float(abs(b).sum(axis=0).max())
     squarings = max(0, int(np.ceil(np.log2(max(norm, 1.0)))))
-    a = a / 2.0**squarings
-    term = sparse.identity(a.shape[0], dtype=complex, format="csr")
-    result, bound, order = term, 0.0, 0
+    b = b / 2.0**squarings
+    # unit^k is (unit^2)^(k // 2) on even terms and unit times that on odd ones
+    sign = (unit * unit).real
+    term = sparse.identity(b.shape[0], format="csr")
+    sums, bound, order = [term, sparse.csr_matrix(b.shape)], 0.0, 0
     while term.nnz:
         order += 1
-        term, dropped = _prune(term @ a / order)
-        result = result + term
+        term, dropped = _prune(term @ b * ((sign if order % 2 == 0 else 1.0) / order))
+        sums[order % 2] = sums[order % 2] + term
         bound += dropped
+    result = sums[0] + unit * sums[1]
     for _ in range(squarings):
         result, bound = _square(result, bound)
     return result, squarings, bound
 
 
 def _pulse_hamiltonian(params: SpinMotionParams):
-    """Sparse pulse Hamiltonian in interleaved (n, spin) order, spin up first.
+    """The real pulse Hamiltonian in the (n, +/-) basis, levels interleaved.
 
-    Returns H, its diagonal (the free evolution between pulses) and the
-    error bound of the displacement D = exp(i eta (a + a+)), which is
+    In the gauge G = diag(i^n) x 1 the displacement exp(i eta (a + a+))
+    becomes the rotation D = exp(eta (a+ - a)), and H turns real
+    symmetric. Its diagonal is w (n + 1/2), centred on its midpoint, which
+    drops a global phase no population sees and halves the 1-norm. In the
+    eigenbasis |n, +/-> = (|n, up> +/- (-1)^n |n, down>) / sqrt(2) of the
+    parity (-1)^n sigma_x, H holds +/-K inside each sector, with
+    K = (rabi/4)(D P + P D^T) and P = diag((-1)^n), and -detuning/2
+    between |n, +> and |n, ->, so at zero detuning the sectors decouple.
+    H is built there directly, so no roundoff couples the sectors.
+
+    Returns H, the free evolution between pulses as the diagonal of the
+    (n, spin) basis, spin up first, and the error bound of D, which is
     exponentiated from the truncated ladder operator.
     """
     dim = params.fock_cutoff + 1
     ladder = sparse.diags(np.sqrt(np.arange(1.0, dim)), 1)
-    displacement, _, d_bound = _banded_expm(1j * params.eta * (ladder + ladder.T))
-    free = np.add.outer(
-        params.omega * (np.arange(dim) + 0.5), [-0.5 * params.detuning, 0.5 * params.detuning]
-    ).ravel()
-    up_down = sparse.csr_matrix(([1.0], ([0], [1])), shape=(2, 2))
-    coupling = sparse.kron(0.5 * params.rabi * displacement, up_down)
-    h = sparse.diags(free) + coupling + coupling.conj().T
+    displacement, _, d_bound = _banded_expm(params.eta * (ladder.T - ladder), 1)
+    dp = displacement @ sparse.diags((-1.0) ** np.arange(dim))
+    # csr keeps kron from storing the zeros of each 2 x 2 block
+    sectors = sparse.kron(0.25 * params.rabi * (dp + dp.T), sparse.diags([1.0, -1.0]), format="csr")
+    mix = -0.5 * params.detuning
+    mixing = sparse.kron(sparse.identity(dim), sparse.csr_matrix([[0.0, mix], [mix, 0.0]]), format="csr")
+    levels = params.omega * (np.arange(dim) + 0.5)
+    h = sectors + mixing + sparse.diags(np.repeat(levels - 0.5 * (levels[0] + levels[-1]), 2))
+    free = np.add.outer(levels, [-0.5 * params.detuning, 0.5 * params.detuning]).ravel()
     return h.tocsr(), free, d_bound
+
+
+def _to_spin(u: sparse.csr_matrix) -> tuple[sparse.csr_matrix, float]:
+    """u from the (n, +/-) basis to the (n, spin) basis, Q u Q^T, with its
+    entries below the drop floor pruned, and their Frobenius norm.
+
+    Q = diag(1, (-1)^n) (1 x [[1, 1], [1, -1]]) / sqrt(2) per level is
+    orthogonal, so it carries every error bound over unchanged; it is
+    applied with entries +/-1 and one factor 1/2.
+    """
+    dim = u.shape[0] // 2
+    signs = np.stack([np.ones(dim), (-1.0) ** np.arange(dim)], axis=1).ravel()
+    q = sparse.diags(signs) @ sparse.kron(sparse.identity(dim), [[1.0, 1.0], [1.0, -1.0]])
+    return _prune((0.5 * (q @ u @ q.T)).tocsr())
 
 
 def _axis_phases(rows: int, phase: float) -> np.ndarray:
@@ -390,6 +434,14 @@ def _populations(psi: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", psi.real, psi.real) + np.einsum("ij,ij->j", psi.imag, psi.imag)
 
 
+def _check_range(name: str, error: float) -> None:
+    """Raise when an error measure of the scan exceeds the leak tolerance or is NaN."""
+    if not error <= _LEAK_TOL:
+        raise IonstringError(
+            f"{name} {error:.2e} exceeds {_LEAK_TOL:.0e}: the pulse propagators are out of range"
+        )
+
+
 def _band_width(u: sparse.csr_matrix) -> int:
     rows, cols = u.nonzero()
     return int(np.max(np.abs(rows // 2 - cols // 2)))
@@ -434,6 +486,10 @@ def quantum_cpmg_scan(
     ------
     FockCutoffError
         If population at the truncation boundary exceeds 1e-6.
+    IonstringError
+        If ``band_dropped_norm`` (checked before the first wait) or the
+        norm error of the states at any wait exceeds 1e-6: the detuning
+        or eta is past what the propagators resolve.
     """
     t_wait = np.atleast_1d(np.asarray(t_wait_values, dtype=float))
     t_pi = params.pi_time
@@ -465,16 +521,32 @@ def quantum_cpmg_scan(
         init_levels = np.arange(n_top + 1)
 
     h, free, d_bound = _pulse_hamiltonian(params)
-    u_half, squarings, half_bound = _banded_expm(-0.5j * t_pi * h)
-    # an error E in D perturbs H by rabi/sqrt(2) |E| and U(t) by t times that
-    half_bound += 0.5 * t_pi * params.rabi / np.sqrt(2.0) * d_bound
+    # an error E in D perturbs H by rabi/sqrt(2) |E| and U(t) by t times
+    # that; a D out of range may hold NaN, so it is checked before H is
+    # exponentiated
+    d_error = 0.5 * t_pi * params.rabi / np.sqrt(2.0) * d_bound
+    _check_range("band_dropped_norm", 2.0 * d_error)
+    u_half, squarings, half_bound = _banded_expm(0.5 * t_pi * h, -1j)
+    del h
+    half_bound += d_error
     u_pi, pi_bound = _square(u_half, half_bound)
+    (u_half, half_dropped), (u_pi, pi_dropped) = _to_spin(u_half), _to_spin(u_pi)
+    # what a windowed pulse leaves out acts on sub-floor entries only, in
+    # at most 2 dim rows of each state
+    window_bound = (n_pulses + 1) * _DROP_FLOOR * np.sqrt(2.0 * dim)
+    band_dropped_norm = float(
+        2.0 * (half_bound + half_dropped) + n_pulses * (pi_bound + pi_dropped) + window_bound
+    )
+    _check_range("band_dropped_norm", band_dropped_norm)
     band_width = max(_band_width(u_half), _band_width(u_pi))
     half, pi = _slabs(u_half), _slabs(u_pi)
     # The pulse about the axis at phase p is W u W^dag (see _axis_phases),
     # so conj(W_k) W_(k-1) joins the free evolution before pulse k. The
     # first W^dag only multiplies each |down, n> by a phase and the last W
-    # each amplitude; the populations read below see neither.
+    # each amplitude; the populations read below see neither. The same
+    # holds for the gauge G of the propagators (see _pulse_hamiltonian),
+    # which is diagonal and so commutes with every phase: the scan runs in
+    # the gauge and never applies G.
     axes = np.pi * np.array([1.5, *(np.arange(n_pulses) % 2), 0.5])  # -y, +x/-x ..., +y
     turns = [_axis_phases(2 * dim, before - after) for before, after in zip(axes[:-1], axes[1:])]
     # the pi/2 pulse about -y applied to the initial states |down, n>, once
@@ -485,10 +557,6 @@ def quantum_cpmg_scan(
     units[down, np.arange(down.size)] = 1.0
     first, first_lo, first_hi, _ = _apply(half, units, down, down + 1, np.ones(2 * dim))
     del units
-    # what a windowed pulse leaves out acts on sub-floor entries only, in
-    # at most 2 dim rows of each state
-    window_bound = (n_pulses + 1) * _DROP_FLOOR * np.sqrt(2.0 * dim)
-    band_dropped_norm = float(2.0 * half_bound + n_pulses * pi_bound + window_bound)
 
     excitation = np.empty(t_wait.shape)
     max_leak = 0.0
@@ -503,6 +571,9 @@ def quantum_cpmg_scan(
             psi, lo, hi, pairs = _apply(pi if k < n_pulses else half, psi, lo, hi, free_phases * turn)
             computed += pairs
 
+        norm_error = float(np.max(np.abs(_populations(psi) - 1.0)))
+        _check_range("max_norm_error", norm_error)
+        max_norm_error = max(max_norm_error, norm_error)
         # the top two Fock levels of both spins
         leak = float(np.max(np.sum(np.abs(psi[-4:, :]) ** 2, axis=0)))
         max_leak = max(max_leak, leak)
@@ -511,7 +582,6 @@ def quantum_cpmg_scan(
                 f"population {leak:.2e} at the Fock-basis boundary exceeds "
                 f"{_LEAK_TOL:.0e}; increase fock_cutoff beyond {params.fock_cutoff}"
             )
-        max_norm_error = max(max_norm_error, float(np.max(np.abs(_populations(psi) - 1.0))))
         excitation[idx] = float(weights @ _populations(psi[0::2]))
 
     column_fill = computed / (t_wait.size * (n_pulses + 1) * len(half[1]) * init_levels.size)

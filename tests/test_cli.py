@@ -576,6 +576,26 @@ def test_survival_without_two_surviving_bins_exits_3(tmp_path, capsys, params):
     assert "numerical failure" in err and "fewer than two time bins have survivors" in err
 
 
+# a Fock-5 scan at cutoff 60 whose detuning or Lamb-Dicke parameter is past
+# what the pulse propagators resolve: the norm error of the states or the
+# bound on the dropped propagator entries passes 1e-6
+PAST_THE_PROPAGATOR = {
+    **{f"detuning_{value:g}": {"detuning_rad_s": value} for value in (1e13, 1e17, 1e18, 1e24, 1e27, 1e30)},
+    "eta_1e+20": {"eta": 1e20},
+}
+
+
+@pytest.mark.parametrize("extra", PAST_THE_PROPAGATOR.values(), ids=PAST_THE_PROPAGATOR)
+def test_wavefront_quantum_past_the_propagator_range_exits_3(tmp_path, capsys, extra):
+    params = {"initial_fock": 5, "fock_cutoff": 60, "n_points": 2, "n_pulses": 2, **extra}
+    config = write_config(tmp_path, {"kind": "wavefront-quantum", "out": str(tmp_path / "w.csv"), "params": params})
+    assert cli.main(["run", config]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: " in err and "exceeds 1e-06: the pulse propagators are out of range" in err
+    assert "max_norm_error" in err or "band_dropped_norm" in err
+    assert not (tmp_path / "w.csv").exists()
+
+
 @pytest.mark.parametrize(
     "kind, params, field",
     [

@@ -238,11 +238,35 @@ def test_thermal_excitation_equals_the_phase_coefficients_route(n_pulses):
     assert motion.thermal_excitation(params(waits[7], n_pulses=n_pulses)) == 0.5 * (1.0 - np.exp(-exponent[7]))
 
 
+def dense_propagators(params):
+    """The pi/2- and pi-pulse propagators about +x from one eigendecomposition
+    of the full pulse Hamiltonian in block (spin, n) order, spin up first,
+    with D from the eigenbasis of the truncated position operator."""
+    dim = params.fock_cutoff + 1
+    n = np.arange(dim)
+    h_motion = params.omega * (n + 0.5)
+    x = np.zeros((dim, dim))
+    x[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(n[1:])
+    x += x.T
+    xe, xv = np.linalg.eigh(x)
+    displacement = (xv * np.exp(1j * params.eta * xe)[None, :]) @ xv.conj().T
+    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    h[:dim, :dim] = np.diag(h_motion - 0.5 * params.detuning)
+    h[dim:, dim:] = np.diag(h_motion + 0.5 * params.detuning)
+    h[:dim, dim:] = 0.5 * params.rabi * displacement
+    h[dim:, :dim] = 0.5 * params.rabi * displacement.conj().T
+    energies, vectors = np.linalg.eigh(h)
+
+    def propagator(duration):
+        return (vectors * np.exp(-1j * energies * duration)[None, :]) @ vectors.conj().T
+
+    return propagator(0.5 * params.pi_time), propagator(params.pi_time)
+
+
 def dense_scan_oracle(params, n_pulses, t_wait_values, initial_fock=None, thermal_tail=1e-4):
-    """Excitation from the dense path: one eigendecomposition of the full
-    pulse Hamiltonian in block (spin, n) order, D from the eigenbasis of
-    the truncated position operator, pulse phases by conjugation and
-    dense products at every pulse."""
+    """Excitation from the dense path: the propagators of
+    ``dense_propagators``, pulse phases by conjugation and dense products
+    at every pulse."""
     t_wait = np.atleast_1d(np.asarray(t_wait_values, dtype=float))
     t_pi = params.pi_time
     dim = params.fock_cutoff + 1
@@ -261,30 +285,14 @@ def dense_scan_oracle(params, n_pulses, t_wait_values, initial_fock=None, therma
         weights = w_full[: n_top + 1] / w_full[: n_top + 1].sum()
         init_levels = np.arange(n_top + 1)
 
-    n = np.arange(dim)
-    h_motion = params.omega * (n + 0.5)
-    x = np.zeros((dim, dim))
-    x[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(n[1:])
-    x += x.T
-    xe, xv = np.linalg.eigh(x)
-    displacement = (xv * np.exp(1j * params.eta * xe)[None, :]) @ xv.conj().T
-    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    h[:dim, :dim] = np.diag(h_motion - 0.5 * params.detuning)
-    h[dim:, dim:] = np.diag(h_motion + 0.5 * params.detuning)
-    h[:dim, dim:] = 0.5 * params.rabi * displacement
-    h[dim:, :dim] = 0.5 * params.rabi * displacement.conj().T
-    energies, vectors = np.linalg.eigh(h)
-
-    def propagator(duration):
-        return (vectors * np.exp(-1j * energies * duration)[None, :]) @ vectors.conj().T
-
     def pulse(u0, phase, psi):
         up = np.exp(-0.5j * phase)
         w = np.concatenate([np.full(dim, up), np.full(dim, up.conjugate())])
         return w[:, None] * (u0 @ (w.conj()[:, None] * psi))
 
+    h_motion = params.omega * (np.arange(dim) + 0.5)
     wait_diag = np.concatenate([h_motion - 0.5 * params.detuning, h_motion + 0.5 * params.detuning])
-    u_pi, u_half = propagator(t_pi), propagator(0.5 * t_pi)
+    u_half, u_pi = dense_propagators(params)
     psi0 = np.zeros((2 * dim, init_levels.size), dtype=complex)
     psi0[dim + init_levels, np.arange(init_levels.size)] = 1.0
     excitation = np.empty(t_wait.shape)
@@ -369,11 +377,13 @@ def test_banded_scan_matches_dense_oracle(case):
     assert 0.0 <= result.band_dropped_norm <= 1e-12
     assert result.max_norm_error < 1e-8
     assert result.squarings >= 1
+    # the band holds every level distance at which the exact pi-pulse moves more than 1e-12
+    dim = p.fock_cutoff + 1
+    rows, cols = np.nonzero(np.abs(dense_propagators(p)[1]) > 1e-12)
+    assert result.band_width >= np.max(np.abs(rows % dim - cols % dim))
     if case == "eta_0":
         assert result.band_width == 0
-    elif case == "eta_3":
-        assert result.band_width == p.fock_cutoff
-    else:
+    elif case != "eta_3":
         assert 0 < result.band_width < 20
 
 
@@ -419,7 +429,7 @@ def test_windowed_pulse_drops_only_entries_below_the_floor(first_slab):
     # one slab's span and ends at the first column of another's
     p = motion.SpinMotionParams(eta=0.01, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, fock_cutoff=200)
     h, free, _ = motion._pulse_hamiltonian(p)
-    u = motion._banded_expm(-1j * p.pi_time * h)[0]
+    u = motion._to_spin(motion._banded_expm(p.pi_time * h, -1j)[0])[0]
     slabs = motion._slabs(u)
     rows = 2 * (p.fock_cutoff + 1)
     first_slab = np.array(first_slab)
@@ -440,3 +450,38 @@ def test_windowed_pulse_drops_only_entries_below_the_floor(first_slab):
         big = np.flatnonzero(np.abs(out[:, j]) >= floor)
         assert new_lo[j] <= big.min() and big.max() < new_hi[j]
     assert 0 < pairs < len(slabs[1]) * lo.size
+
+
+@pytest.mark.parametrize("detuning", [0.0, 0.7])
+def test_parity_built_propagators_match_the_dense_oracle(detuning):
+    # the detuned oracle case, and the same drive on resonance
+    p = motion.SpinMotionParams(
+        eta=0.02, rabi=3.0 * OMEGA_Q, omega=OMEGA_Q, detuning=detuning * OMEGA_Q, fock_cutoff=100
+    )
+    h, _, _ = motion._pulse_hamiltonian(p)
+    u_half = motion._banded_expm(0.5 * p.pi_time * h, -1j)[0]
+    u_pi = motion._square(u_half, 0.0)[0]
+    # even indices are (n, +), odd ones (n, -): on resonance no entry couples the two sectors
+    for u in (h, u_half, u_pi):
+        rows, cols = u.nonzero()
+        assert np.any(rows % 2 != cols % 2) == (detuning != 0.0)
+    # back in the lab frame: undo the gauge diag(i^n) x 1, and go from interleaved to block order
+    dim = p.fock_cutoff + 1
+    gauge = np.repeat(1j ** np.arange(dim), 2)
+    block = (np.arange(2 * dim) % 2) * dim + np.arange(2 * dim) // 2
+    for u, dense in zip((u_half, u_pi), dense_propagators(p)):
+        spin = motion._to_spin(u)[0].toarray()
+        lab = gauge[:, None] * spin * gauge.conj()[None, :]
+        exact = dense[np.ix_(block, block)]
+        overlap = np.vdot(lab, exact)
+        np.testing.assert_allclose(overlap / abs(overlap) * lab, exact, rtol=0.0, atol=1e-12)
+
+
+def test_banded_expm_takes_a_real_generator_and_its_bound_saturates():
+    ladder = np.diag(np.sqrt(np.arange(1.0, 8)), 1)
+    displacement = motion._banded_expm(0.3 * (ladder.T - ladder), 1)[0]
+    assert not np.iscomplexobj(displacement.data)
+    np.testing.assert_allclose((displacement @ displacement.T).toarray(), np.eye(8), atol=1e-14)
+    with pytest.raises(TypeError, match="real generator"):
+        motion._banded_expm(0.3j * (ladder + ladder.T), 1)
+    assert motion._square(displacement, 1e300)[1] == np.inf
