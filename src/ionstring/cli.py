@@ -23,20 +23,22 @@ Two subcommands:
     writes each job's summary next to its CSV.
 
 Each kind declares its ``params`` in one table of fields, read by
-``_parse``; a kind's cross-field check, if any, follows before any
-numerical work. Unknown fields, wrong types, non-finite numbers and
-failed checks are config errors, all reported at once. Every integer
-field has an upper bound, so no count can ask for an unbounded
-allocation or loop; ``n_ions`` is held to the solver's range,
-``chain.MAX_IONS`` for ``chain`` and ``couplings`` and
-``dynamics.DEFAULT_QUBIT_CAP`` for ``quench`` and ``negativity``.
-A kind takes only fields that change its outputs: ``chain`` takes no
+``_parse``. A ``OneOf`` entry there asks for exactly one of its fields
+or, with a default, at most one: ``wavefront-semiclassical`` takes
+``nbar`` or ``temperature_k`` (4.6 mK if neither), ``wavefront-quantum``
+``nbar`` or ``initial_fock`` (``nbar`` 10 if neither). A kind's
+cross-field check, if any, follows before any numerical work; the
+limits of the quantum CPMG scan live in ``motion.scan_limits``, which
+``wavefront-quantum``'s check calls. Unknown fields, wrong types,
+non-finite numbers and failed checks are config errors, all reported
+at once. Every integer field has an upper bound, so no count can ask
+for an unbounded allocation or loop; ``n_ions`` is held to the
+solver's range, ``chain.MAX_IONS`` for ``chain`` and ``couplings`` and
+``dynamics.DEFAULT_QUBIT_CAP`` for ``quench`` and ``negativity``. A
+kind takes only fields that change its outputs: ``chain`` takes no
 wavelength; ``quench`` and ``negativity`` scale J to
 ``target_max_j_rad_s``, which cancels the Rabi frequency, wavelength
-and mass, so they take none of these; ``couplings`` writes J in rad/s;
-``wavefront-semiclassical`` takes ``nbar`` or ``temperature_k`` (4.6 mK
-if neither), and ``wavefront-quantum`` ``nbar`` or ``initial_fock``
-(``nbar`` 10 if neither), not both.
+and mass, so they take none of these; ``couplings`` writes J in rad/s.
 Frequencies in config files are plain Hz and use ``_hz``-suffixed
 keys; they are converted to angular frequencies internally. Exit codes: 0 success, 2 config
 validation error, 3 numerical failure. Outputs are deterministic for a
@@ -88,7 +90,7 @@ class Field(NamedTuple):
     list ``[kind]``, a non-empty list whose elements ``check`` applies
     to one by one. A missing field is read from ``default`` like a given
     value; a default of None leaves it None and ``REQUIRED`` makes it an
-    error.
+    error. A choice between fields of a table is a ``OneOf`` entry.
     """
 
     name: str
@@ -97,13 +99,24 @@ class Field(NamedTuple):
     check: Callable[[object], str | None] | None = None
 
 
+class OneOf(NamedTuple):
+    """A rule over fields of its table, read after them: exactly one of
+    ``names`` given, or, with a ``default`` ({name: value}), at most one,
+    the default filling in when none is."""
+
+    names: tuple
+    default: dict | None = None
+
+
 _EXPECTED = {float: "a finite number", int: "an integer", str: "a string", dict: "an object", list: "a list"}
 
 
 def _parse(block: dict, table, context: str):
-    """Namespace of ``table``'s fields read from ``block``, and every error found."""
+    """Namespace of ``table``'s fields read from ``block``, its ``OneOf`` rules applied, and every error found."""
     values, errors = {}, []
     for field in table:
+        if isinstance(field, OneOf):
+            continue
         where = f"{context}.{field.name}".lstrip(".")
         if field.name in block:
             value, found = _read(block[field.name], field.kind, field.check, where)
@@ -116,6 +129,13 @@ def _parse(block: dict, table, context: str):
         values[field.name] = value
         errors.extend(found)
     errors.extend(f"{context}.{key}: unknown field".lstrip(".") for key in block if key not in values)
+    for rule in (entry for entry in table if isinstance(entry, OneOf)):
+        given = sum(name in block for name in rule.names)
+        if given > 1 or not given and rule.default is None:
+            how = "exactly" if rule.default is None else "at most"
+            errors.append(f"{context}: give {how} one of {' / '.join(rule.names)}")
+        elif not given:
+            values.update(rule.default)
     return SimpleNamespace(**values), errors
 
 
@@ -192,7 +212,8 @@ def _trap(most_ions, n_ions=8, least_ions=1):
     )
 
 
-_MASS = Field("ion_mass_amu", float, 40.0, _positive)
+# from H+ (1.007 amu) to charged nanoparticles; the floor keeps the mass in kg from underflowing to 0
+_MASS = Field("ion_mass_amu", float, 40.0, _within(1.0, 1e9))
 _WAVELENGTH = Field("wavelength_m", float, 729e-9, _positive)
 _RABI = Field("rabi_hz", float, 50e3, _positive)
 
@@ -366,6 +387,7 @@ _COMPONENT = (
     Field("b_microgauss", float, None, _non_negative),
     Field("amplitude_rad_s", float, None, _non_negative),
     Field("phase_rad", float, 0.0),
+    OneOf(("b_microgauss", "amplitude_rad_s")),
 )
 
 _SCAN = (
@@ -374,15 +396,6 @@ _SCAN = (
     Field("scan_points", int, 41, _within(8, 10**4)),
     Field("contrast", float, 1.0, _within(0.0, 1.0)),
 )
-
-
-def _check_components(p):
-    """Exactly one strength per component."""
-    return [
-        f"params.components[{idx}]: give exactly one of b_microgauss / amplitude_rad_s"
-        for idx, c in enumerate(p.components)
-        if (c.b_microgauss is None) == (c.amplitude_rad_s is None)
-    ]
 
 
 def _noise_components(p) -> list[sequences.NoiseComponent]:
@@ -402,10 +415,10 @@ _CPMG_SENSE = (
 
 
 def _check_cpmg_sense(p):
-    """The components' check; the first component is probed by default."""
+    """The first component is probed by default."""
     if p.sense_frequency_hz is None:
         p.sense_frequency_hz = p.components[0].f_hz
-    return _check_components(p)
+    return []
 
 
 def _run_cpmg_sense(p, seed):
@@ -441,9 +454,9 @@ _COMPENSATE = (
 
 
 def _check_compensate(p):
-    """The components' check, and one component per frequency, as the loop senses each frequency once."""
+    """One component per frequency, as the loop senses each frequency once."""
     freqs = [c.f_hz for c in p.components]
-    return _check_components(p) + [
+    return [
         f"params.components[{idx}].f_hz: {f:g} Hz repeats an earlier component's frequency"
         for idx, f in enumerate(freqs) if f in freqs[:idx]
     ]
@@ -466,7 +479,8 @@ def _run_compensate(p, seed):
 
 
 _WAVEFRONT_SEMICLASSICAL = (
-    Field("omega_z_hz", float, 112e3, _positive),
+    # bounded so that 2 pi f, the peak wait pi / omega and omega^2 stay normal floats
+    Field("omega_z_hz", float, 112e3, _within(1e-3, 1e12)),
     Field("n_pulses", int, 20, _within(1, 10**4)),
     _MASS,
     _WAVELENGTH,
@@ -476,19 +490,15 @@ _WAVEFRONT_SEMICLASSICAL = (
     Field("t_wait_min_us", float, 1.0, _positive),
     Field("t_wait_max_us", float, 20.0, _positive),
     Field("n_points", int, 200, _within(1, 10**5)),
+    OneOf(("nbar", "temperature_k"), {"temperature_k": 4.6e-3}),
 )
 
 
 def _check_wavefront_semiclassical(p):
-    """Waits in order; at most one of nbar / temperature_k, 4.6 mK when neither is given."""
-    errors = []
+    """Waits in order."""
     if p.t_wait_min_us > p.t_wait_max_us:
-        errors.append(f"params.t_wait_min_us: {p.t_wait_min_us:g} exceeds t_wait_max_us {p.t_wait_max_us:g}")
-    if p.nbar is not None and p.temperature_k is not None:
-        errors.append("params: give at most one of nbar / temperature_k")
-    elif p.nbar is None and p.temperature_k is None:
-        p.temperature_k = 4.6e-3
-    return errors
+        return [f"params.t_wait_min_us: {p.t_wait_min_us:g} exceeds t_wait_max_us {p.t_wait_max_us:g}"]
+    return []
 
 
 def _run_wavefront_semiclassical(p, seed):
@@ -523,49 +533,35 @@ _WAVEFRONT_QUANTUM = (
     Field("t_wait_min_periods", float, 0.55, _positive),
     Field("t_wait_max_periods", float, 2.2, _positive),
     Field("n_points", int, 56, _within(1, 10**4)),
+    OneOf(("nbar", "initial_fock"), {"nbar": 10.0}),
 )
 
 
+def _spin_motion(p) -> motion.SpinMotionParams:
+    return motion.SpinMotionParams(
+        eta=p.eta, rabi=p.rabi_over_omega * p.omega_rad_s, omega=p.omega_rad_s,
+        detuning=p.detuning_rad_s, nbar=p.nbar or 0.0, fock_cutoff=p.fock_cutoff,
+    )
+
+
 def _check_wavefront_quantum(p):
-    """Waits past the pi-time and in order; nbar (10 if neither) or initial_fock; a cutoff that holds the state."""
-    errors = []
+    """Waits in order; by default a cutoff that holds the state; the scan's limits, from ``motion.scan_limits``."""
     lo, hi = p.t_wait_min_periods, p.t_wait_max_periods
-    period = 2.0 * np.pi / p.omega_rad_s
-    pi_time = np.pi / (p.rabi_over_omega * p.omega_rad_s)
-    if lo * period < pi_time:
-        errors.append(
-            f"params.t_wait_min_periods: {lo:g} periods is shorter than the "
-            f"pi-time of {pi_time / period:g} periods"
-        )
-    elif lo > hi:
-        errors.append(f"params.t_wait_min_periods: {lo:g} exceeds t_wait_max_periods {hi:g}")
-    if p.nbar is not None and p.initial_fock is not None:
-        return errors + ["params: give at most one of nbar / initial_fock"]
-    if p.initial_fock is None and p.nbar is None:
-        p.nbar = 10.0
+    errors = [f"params.t_wait_min_periods: {lo:g} exceeds t_wait_max_periods {hi:g}"] if lo > hi else []
     if p.fock_cutoff is None:
         source = "nbar" if p.initial_fock is None else "initial_fock"
         base = getattr(p, source)
         # compared as a float: int() refuses the inf that 5 * 1e308 gives
         if 5 * base + 20 + motion._CUTOFF_MARGIN >= _MAX_FOCK_CUTOFF + 1:
-            errors.append(f"params.{source}: {base:g} needs a fock_cutoff above {_MAX_FOCK_CUTOFF}")
-            return errors
+            return errors + [f"params.{source}: {base:g} needs a fock_cutoff above {_MAX_FOCK_CUTOFF}"]
         p.fock_cutoff = int(5 * base + 20) + motion._CUTOFF_MARGIN
-    if p.nbar is not None and p.fock_cutoff < 5 * p.nbar + 20:
-        errors.append(f"params.fock_cutoff: {p.fock_cutoff} is below 5*nbar + 20 = {5 * p.nbar + 20:g}")
-    if p.initial_fock is not None and p.initial_fock > p.fock_cutoff - motion._CUTOFF_MARGIN:
-        errors.append(
-            f"params.initial_fock: {p.initial_fock} is closer than {motion._CUTOFF_MARGIN} "
-            f"to fock_cutoff {p.fock_cutoff}"
-        )
-    return errors
+    limits = motion.scan_limits(_spin_motion(p), lo * (2.0 * np.pi / p.omega_rad_s), p.initial_fock)
+    fields = {"t_wait": "t_wait_min_periods"}  # the other arguments of motion.scan_limits are fields by name
+    return errors + [f"params.{fields.get(argument, argument)}: {message}" for argument, message in limits]
 
 
 def _run_wavefront_quantum(p, seed):
-    params = motion.SpinMotionParams(
-        eta=p.eta, rabi=p.rabi_over_omega * p.omega_rad_s, omega=p.omega_rad_s,
-        detuning=p.detuning_rad_s, nbar=p.nbar or 0.0, fock_cutoff=p.fock_cutoff,
-    )
+    params = _spin_motion(p)
     period = 2.0 * np.pi / p.omega_rad_s
     t_waits = np.linspace(p.t_wait_min_periods * period, p.t_wait_max_periods * period, p.n_points)
     result = motion.quantum_cpmg_scan(params, p.n_pulses, t_waits, initial_fock=p.initial_fock)
@@ -594,12 +590,10 @@ _HEATING_SYNTHETIC = (
     Field("ion_counts", [int], [1, 28, 50], _within(1, 10**5)),
 )
 
-_HEATING_FIT = (Field("data", [_HEATING_ROW]), Field("synthetic", _HEATING_SYNTHETIC))
+_HEATING_FIT = (Field("data", [_HEATING_ROW]), Field("synthetic", _HEATING_SYNTHETIC), OneOf(("data", "synthetic")))
 
 
 def _check_heating_fit(p):
-    if (p.data is None) == (p.synthetic is None):
-        return ["params: give exactly one of data / synthetic"]
     given = [row.sigma is not None for row in p.data or []]
     if any(given) and not all(given):
         return [f"params.data[{given.index(False)}].sigma: give sigma on every row or on none"]
@@ -831,6 +825,7 @@ _TABLE_I = ((50.0, 37.2, 0.4), (150.0, 9.3, 1.9), (250.0, 23.3, -1.1))
 
 
 def _fig4c(outdir: Path, seed: int) -> dict:
+    """Hand-written: one table of the scan before and after compensation, which no kind writes."""
     before = [sequences.NoiseComponent.from_field(*row) for row in _TABLE_I]
     result = sequences.compensate(before, seed=seed, max_rounds=2, shots=100)
     seq = sequences.cpmg(2, 0.02)
@@ -844,6 +839,7 @@ def _fig4c(outdir: Path, seed: int) -> dict:
 
 
 def _fig4d(outdir: Path, seed: int) -> dict:
+    """Hand-written, fixed residuals: a real ``compensate`` costs 0.27 CPU-s, 30% of a benchmark ``analysis`` round."""
     table = tuple(sequences.NoiseComponent.from_field(*row) for row in _TABLE_I)
     residual = tuple(
         sequences.NoiseComponent.from_field(*row) for row in ((50.0, 1.3, 0.1), (150.0, 0.9, -0.5), (250.0, 0.7, 2.0))
@@ -857,6 +853,7 @@ def _fig4d(outdir: Path, seed: int) -> dict:
 
 
 def _fig8(outdir: Path, seed: int) -> dict:
+    """Hand-written: the addressing crosstalk map is a table no kind writes."""
     # the chain kind's default 51-ion string
     positions = chain.equilibrium_positions(_trap_parameters(_parse({}, _CHAIN, "")[0]))
     n_ions = len(positions)

@@ -53,7 +53,7 @@ from scipy.linalg import blas, hadamard
 from scipy.sparse.linalg import expm_multiply  # noqa: F401
 
 from ionstring.coupling import CouplingMatrix
-from ionstring.errors import DimensionCapError, PropagationBudgetError
+from ionstring.errors import DimensionCapError, IonstringError, PropagationBudgetError
 
 ISING_TRANSVERSE = "ising_transverse"
 XY_EFFECTIVE = "xy_effective"
@@ -407,7 +407,8 @@ def evolve_grid(state: np.ndarray, spec: HamiltonianSpec, times) -> GridEvolutio
     one :func:`_bessel_table`. Before it or any state stack is allocated,
     :class:`PropagationBudgetError` refuses a table of more than
     ``MAX_CHEBYSHEV_TERMS`` orders (z + 15 z^(1/3) + 22, z = r t_max), or
-    more than ``MAX_GRID_ENTRIES`` orders x times or times x 2^N entries.
+    more than ``MAX_GRID_ENTRIES`` orders x times or times x 2^N entries,
+    and :class:`IonstringError` an H whose spectral bounds are not finite.
     The norm of every propagated state is checked against the input's
     to a relative 1e-10; the state need not be normalised. A time of 0
     gives a copy of ``state``. A state of more than ``DEFAULT_QUBIT_CAP``
@@ -451,6 +452,8 @@ def evolve_grid(state: np.ndarray, spec: HamiltonianSpec, times) -> GridEvolutio
             radii = np.bincount(rows, np.where(on_diagonal, 0.0, np.abs(h.data)), psi.size)
             bounds = (float(np.min(diagonal - radii)), float(np.max(diagonal + radii)))
         half_width = (bounds[1] - bounds[0]) / 2.0
+        if not np.isfinite(half_width):
+            raise IonstringError(f"the spectral bounds {bounds} of H are not finite: a coupling or the field is not")
         z = half_width * grid[-1]
         # no fewer than the rows _bessel_table builds, and no Bessel value needed
         orders = 0.0 if on_diagonal.all() else z + 15.0 * np.cbrt(z) + 22.0

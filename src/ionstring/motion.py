@@ -226,8 +226,8 @@ class SpinMotionParams:
     ``eta`` is the Lamb-Dicke parameter along the motion axis (wavefront
     tilt enters as eta = sin(alpha) k sqrt(hbar/(2 m w))), ``rabi`` and
     ``detuning`` the drive parameters, ``nbar`` the thermal mean phonon
-    number, and ``fock_cutoff`` the basis truncation, which must obey
-    the adequacy rule cutoff >= 5 nbar + 20.
+    number, and ``fock_cutoff`` the basis truncation. The limits that
+    bind them together with a scan are ``scan_limits``.
     """
 
     eta: float
@@ -244,15 +244,27 @@ class SpinMotionParams:
             raise ValueError("rabi and omega must be positive")
         if self.nbar < 0:
             raise ValueError("nbar must be >= 0")
-        if self.fock_cutoff < 5 * self.nbar + 20:
-            raise ValueError(
-                f"fock_cutoff {self.fock_cutoff} violates the adequacy rule "
-                f">= 5*nbar + 20 = {5 * self.nbar + 20:.0f}"
-            )
 
     @property
     def pi_time(self) -> float:
         return np.pi / self.rabi
+
+
+def scan_limits(params: SpinMotionParams, shortest_wait: float, initial_fock: int | None = None) -> list:
+    """The limits of ``quantum_cpmg_scan`` that its inputs break, as (argument, message) pairs:
+    every wait at least the pi-time, so that pulses never overlap; a thermal scan's cutoff at least
+    5 nbar + 20 (the adequacy rule); an initial Fock level at least ``_CUTOFF_MARGIN`` below the cutoff."""
+    cutoff, period, pi_time = params.fock_cutoff, 2.0 * np.pi / params.omega, params.pi_time
+    limits = []
+    if shortest_wait < pi_time:
+        message = f"{shortest_wait / period:g} periods is shorter than the pi-time of {pi_time / period:g} periods"
+        limits.append(("t_wait", message))
+    if initial_fock is None and cutoff < 5 * params.nbar + 20:
+        limits.append(("fock_cutoff", f"{cutoff} is below the adequacy rule 5*nbar + 20 = {5 * params.nbar + 20:g}"))
+    if initial_fock is not None and not 0 <= initial_fock <= cutoff - _CUTOFF_MARGIN:
+        message = f"{initial_fock} must lie in [0, {cutoff - _CUTOFF_MARGIN}], {_CUTOFF_MARGIN} below the cutoff"
+        limits.append(("initial_fock", message))
+    return limits
 
 
 @dataclass(frozen=True)
@@ -318,12 +330,14 @@ def _banded_expm(b: sparse.spmatrix, unit: complex) -> tuple[sparse.csr_matrix, 
     joined once as even + unit odd; s squarings follow (Al-Mohy & Higham,
     SIAM J. Matrix Anal. Appl. 31, 970 (2009)). Returns the exponential,
     s, and a bound on the Frobenius norm of its error from every dropped
-    entry.
+    entry. A b whose 1-norm is not finite raises ``IonstringError``.
     """
     b = sparse.csr_matrix(b)
     if np.iscomplexobj(b.data):
         raise TypeError("_banded_expm takes a real generator; its phase goes in unit")
     norm = float(abs(b).sum(axis=0).max())
+    if not np.isfinite(norm):
+        raise IonstringError(f"generator 1-norm {norm} is not finite: the pulse propagators are out of range")
     squarings = max(0, int(np.ceil(np.log2(max(norm, 1.0)))))
     b = b / 2.0**squarings
     # unit^k is (unit^2)^(k // 2) on even terms and unit times that on odd ones
@@ -454,7 +468,7 @@ def quantum_cpmg_scan(
 
     The sequence is pi/2 - [wait, pi] x n_pulses - pi/2 with half-length
     free gaps at both ends; ``t_wait`` is the start-to-start separation
-    of consecutive pi-pulses, so every value must exceed the pi-time.
+    of consecutive pi-pulses, at least the pi-time.
     Pulses rotate about +/-x alternately, the embedding pi/2-pulses
     about -y and +y, all with the finite duration pi/rabi (pi/2-pulses
     half of it). Only the pi/2- and pi-pulse propagators about +x are
@@ -484,6 +498,8 @@ def quantum_cpmg_scan(
 
     Raises
     ------
+    ValueError
+        If the inputs violate ``scan_limits``, before any propagator is built.
     FockCutoffError
         If population at the truncation boundary exceeds 1e-6.
     IonstringError
@@ -495,17 +511,12 @@ def quantum_cpmg_scan(
     t_pi = params.pi_time
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
-    if np.any(t_wait < t_pi):
-        raise ValueError(
-            f"t_wait below the pi-time {t_pi:.3e}; pulses would overlap"
-        )
+    limits = scan_limits(params, t_wait.min(), initial_fock)
+    if limits:
+        raise ValueError("; ".join(f"{argument}: {message}" for argument, message in limits))
 
     dim = params.fock_cutoff + 1
     if initial_fock is not None:
-        if not 0 <= initial_fock <= params.fock_cutoff - _CUTOFF_MARGIN:
-            raise ValueError(
-                f"initial Fock state must stay {_CUTOFF_MARGIN} below the cutoff"
-            )
         init_levels = np.array([initial_fock])
         weights = np.ones(1)
         truncated = 0.0

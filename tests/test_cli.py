@@ -622,6 +622,88 @@ def test_bad_wavefront_ranges_exit_2(tmp_path, capsys, monkeypatch, kind, params
     assert not (tmp_path / "w.csv").exists()
 
 
+# the first wait at the pi-time, one trap period at rabi_over_omega 0.5; a
+# thermal scan at fock_cutoff = 5 nbar + 20; a Fock scan at initial_fock =
+# fock_cutoff - 50
+_AT_THE_SCAN_LIMITS = {"t_wait_min_periods": 1.0, "nbar": 2.0, "fock_cutoff": 30}
+_FOCK_AT_THE_MARGIN = {"t_wait_min_periods": 1.0, "initial_fock": 10, "fock_cutoff": 60}
+
+
+@pytest.mark.parametrize(
+    "limits, field, argument",
+    [
+        (_AT_THE_SCAN_LIMITS, None, None),
+        (_FOCK_AT_THE_MARGIN, None, None),
+        # one step past each limit
+        ({**_AT_THE_SCAN_LIMITS, "t_wait_min_periods": math.nextafter(1.0, 0.0)}, "t_wait_min_periods", "t_wait"),
+        ({**_AT_THE_SCAN_LIMITS, "fock_cutoff": 29}, "fock_cutoff", "fock_cutoff"),
+        ({**_FOCK_AT_THE_MARGIN, "initial_fock": 11}, "initial_fock", "initial_fock"),
+    ],
+)
+def test_cli_and_scan_hold_the_same_scan_limits(tmp_path, capsys, limits, field, argument):
+    params = {
+        "omega_rad_s": 2.0 * np.pi, "rabi_over_omega": 0.5, "t_wait_max_periods": 1.5, "n_points": 2, "n_pulses": 2,
+        **limits,
+    }
+    config = write_config(tmp_path, {"kind": "wavefront-quantum", "out": str(tmp_path / "w.csv"), "params": params})
+    # pi-time and trap period are both exactly 1 s
+    scan_params = cli.motion.SpinMotionParams(
+        eta=0.01, rabi=np.pi, omega=2.0 * np.pi, nbar=limits.get("nbar", 0.0), fock_cutoff=limits["fock_cutoff"]
+    )
+    waits = np.array([limits["t_wait_min_periods"], 1.5])
+    initial_fock = limits.get("initial_fock")
+    if field is None:
+        assert cli.main(["run", config]) == 0
+        assert cli.motion.quantum_cpmg_scan(scan_params, 2, waits, initial_fock=initial_fock).excitation.size == 2
+        return
+    assert cli.main(["run", config]) == 2
+    assert f"config error: params.{field}: " in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"^{argument}: "):
+        cli.motion.quantum_cpmg_scan(scan_params, 2, waits, initial_fock=initial_fock)
+
+
+@pytest.mark.parametrize(
+    "kind, params, code, message",
+    [
+        # 2 pi f overflows to inf, and the mass in kg underflows to 0
+        ("wavefront-semiclassical", {"omega_z_hz": 1e308}, 2, "config error: params.omega_z_hz: must lie in"),
+        ("wavefront-semiclassical", {"ion_mass_amu": 1e-308}, 2, "config error: params.ion_mass_amu: must lie in"),
+        ("chain", {"ion_mass_amu": 1e-308}, 2, "config error: params.ion_mass_amu: must lie in"),
+        ("couplings", {"ion_mass_amu": 1e-308}, 2, "config error: params.ion_mass_amu: must lie in"),
+        # the displacement generator's 1-norm is inf
+        ("wavefront-quantum", {"eta": 1e308}, 3, "numerical failure: generator 1-norm inf is not finite"),
+        # radial or axial frequencies of 1e308 Hz leave J non-finite
+        *(
+            (kind, {"n_ions": 4, field: 1e308}, 3, "numerical failure: the spectral bounds")
+            for kind in ("quench", "negativity")
+            for field in ("omega_x_hz", "omega_y_hz", "omega_z_hz")
+        ),
+    ],
+)
+def test_extreme_finite_inputs_name_the_field_or_the_reason(tmp_path, capsys, kind, params, code, message):
+    params = {**SMALL[kind], **params}
+    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": params})
+    assert cli.main(["run", config]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+_WAVEFRONT_EXTREMES = [
+    (kind, field.name, value)
+    for kind in ("wavefront-semiclassical", "wavefront-quantum")
+    for field in cli._KINDS[kind].fields
+    if isinstance(field, cli.Field) and field.kind is float
+    for value in (1e308, 1e-308)
+]
+
+
+@pytest.mark.parametrize("kind, name, value", _WAVEFRONT_EXTREMES)
+def test_wavefront_floats_at_the_extremes_exit_0_2_or_3(tmp_path, kind, name, value):
+    params = {**SMALL[kind], name: value}
+    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": params})
+    assert cli.main(["run", config]) in (0, 2, 3)
+
+
 @pytest.mark.parametrize(
     "config, field",
     [
@@ -818,6 +900,23 @@ def test_non_string_out_exits_2(tmp_path, capsys):
         ),
         # chain modes and positions do not depend on the laser
         ("chain", {"n_ions": 4, "wavelength_m": 780e-9}, "params.wavelength_m: unknown field"),
+        # one strength per component, and one source of heating rates
+        (
+            "cpmg-sense",
+            {"components": [{**_COMPONENT, "amplitude_rad_s": 1.0}]},
+            "params.components[0]: give exactly one of b_microgauss / amplitude_rad_s",
+        ),
+        (
+            "compensate",
+            {"components": [_COMPONENT, {"f_hz": 150.0}]},
+            "params.components[1]: give exactly one of b_microgauss / amplitude_rad_s",
+        ),
+        (
+            "heating-fit",
+            {"data": [{"omega_z_hz": 1e5, "rate_quanta_per_s": 10.0}], "synthetic": {}},
+            "params: give exactly one of data / synthetic",
+        ),
+        ("heating-fit", {}, "params: give exactly one of data / synthetic"),
     ],
 )
 def test_ignored_inputs_exit_2(tmp_path, capsys, monkeypatch, kind, params, message):
@@ -865,7 +964,7 @@ _POOL = [None, True, "x", [], {}, -1, 0, 1.5, math.nan, math.inf, -math.inf, "un
 
 def _field_paths(table, block, prefix=()):
     """Key path and field of every field of ``table``, into ``block``'s nested objects."""
-    for field in table:
+    for field in (entry for entry in table if isinstance(entry, cli.Field)):
         path = prefix + (field.name,)
         yield path, field
         inner = block.get(field.name)

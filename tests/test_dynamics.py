@@ -10,7 +10,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from ionstring import dynamics as dyn
 from ionstring.coupling import CouplingMatrix
-from ionstring.errors import DimensionCapError, PropagationBudgetError
+from ionstring.errors import DimensionCapError, IonstringError, PropagationBudgetError
 
 
 def pair_coupling(j, n=2, field_b=0.0):
@@ -444,6 +444,24 @@ def test_runaway_propagation_is_refused_before_the_recurrence(monkeypatch):
     for z in (1e8, dyn.MAX_CHEBYSHEV_TERMS - 100):
         with pytest.raises(PropagationBudgetError, match=r"r\*t_max = "):
             dyn.evolve_grid(psi, spec, [0.0, z / ((hi - lo) / 2)])
+
+
+@pytest.mark.parametrize(
+    "model, entry, field_b",
+    [
+        *((model, entry, 0.0) for model in (dyn.ISING_TRANSVERSE, dyn.XY_EFFECTIVE) for entry in (np.inf, np.nan)),
+        # the XY model takes no field
+        *((dyn.ISING_TRANSVERSE, 1.0, field_b) for field_b in (np.inf, np.nan)),
+    ],
+)
+def test_non_finite_couplings_are_refused_before_the_bessel_table(monkeypatch, model, entry, field_b):
+    def no_table(*args):
+        raise AssertionError("a non-finite H must be refused before the Bessel table is built")
+
+    monkeypatch.setattr(dyn, "_bessel_table", no_table)
+    spec = dyn.HamiltonianSpec(pair_coupling(entry, n=3, field_b=field_b), model)
+    with pytest.raises(IonstringError, match="spectral bounds .* of H are not finite"):
+        dyn.evolve_grid(dyn.neel_state(3), spec, [0.0, 1e-3])
 
 
 def kronecker_hamiltonian(spec):

@@ -134,8 +134,9 @@ def test_temperature_nbar_mapping():
 
 
 def test_cutoff_adequacy_rule_enforced():
+    params = motion.SpinMotionParams(eta=0.01, rabi=1.0, omega=1.0, nbar=50.0, fock_cutoff=100)
     with pytest.raises(ValueError, match="adequacy"):
-        motion.SpinMotionParams(eta=0.01, rabi=1.0, omega=1.0, nbar=50.0, fock_cutoff=100)
+        motion.quantum_cpmg_scan(params, 2, [4.0])
 
 
 def test_quantum_scan_echo_closes_without_coupling():
