@@ -29,7 +29,8 @@ or, with a default, at most one: ``wavefront-semiclassical`` takes
 ``nbar`` or ``initial_fock`` (``nbar`` 10 if neither). A kind's
 cross-field check, if any, follows before any numerical work; the
 limits of the quantum CPMG scan live in ``motion.scan_limits``, which
-``wavefront-quantum``'s check calls. Unknown fields, wrong types,
+``wavefront-quantum``'s check calls, and its default ``fock_cutoff`` in
+``motion.cutoff_rule``. Unknown fields, wrong types,
 non-finite numbers and failed checks are config errors, all reported
 at once. Every integer field has an upper bound, so no count can ask
 for an unbounded allocation or loop; ``n_ions`` is held to the
@@ -189,6 +190,14 @@ def _within(low, high):
     return lambda value: None if low <= value <= high else f"must lie in [{low:g}, {high:g}]"
 
 
+def _at_least(low):
+    return lambda value: None if value >= low else f"must be >= {low:g}"
+
+
+def _up_to(high):
+    return lambda value: None if 0 < value <= high else f"must lie in (0, {high:g}]"
+
+
 def _one_of(*choices):
     return lambda value: None if value in choices else f"must be one of {', '.join(choices)}"
 
@@ -206,19 +215,21 @@ def _trap(most_ions, n_ions=8, least_ions=1):
     """Trap fields; ``most_ions`` is the largest string the kind's solver takes."""
     return (
         Field("n_ions", int, n_ions, _within(least_ions, most_ions)),
-        Field("omega_z_hz", float, 127e3, _positive),
-        Field("omega_x_hz", float, 2.93e6, _positive),
-        Field("omega_y_hz", float, 2.89e6, _positive),
+        Field("omega_z_hz", float, 127e3, _at_least(_TRAP_FLOOR_HZ)),
+        Field("omega_x_hz", float, 2.93e6, _at_least(_TRAP_FLOOR_HZ)),
+        Field("omega_y_hz", float, 2.89e6, _at_least(_TRAP_FLOOR_HZ)),
     )
 
 
+_TRAP_FLOOR_HZ = 1e-3  # the lowest trap frequency: omega^2 stays a normal float (1e-308 Hz squares to 0)
 # from H+ (1.007 amu) to charged nanoparticles; the floor keeps the mass in kg from underflowing to 0
 _MASS = Field("ion_mass_amu", float, 40.0, _within(1.0, 1e9))
 _WAVELENGTH = Field("wavelength_m", float, 729e-9, _positive)
 _RABI = Field("rabi_hz", float, 50e3, _positive)
 
 _DRIVE = (
-    Field("beatnote_offset_hz", float, 100e3, _positive),
+    # 1e-9 Hz, below any synthesizer's step, still moves the beatnote off a top mode under 10 MHz
+    Field("beatnote_offset_hz", float, 100e3, _at_least(1e-9)),
     Field("centerline_detuning_hz", float, 3000.0),
     Field("resonance_guard_hz", float, 10.0, _positive),
 )
@@ -480,7 +491,7 @@ def _run_compensate(p, seed):
 
 _WAVEFRONT_SEMICLASSICAL = (
     # bounded so that 2 pi f, the peak wait pi / omega and omega^2 stay normal floats
-    Field("omega_z_hz", float, 112e3, _within(1e-3, 1e12)),
+    Field("omega_z_hz", float, 112e3, _within(_TRAP_FLOOR_HZ, 1e12)),
     Field("n_pulses", int, 20, _within(1, 10**4)),
     _MASS,
     _WAVELENGTH,
@@ -522,7 +533,8 @@ def _run_wavefront_semiclassical(p, seed):
 _MAX_FOCK_CUTOFF = 10**5
 
 _WAVEFRONT_QUANTUM = (
-    Field("omega_rad_s", float, 2.0 * np.pi, _positive),
+    # as the semiclassical omega_z_hz: the period, the waits and the level energies stay normal floats
+    Field("omega_rad_s", float, 2.0 * np.pi, _within(1e-3, 1e12)),
     Field("rabi_over_omega", float, 50.0, _positive),
     Field("eta", float, 0.01, _non_negative),
     Field("n_pulses", int, 10, _within(1, 10**4)),
@@ -531,7 +543,8 @@ _WAVEFRONT_QUANTUM = (
     Field("fock_cutoff", int, None, _within(1, _MAX_FOCK_CUTOFF)),
     Field("detuning_rad_s", float, 0.0),
     Field("t_wait_min_periods", float, 0.55, _positive),
-    Field("t_wait_max_periods", float, 2.2, _positive),
+    # the free phase omega (n + 1/2) t_wait, up to 2 pi 1e4 x the cutoff, rounds by at most 1e-6 rad
+    Field("t_wait_max_periods", float, 2.2, _up_to(1e4)),
     Field("n_points", int, 56, _within(1, 10**4)),
     OneOf(("nbar", "initial_fock"), {"nbar": 10.0}),
 )
@@ -551,10 +564,11 @@ def _check_wavefront_quantum(p):
     if p.fock_cutoff is None:
         source = "nbar" if p.initial_fock is None else "initial_fock"
         base = getattr(p, source)
+        _, default = motion.cutoff_rule(base)
         # compared as a float: int() refuses the inf that 5 * 1e308 gives
-        if 5 * base + 20 + motion._CUTOFF_MARGIN >= _MAX_FOCK_CUTOFF + 1:
+        if default > _MAX_FOCK_CUTOFF:
             return errors + [f"params.{source}: {base:g} needs a fock_cutoff above {_MAX_FOCK_CUTOFF}"]
-        p.fock_cutoff = int(5 * base + 20) + motion._CUTOFF_MARGIN
+        p.fock_cutoff = int(default)
     limits = motion.scan_limits(_spin_motion(p), lo * (2.0 * np.pi / p.omega_rad_s), p.initial_fock)
     fields = {"t_wait": "t_wait_min_periods"}  # the other arguments of motion.scan_limits are fields by name
     return errors + [f"params.{fields.get(argument, argument)}: {message}" for argument, message in limits]
@@ -583,7 +597,8 @@ _HEATING_ROW = (
 )
 
 _HEATING_SYNTHETIC = (
-    Field("alpha", float, 1.9, _positive),
+    # measured exponents lie near 1 to 4; far past 10, the synthetic omega^-alpha underflows to 0
+    Field("alpha", float, 1.9, _up_to(10.0)),
     Field("prefactor", float, 3e12, _positive),
     Field("noise_fraction", float, 0.1, _non_negative),
     Field("freqs_hz", [float], list(np.geomspace(30e3, 500e3, 8)), _positive),
@@ -665,7 +680,8 @@ def _run_survival(p, seed):
 _RAMSEY_CORRELATIONS = (
     Field("noise_kind", str, stochastics.RANDOM_WALK, _one_of(*stochastics._NOISE_KINDS)),
     Field("strength", float, 6.67, _positive),
-    Field("dt_s", float, 2e-3, _positive),
+    # repeats 1e6 s (11.6 days) apart are no drift record; near 1e300 s the fit's lag grid overflows
+    Field("dt_s", float, 2e-3, _up_to(1e6)),
     Field("n_experiments", int, 30000, _within(100, 10**7)),
     Field("max_lag_steps", int, 100, _within(10, 10**5)),
 )
@@ -880,18 +896,18 @@ def _fig11_params(ratio: float) -> dict:
 
 
 def _fig12_jobs() -> dict:
-    """The quantum scan of a thermal state and the semiclassical curve at its eta, on a 1 Hz trap."""
+    """A thermal quantum scan and the semiclassical curve on a 1 Hz trap, at the tilt that explains a peak of 0.3."""
     nbar, n_pulses = 60.0, 20
-    eta = float(np.sqrt(-np.log(0.4) / (4.0 * (nbar + 0.5) * (n_pulses + 1) ** 2)))
+    omega, mass, k = omega_from_hz(1.0), mass_from_amu(_MASS.default), wavevector(_WAVELENGTH.default)
+    tilt = motion.infer_tilt(0.3, omega, n_pulses, motion.temperature_from_nbar(nbar, omega), mass, k)
+    # eta = k_z sqrt(hbar / (2 m omega)), with k_z = k sin(tilt) the tilt's share of the 729 nm wavevector
+    eta = float(k * np.sin(tilt) * np.sqrt(HBAR / (2.0 * mass * omega)))
     quantum = {
         "rabi_over_omega": 50.0, "eta": eta, "n_pulses": n_pulses, "nbar": nbar, "fock_cutoff": 400,
         "t_wait_min_periods": 0.4, "t_wait_max_periods": 1.15, "n_points": 46,
     }
-    # eta = k_z sqrt(hbar / (2 m omega)), with k_z the tilt's share of the 729 nm wavevector
-    k_z = eta / np.sqrt(HBAR / (2.0 * mass_from_amu(_MASS.default) * omega_from_hz(1.0)))
     semiclassical = {
-        "omega_z_hz": 1.0, "n_pulses": n_pulses, "nbar": nbar,
-        "tilt_mrad": 1e3 * math.asin(k_z / wavevector(_WAVELENGTH.default)),
+        "omega_z_hz": 1.0, "n_pulses": n_pulses, "nbar": nbar, "tilt_mrad": 1e3 * tilt,
         "t_wait_min_us": 0.4e6, "t_wait_max_us": 1.15e6, "n_points": 151,
     }
     return {

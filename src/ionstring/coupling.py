@@ -12,7 +12,7 @@ lies above the mode (see :func:`detunings_from_beatnote`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class DriveParameters:
         if np.any(self.rabi < 0):
             raise ValueError("Rabi frequencies must be >= 0")
         if np.any(self.mode_detunings == 0):
-            raise ValueError("mode detunings must be nonzero")
+            raise ResonanceGuardError("mode detunings must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -157,41 +157,25 @@ def powerlaw_fit(coupling: CouplingMatrix) -> PowerLawFit:
 class AddressingBeam:
     """Focused addressing-beam profile along the string.
 
-    ``waist`` is the 1/e^2 intensity radius of the Gaussian focus;
-    ``pedestal_floor`` a constant relative field amplitude from
-    scattered light; an optional ghost spot (the deflector's
-    double-frequency harmonic) sits at ``aod_harmonic_offset`` with
-    relative field amplitude ``aod_ghost_amplitude``. The ghost focuses
-    differently from the main spot, so it carries its own waist
-    (defaults to the main one).
+    ``waist`` is the 1/e^2 intensity radius of the Gaussian focus at
+    ``center``; ``pedestal_floor`` a constant relative field amplitude
+    from scattered light.
     """
 
     waist: float
     center: float = 0.0
     pedestal_floor: float = 0.0
-    aod_harmonic_offset: float | None = None
-    aod_ghost_amplitude: float = 0.0
-    aod_ghost_waist: float | None = None
 
     def __post_init__(self):
         if self.waist <= 0:
             raise ValueError("waist must be positive")
         if not 0.0 <= self.pedestal_floor < 1.0:
             raise ValueError("pedestal_floor must be in [0, 1)")
-        if self.aod_ghost_waist is not None and self.aod_ghost_waist <= 0:
-            raise ValueError("aod_ghost_waist must be positive")
 
     def field_amplitude(self, z) -> np.ndarray:
         """Relative field amplitude of the beam at positions z (m)."""
         z = np.asarray(z, dtype=float)
-        amp = np.exp(-((z - self.center) ** 2) / self.waist**2)
-        amp = amp + self.pedestal_floor
-        if self.aod_harmonic_offset is not None:
-            ghost_waist = self.aod_ghost_waist or self.waist
-            amp = amp + self.aod_ghost_amplitude * np.exp(
-                -((z - self.aod_harmonic_offset) ** 2) / ghost_waist**2
-            )
-        return amp
+        return np.exp(-((z - self.center) ** 2) / self.waist**2) + self.pedestal_floor
 
 
 def crosstalk_map(beam: AddressingBeam, positions: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ temperature T gives
 where C^2 also has the closed form
 4 (sin((Np+1)(x+pi)/2) / tan((x+pi)/2))^2, peaking at 4 (Np+1)^2 for x
 an odd multiple of pi. The peak excitation is ``thermal_excitation`` at
-T_wait = pi / w, and ``infer_k_z`` inverts it.
+T_wait = pi / w, ``infer_k_z`` inverts it, and ``infer_tilt`` gives the
+beam tilt asin(k_z / k) that explains it.
 
 Quantum model: a two-level system coupled to one harmonic mode through
 H = w (a+ a + 1/2) + (Omega/2)(e^(i eta (a + a+)) s+ e^(-i Delta t)
@@ -202,18 +203,6 @@ def infer_tilt(
     return float(np.arcsin(k_z / k_total))
 
 
-def curvature_radius(alpha_first: float, alpha_last: float, span: float) -> float:
-    """Wavefront curvature radius R = span / |tilt difference|.
-
-    A vanishing tilt difference means flat wavefronts; infinity is
-    returned in that case.
-    """
-    d_alpha = abs(alpha_last - alpha_first)
-    if d_alpha == 0.0:
-        return float("inf")
-    return float(span / d_alpha)
-
-
 def temperature_from_nbar(nbar: float, omega: float) -> float:
     """Temperature whose mean thermal energy equals (nbar + 1/2) hbar w."""
     return HBAR * omega * (nbar + 0.5) / KB
@@ -250,17 +239,26 @@ class SpinMotionParams:
         return np.pi / self.rabi
 
 
+def cutoff_rule(level: float) -> tuple[float, float]:
+    """The adequacy rule 5 level + 20, the least cutoff of a thermal scan of mean ``level``, and
+    the default cutoff of a scan from mean or Fock level ``level``: the rule floored, plus the
+    margin that ``scan_limits`` keeps below the cutoff. Both are inf past the float range."""
+    rule = 5 * level + 20
+    return rule, np.floor(rule) + _CUTOFF_MARGIN
+
+
 def scan_limits(params: SpinMotionParams, shortest_wait: float, initial_fock: int | None = None) -> list:
     """The limits of ``quantum_cpmg_scan`` that its inputs break, as (argument, message) pairs:
     every wait at least the pi-time, so that pulses never overlap; a thermal scan's cutoff at least
-    5 nbar + 20 (the adequacy rule); an initial Fock level at least ``_CUTOFF_MARGIN`` below the cutoff."""
+    ``cutoff_rule``'s adequacy rule; an initial Fock level at least ``_CUTOFF_MARGIN`` below the cutoff."""
     cutoff, period, pi_time = params.fock_cutoff, 2.0 * np.pi / params.omega, params.pi_time
     limits = []
     if shortest_wait < pi_time:
         message = f"{shortest_wait / period:g} periods is shorter than the pi-time of {pi_time / period:g} periods"
         limits.append(("t_wait", message))
-    if initial_fock is None and cutoff < 5 * params.nbar + 20:
-        limits.append(("fock_cutoff", f"{cutoff} is below the adequacy rule 5*nbar + 20 = {5 * params.nbar + 20:g}"))
+    adequate, _ = cutoff_rule(params.nbar)
+    if initial_fock is None and cutoff < adequate:
+        limits.append(("fock_cutoff", f"{cutoff} is below the adequacy rule 5*nbar + 20 = {adequate:g}"))
     if initial_fock is not None and not 0 <= initial_fock <= cutoff - _CUTOFF_MARGIN:
         message = f"{initial_fock} must lie in [0, {cutoff - _CUTOFF_MARGIN}], {_CUTOFF_MARGIN} below the cutoff"
         limits.append(("initial_fock", message))

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ionstring import chain, cli, sequences
+from ionstring import chain, cli, motion, sequences
+from ionstring.constants import HBAR, mass_from_amu, wavevector
 from ionstring.errors import FitError
 
 # One small valid params block per kind: at most 4 ions, 100 trials,
@@ -678,19 +679,55 @@ def test_cli_and_scan_hold_the_same_scan_limits(tmp_path, capsys, limits, field,
             for kind in ("quench", "negativity")
             for field in ("omega_x_hz", "omega_y_hz", "omega_z_hz")
         ),
+        # omega_z^2 underflows to 0, and a beatnote offset lost against the top mode leaves its detuning 0
+        *(
+            (kind, {"omega_z_hz": 1e-308}, 2, "config error: params.omega_z_hz: must be >= 0.001")
+            for kind in ("chain", "couplings", "quench", "negativity")
+        ),
+        *(
+            (kind, {"beatnote_offset_hz": 1e-308}, 2, "config error: params.beatnote_offset_hz: must be >= 1e-09")
+            for kind in ("couplings", "quench", "negativity")
+        ),
+        # above 10.7 MHz the top mode's ulp swallows a 1e-9 Hz offset too: a zero detuning is a resonance
+        (
+            "couplings", {"omega_x_hz": 2e7, "omega_y_hz": 2e7, "beatnote_offset_hz": 1e-9}, 3,
+            "numerical failure: mode detunings must be nonzero",
+        ),
+        # the period 2 pi / omega, or the free phases, overflow
+        *(
+            ("wavefront-quantum", {"omega_rad_s": value}, 2, "config error: params.omega_rad_s: must lie in [0.001, 1e+12]")
+            for value in (1e-308, 1e308)
+        ),
+        (
+            "wavefront-quantum", {"t_wait_max_periods": 1e308}, 2,
+            "config error: params.t_wait_max_periods: must lie in (0, 10000]",
+        ),
+        # omega^-alpha underflows to 0, and the decay fit's lag grid overflows
+        (
+            "heating-fit", {"synthetic": {**SMALL["heating-fit"]["synthetic"], "alpha": 1e308}}, 2,
+            "config error: params.synthetic.alpha: must lie in (0, 10]",
+        ),
+        ("ramsey-correlations", {"dt_s": 1e308}, 2, "config error: params.dt_s: must lie in (0, 1e+06]"),
     ],
 )
 def test_extreme_finite_inputs_name_the_field_or_the_reason(tmp_path, capsys, kind, params, code, message):
     params = {**SMALL[kind], **params}
     config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": params})
     assert cli.main(["run", config]) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    # a refused config does no numerical work, so it prints no warning
+    assert code == 3 or "Warning" not in err
     assert not (tmp_path / "x.csv").exists()
 
 
+# every float field at the top of the kinds' tables; the cpmg-sense and compensate ones still end in tracebacks
 _WAVEFRONT_EXTREMES = [
     (kind, field.name, value)
-    for kind in ("wavefront-semiclassical", "wavefront-quantum")
+    for kind in (
+        "wavefront-semiclassical", "wavefront-quantum", "chain", "couplings", "quench", "negativity", "survival",
+        "ramsey-correlations",
+    )
     for field in cli._KINDS[kind].fields
     if isinstance(field, cli.Field) and field.kind is float
     for value in (1e308, 1e-308)
@@ -784,6 +821,51 @@ def test_figure_fig3_bundle(tmp_path):
     paths = cli.emit_figure_data("fig3", outdir=tmp_path, seed=1)
     for path in paths.values():
         assert (tmp_path / path.split("/")[-1]).exists()
+
+
+def test_fig4c_compensation_flattens_the_scan(tmp_path):
+    # Table I's line noise swings the scan by 1.0 peak to peak, the residuals by 0.21 (seed 3)
+    path = cli.emit_figure_data("fig4c", outdir=tmp_path, seed=3)["scan"]
+    with open(path) as handle:
+        assert handle.readline().strip() == "t0_s,p_up_before,p_up_after"
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.ptp(table[:, 2]) < 0.5 * np.ptp(table[:, 1])
+
+
+def test_figure_command_prints_its_paths_and_fig4d_ranks_the_scenarios(tmp_path, capsys):
+    assert cli.main(["figure", "fig4d", "--outdir", str(tmp_path), "--seed", "3"]) == 0
+    printed = capsys.readouterr().out.split()
+    assert printed == [str(tmp_path / "fig4d_contrast.csv")]
+    with open(printed[0], newline="") as handle:
+        contrast = {row["scenario"]: float(row["contrast"]) for row in csv.DictReader(handle)}
+    # 0.857 > 0.834 > 0.185 at seed 3
+    ranked = [contrast[mode] for mode in (sequences.TRIGGER_AND_COMPENSATION, sequences.COMPENSATION_ONLY, sequences.BOTH_OFF)]
+    assert ranked == sorted(ranked, reverse=True) and len(set(ranked)) == 3
+
+
+@pytest.mark.parametrize("text", [None, "{\"kind\": ", ""], ids=["missing", "malformed", "empty"])
+def test_unreadable_config_files_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_fig12_tilt_explains_a_peak_of_0_3_and_sets_eta():
+    jobs = cli._fig12_jobs()
+    quantum, semiclassical = jobs["quantum"][3], jobs["semiclassical"][3]
+    omega, mass, k = 2.0 * np.pi * semiclassical["omega_z_hz"], mass_from_amu(40.0), wavevector(729e-9)
+    tilt = 1e-3 * semiclassical["tilt_mrad"]
+    assert quantum["nbar"] == semiclassical["nbar"] == 60.0 and semiclassical["omega_z_hz"] == 1.0
+    peak = motion.thermal_excitation(
+        motion.SemiclassicalParams(
+            omega=omega, t_wait=np.pi / omega, n_pulses=semiclassical["n_pulses"], k_z=k * np.sin(tilt),
+            temperature=motion.temperature_from_nbar(60.0, omega), mass=mass,
+        )
+    )
+    assert peak == pytest.approx(0.3, abs=1e-12)
+    assert quantum["eta"] == pytest.approx(k * np.sin(tilt) * np.sqrt(HBAR / (2.0 * mass * omega)), rel=1e-14)
 
 
 def test_run_writes_only_declared_outputs(tmp_path):

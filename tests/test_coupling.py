@@ -164,20 +164,3 @@ def test_nearest_neighbor_crosstalk_band(default_positions):
     ratios = np.array(ratios)
     assert ratios.min() >= 0.03
     assert ratios.max() <= 0.3
-
-
-def test_aod_ghost_excites_far_end(default_positions):
-    # addressing ion 51: the defocused double-frequency spot lands near
-    # the opposite end and lights up ions 1 and 2
-    ghost_site = 0.5 * (default_positions[0] + default_positions[1])
-    beam = coupling.AddressingBeam(
-        waist=2.5e-6,
-        center=default_positions[50],
-        pedestal_floor=0.002,
-        aod_harmonic_offset=ghost_site,
-        aod_ghost_amplitude=0.3,
-        aod_ghost_waist=5.0e-6,
-    )
-    ratios = coupling.crosstalk_map(beam, default_positions)
-    assert ratios[0] > 10.0 * ratios[25]
-    assert ratios[1] > 10.0 * ratios[25]

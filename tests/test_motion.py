@@ -120,13 +120,6 @@ def test_tilt_inference_rejects_saturation():
         motion.infer_k_z(0.5, OMEGA, 20, 4.6e-3, MASS)
 
 
-def test_curvature_radius():
-    np.testing.assert_allclose(
-        motion.curvature_radius(4.8e-3, 1.4e-3, 269e-6), 79.1e-3, atol=0.1e-3
-    )
-    assert motion.curvature_radius(1e-3, 1e-3, 269e-6) == np.inf
-
-
 def test_temperature_nbar_mapping():
     nbar = 170.0
     t = motion.temperature_from_nbar(nbar, omega_from_hz(128e3))
@@ -137,6 +130,13 @@ def test_cutoff_adequacy_rule_enforced():
     params = motion.SpinMotionParams(eta=0.01, rabi=1.0, omega=1.0, nbar=50.0, fock_cutoff=100)
     with pytest.raises(ValueError, match="adequacy"):
         motion.quantum_cpmg_scan(params, 2, [4.0])
+
+
+@pytest.mark.parametrize(
+    "level, rule, default", [(0, 20, 70), (2.0, 30.0, 80.0), (2.7, 33.5, 83.0), (10, 70, 120), (1e308, np.inf, np.inf)]
+)
+def test_cutoff_rule_floors_the_adequacy_rule_and_adds_the_margin(level, rule, default):
+    assert motion.cutoff_rule(level) == (rule, default)
 
 
 def test_quantum_scan_echo_closes_without_coupling():
