@@ -33,8 +33,10 @@ _DIRECTIONS = (AXIAL, RADIAL_X, RADIAL_Y)
 # Coulomb sum, 4.4e-10 at 2000 ions, grows to about ACCEPTANCE at 3000.
 MAX_IONS = 2000
 ACCEPTANCE = 1e-9
-# Newton iteration stops once max |residual force| falls below this.
+# Newton iteration stops once max |residual force| falls below this, or
+# after _MAX_ITER steps.
 _TOL = 1e-13
+_MAX_ITER = 200
 
 logger = logging.getLogger(__name__)
 
@@ -159,11 +161,7 @@ def _mirror_eigh(v: np.ndarray, odd: int, base: float, coupling: float) -> list:
     return [np.linalg.eigh(_mirror_block(inv3, odd, base, coupling, parity)) for parity in (1, -1)]
 
 
-def equilibrium_positions(
-    trap: TrapParameters,
-    max_iter: int = 200,
-    full_output: bool = False,
-):
+def equilibrium_positions(trap: TrapParameters, full_output: bool = False):
     """Equilibrium ion positions along the trap axis, in m, ascending.
 
     A damped Newton iteration on the N // 2 right-half positions of the
@@ -182,7 +180,7 @@ def equilibrium_positions(
     ValueError
         If the trap holds more than ``MAX_IONS`` ions.
     ConvergenceError
-        If the residual is not under ``ACCEPTANCE`` after ``max_iter``
+        If the residual is not under ``ACCEPTANCE`` after ``_MAX_ITER``
         iterations, or the line search stalls above it.
     """
     n, odd = trap.ion_count, trap.ion_count % 2
@@ -193,7 +191,7 @@ def equilibrium_positions(
     grad, inv3 = _right_half(v, odd)
     resid = float(np.max(np.abs(grad), initial=0.0))
     iterations = halvings = 0
-    while resid >= _TOL and iterations < max_iter:
+    while resid >= _TOL and iterations < _MAX_ITER:
         step = np.linalg.solve(_mirror_block(inv3, odd, 1.0, -2.0, -1), -grad)
         for halving in range(60):
             trial = v + 0.5**halving * step

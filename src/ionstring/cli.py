@@ -190,8 +190,9 @@ def _within(low, high):
     return lambda value: None if low <= value <= high else f"must lie in [{low:g}, {high:g}]"
 
 
-def _at_least(low):
-    return lambda value: None if value >= low else f"must be >= {low:g}"
+def _at_least(low, high=math.inf):
+    """At least ``low`` and, with its own message, at most ``high``."""
+    return lambda value: f"must be >= {low:g}" if value < low else f"must be <= {high:g}" if value > high else None
 
 
 def _up_to(high):
@@ -215,16 +216,20 @@ def _trap(most_ions, n_ions=8, least_ions=1):
     """Trap fields; ``most_ions`` is the largest string the kind's solver takes."""
     return (
         Field("n_ions", int, n_ions, _within(least_ions, most_ions)),
-        Field("omega_z_hz", float, 127e3, _at_least(_TRAP_FLOOR_HZ)),
-        Field("omega_x_hz", float, 2.93e6, _at_least(_TRAP_FLOOR_HZ)),
-        Field("omega_y_hz", float, 2.89e6, _at_least(_TRAP_FLOOR_HZ)),
+        Field("omega_z_hz", float, 127e3, _TRAP_FREQUENCY),
+        Field("omega_x_hz", float, 2.93e6, _TRAP_FREQUENCY),
+        Field("omega_y_hz", float, 2.89e6, _TRAP_FREQUENCY),
     )
 
 
-_TRAP_FLOOR_HZ = 1e-3  # the lowest trap frequency: omega^2 stays a normal float (1e-308 Hz squares to 0)
+# trap frequencies in Hz: omega^2 stays a normal float at the floor (1e-308 Hz squares to 0), and
+# 2 pi f, the period and omega^2 do below the ceiling
+_TRAP_FLOOR_HZ, _TRAP_CEILING_HZ = 1e-3, 1e12
+_TRAP_FREQUENCY = _at_least(_TRAP_FLOOR_HZ, _TRAP_CEILING_HZ)
 # from H+ (1.007 amu) to charged nanoparticles; the floor keeps the mass in kg from underflowing to 0
 _MASS = Field("ion_mass_amu", float, 40.0, _within(1.0, 1e9))
-_WAVELENGTH = Field("wavelength_m", float, 729e-9, _positive)
+# from hard X-rays to radio waves: k = 2 pi / lambda and k^2 stay normal floats
+_WAVELENGTH = Field("wavelength_m", float, 729e-9, _within(1e-10, 1.0))
 _RABI = Field("rabi_hz", float, 50e3, _positive)
 
 _DRIVE = (
@@ -393,10 +398,16 @@ def _run_negativity(p, seed):
     return _Run(header, rows, {"time_s": p.time_s}, grid.record())
 
 
+# A noise or sensing frequency in Hz: the scan's span 1/f stays finite at the floor, and with tau_s
+# up to 1e3 s the sequence phase 2 pi f tau stays below 2 pi 1e9 rad, where it rounds by under
+# 1e-6 rad. The amplitudes reach 1 kG (1e9 uG), so the phase the noise accumulates stays finite.
+_NOISE_FREQUENCY = _within(1e-3, 1e6)
+_SEQUENCE_TAU = Field("tau_s", float, 0.02, _up_to(1e3))
+
 _COMPONENT = (
-    Field("f_hz", float, REQUIRED, _positive),
-    Field("b_microgauss", float, None, _non_negative),
-    Field("amplitude_rad_s", float, None, _non_negative),
+    Field("f_hz", float, REQUIRED, _NOISE_FREQUENCY),
+    Field("b_microgauss", float, None, _within(0.0, 1e9)),
+    Field("amplitude_rad_s", float, None, _within(0.0, 1e10)),
     Field("phase_rad", float, 0.0),
     OneOf(("b_microgauss", "amplitude_rad_s")),
 )
@@ -420,8 +431,8 @@ def _noise_components(p) -> list[sequences.NoiseComponent]:
 
 _CPMG_SENSE = (
     *_SCAN,
-    Field("sequence", (Field("n_pulses", int, 2, _within(1, 10**4)), Field("tau_s", float, 0.02, _positive)), {}),
-    Field("sense_frequency_hz", float, None, _positive),
+    Field("sequence", (Field("n_pulses", int, 2, _within(1, sequences.MAX_PULSES)), _SEQUENCE_TAU), {}),
+    Field("sense_frequency_hz", float, None, _NOISE_FREQUENCY),
 )
 
 
@@ -458,19 +469,26 @@ def _run_cpmg_sense(p, seed):
 
 _COMPENSATE = (
     *_SCAN,
-    Field("sequence", (Field("tau_s", float, 0.02, _positive),), {}),
+    Field("sequence", (_SEQUENCE_TAU,), {}),
     Field("max_rounds", int, 2, _within(1, 1000)),
     Field("phase_drift_rad", float, 0.0, _non_negative),
 )
 
 
 def _check_compensate(p):
-    """One component per frequency, as the loop senses each frequency once."""
+    """One component per frequency, as the loop senses each frequency once, with a sequence of at
+    most ``sequences.MAX_PULSES`` pulses."""
     freqs = [c.f_hz for c in p.components]
-    return [
-        f"params.components[{idx}].f_hz: {f:g} Hz repeats an earlier component's frequency"
-        for idx, f in enumerate(freqs) if f in freqs[:idx]
-    ]
+    errors = []
+    for idx, f in enumerate(freqs):
+        if f in freqs[:idx]:
+            errors.append(f"params.components[{idx}].f_hz: {f:g} Hz repeats an earlier component's frequency")
+            continue
+        try:
+            sequences.sequence_for_frequency(f, p.sequence.tau_s)
+        except ValueError as exc:
+            errors.append(f"params.components[{idx}].f_hz: {exc}")
+    return errors
 
 
 def _run_compensate(p, seed):
@@ -491,7 +509,7 @@ def _run_compensate(p, seed):
 
 _WAVEFRONT_SEMICLASSICAL = (
     # bounded so that 2 pi f, the peak wait pi / omega and omega^2 stay normal floats
-    Field("omega_z_hz", float, 112e3, _within(_TRAP_FLOOR_HZ, 1e12)),
+    Field("omega_z_hz", float, 112e3, _within(_TRAP_FLOOR_HZ, _TRAP_CEILING_HZ)),
     Field("n_pulses", int, 20, _within(1, 10**4)),
     _MASS,
     _WAVELENGTH,
@@ -535,7 +553,8 @@ _MAX_FOCK_CUTOFF = 10**5
 _WAVEFRONT_QUANTUM = (
     # as the semiclassical omega_z_hz: the period, the waits and the level energies stay normal floats
     Field("omega_rad_s", float, 2.0 * np.pi, _within(1e-3, 1e12)),
-    Field("rabi_over_omega", float, 50.0, _positive),
+    # the Rabi frequency stays finite; a pi-pulse 1e-6 of a period long is as good as instantaneous
+    Field("rabi_over_omega", float, 50.0, _up_to(1e6)),
     Field("eta", float, 0.01, _non_negative),
     Field("n_pulses", int, 10, _within(1, 10**4)),
     Field("nbar", float, None, _non_negative),
@@ -590,7 +609,7 @@ def _run_wavefront_quantum(p, seed):
 
 
 _HEATING_ROW = (
-    Field("omega_z_hz", float, REQUIRED, _positive),
+    Field("omega_z_hz", float, REQUIRED, _TRAP_FREQUENCY),
     Field("n_ions", int, 1, _within(1, 10**5)),
     Field("rate_quanta_per_s", float, REQUIRED, _positive),
     Field("sigma", float, None, _positive),
@@ -601,7 +620,7 @@ _HEATING_SYNTHETIC = (
     Field("alpha", float, 1.9, _up_to(10.0)),
     Field("prefactor", float, 3e12, _positive),
     Field("noise_fraction", float, 0.1, _non_negative),
-    Field("freqs_hz", [float], list(np.geomspace(30e3, 500e3, 8)), _positive),
+    Field("freqs_hz", [float], list(np.geomspace(30e3, 500e3, 8)), _TRAP_FREQUENCY),
     Field("ion_counts", [int], [1, 28, 50], _within(1, 10**5)),
 )
 

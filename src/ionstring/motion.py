@@ -1,15 +1,18 @@
 """Wavefront probing of hot axial motion with CPMG sequences.
 
+Both models run one pulse train, ``wavefront_train``: a pi/2-pulse,
+N_p alternating pi-pulses and a pi/2-pulse, their centres T_wait apart,
+so the pi-pulses sit at n / (N_p + 1) of tau = (N_p + 1) T_wait.
+
 Semiclassical model: an ion oscillating along the trap axis sees a
 phase-modulated drive whenever the beam's wavevector has a component
-k_z along the axis. A train of N_p alternating pi-pulses separated by
-T_wait accumulates the phase
+k_z along the axis. The train accumulates the phase
 
     Phi = k_z a [ sin(w t_i) A_Np(x) + cos(w t_i) B_Np(x) ],  x = w T_wait,
 
-with trigonometric coefficient sums A_Np, B_Np, and excites the qubit
-to (1 - cos Phi)/2. Averaging over a thermal motional distribution at
-temperature T gives
+where A_Np + i B_Np is the train's kick sum (``sequences.kick_sum``)
+at (N_p + 1) x, and excites the qubit to (1 - cos Phi)/2. Averaging
+over a thermal motional distribution at temperature T gives
 
     e = 1/2 (1 - exp(-kB T k_z^2 C^2 / (2 m w^2))),   C^2 = A^2 + B^2,
 
@@ -21,10 +24,11 @@ beam tilt asin(k_z / k) that explains it.
 
 Quantum model: a two-level system coupled to one harmonic mode through
 H = w (a+ a + 1/2) + (Omega/2)(e^(i eta (a + a+)) s+ e^(-i Delta t)
-+ h.c.), evolved exactly through the finite-duration pulse train in a
-truncated Fock basis and averaged over a thermal distribution. This
-reproduces the intermediate peaks at full trap periods that appear
-when Omega is comparable to the trap frequency.
++ h.c.), evolved exactly through the train, its pulses of finite
+duration centred on the train's pulse times, in a truncated Fock basis
+and averaged over a thermal distribution. This reproduces the
+intermediate peaks at full trap periods that appear when Omega is
+comparable to the trap frequency.
 
 The pulse propagators are banded in Fock space, since one pulse moves a
 state by only about pi eta sqrt(n) levels. Only two are built, for the
@@ -62,6 +66,7 @@ from scipy.special import eval_chebyu
 
 from ionstring.constants import HBAR, KB
 from ionstring.errors import FockCutoffError, IonstringError
+from ionstring.sequences import PulseSequence, kick_sum
 
 _CUTOFF_MARGIN = 50
 _THERMAL_TAIL = 1e-4  # thermal weight left out above the highest initial Fock level
@@ -103,26 +108,22 @@ class PhaseCoefficients:
     c2_closed: np.ndarray
 
 
+def wavefront_train(n_pulses: int, t_wait: float) -> PulseSequence:
+    """The train of both models: pi/2-pulses at 0 and (Np+1) t_wait, pi-pulse j at j t_wait."""
+    return PulseSequence(delta=tuple(j / (n_pulses + 1) for j in range(1, n_pulses + 1)), tau=(n_pulses + 1) * t_wait)
+
+
 def phase_coefficients(n_pulses: int, x) -> PhaseCoefficients:
     """Coefficient sums of the accumulated phase at x = omega * T_wait.
 
-    ``c2`` comes from the direct trigonometric sums, ``c2_closed`` from
-    the closed form, evaluated through the Chebyshev identity
+    a + i b is the kick sum of ``wavefront_train`` at (Np+1) x; ``c2_closed``
+    is C^2 in closed form, evaluated through the Chebyshev identity
     sin((Np+1)u)/sin(u) = U_Np(cos u) so that the removable
     singularities at odd multiples of pi take their limit values.
     """
     x = np.asarray(x, dtype=float)
-    n = np.arange(1, n_pulses + 1)
-    sign = (-1.0) ** n
-    a = (
-        1.0
-        + 2.0 * np.einsum("n,n...->...", sign, np.cos(np.multiply.outer(n, x)))
-        + (-1.0) ** (n_pulses + 1) * np.cos((n_pulses + 1) * x)
-    )
-    b = (
-        2.0 * np.einsum("n,n...->...", sign, np.sin(np.multiply.outer(n, x)))
-        + (-1.0) ** (n_pulses + 1) * np.sin((n_pulses + 1) * x)
-    )
+    kicks = kick_sum(wavefront_train(n_pulses, 1.0), (n_pulses + 1) * x)
+    a, b = kicks.real, kicks.imag
     return PhaseCoefficients(a=a, b=b, c2=a**2 + b**2, c2_closed=_c2_closed(n_pulses, x))
 
 
@@ -158,13 +159,9 @@ def thermal_excitation(params: SemiclassicalParams) -> float | np.ndarray:
     An array of waits ``params.t_wait`` gives the array of excitations.
     """
     c2 = _c2_closed(params.n_pulses, params.omega * params.t_wait)
-    exponent = (
-        KB
-        * params.temperature
-        * params.k_z**2
-        * c2
-        / (2.0 * params.mass * params.omega**2)
-    )
+    # an exponent past the float range is inf, where the excitation saturates at 1/2
+    with np.errstate(over="ignore"):
+        exponent = KB * params.temperature * params.k_z**2 * c2 / (2.0 * params.mass * params.omega**2)
     excitation = 0.5 * (1.0 - np.exp(-exponent))
     return float(excitation) if excitation.ndim == 0 else excitation
 
@@ -464,9 +461,11 @@ def quantum_cpmg_scan(
 ) -> QuantumScanResult:
     """Excitation vs pi-pulse spacing for the full quantum model.
 
-    The sequence is pi/2 - [wait, pi] x n_pulses - pi/2 with half-length
-    free gaps at both ends; ``t_wait`` is the start-to-start separation
-    of consecutive pi-pulses, at least the pi-time.
+    The pulses are centred on ``wavefront_train``: consecutive centres,
+    pi/2-pulses included, are ``t_wait`` apart, and ``t_wait`` is at least
+    the pi-time. Each free gap is the wait less half of each neighbouring
+    pulse: t_wait - 3 t_pi / 4 next to a pi/2-pulse, t_wait - t_pi between
+    pi-pulses.
     Pulses rotate about +/-x alternately, the embedding pi/2-pulses
     about -y and +y, all with the finite duration pi/rabi (pi/2-pulses
     half of it). Only the pi/2- and pi-pulse propagators about +x are
@@ -572,9 +571,8 @@ def quantum_cpmg_scan(
     max_norm_error = 0.0
     computed = 0
     for idx, tw in enumerate(t_wait):
-        gap = tw - t_pi
-        half_gap, full_gap = np.exp(-1j * free * 0.5 * gap), np.exp(-1j * free * gap)
-        gaps = [half_gap] + [full_gap] * (n_pulses - 1) + [half_gap]
+        end_gap, inner_gap = np.exp(-1j * free * (tw - 0.75 * t_pi)), np.exp(-1j * free * (tw - t_pi))
+        gaps = [end_gap] + [inner_gap] * (n_pulses - 1) + [end_gap]
         psi, lo, hi = first, first_lo, first_hi
         for k, (free_phases, turn) in enumerate(zip(gaps, turns)):
             psi, lo, hi, pairs = _apply(pi if k < n_pulses else half, psi, lo, hi, free_phases * turn)

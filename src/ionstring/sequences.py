@@ -8,9 +8,9 @@ fractional times ``delta_j`` within total duration ``tau`` is
     F(f) = [1 + (-1)^(Np+1) e^(i w tau)
              + 2 sum_j (-1)^j e^(i w tau delta_j)] / (sqrt(2 pi) i w)
 
-with w = 2 pi f. A single sinusoidal modulation component of angular
-amplitude A (rad/s), frequency f and phase phi then produces the
-excitation
+with w = 2 pi f; the bracket is the sequence's ``kick_sum``. A single
+sinusoidal modulation component of angular amplitude A (rad/s),
+frequency f and phase phi then produces the excitation
 
     P(t0) = 1/2 + C/2 sin( sqrt(2 pi) |F(f)| A
                             sin(2 pi f t0 + phi + arg F(f)) )
@@ -42,6 +42,7 @@ _HARMONICS = (1, 3, 5)
 _GRID_BLOCK_ELEMENTS = 2**19  # sin evaluations per grid block, 4 MiB
 GRID_POINTS = _GRID_AMPLITUDES * sum(2 * m for m in _HARMONICS)
 POLISHES = 4
+MAX_PULSES = 10**4  # pi-pulses a sequence may have
 _POLISH_TOL = 1e-12  # ftol, xtol and gtol: polish to the minimum, not near it
 
 logger = logging.getLogger(__name__)
@@ -83,8 +84,20 @@ def ramsey(tau: float) -> PulseSequence:
     return PulseSequence(delta=(), tau=tau)
 
 
+def _kicks(seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Fractional times and weights of the kicks: 1, (-1)^(Np+1) at 0, 1 and 2 (-1)^j at delta_j."""
+    weights = np.concatenate(([1.0, (-1.0) ** (seq.n_pulses + 1)], 2.0 * (-1.0) ** np.arange(1, seq.n_pulses + 1)))
+    return np.concatenate(([0.0, 1.0], seq.delta)), weights
+
+
+def kick_sum(seq: PulseSequence, x):
+    """sum_p c_p e^(i x delta_p) over ``_kicks`` at x = w tau, scalar or array."""
+    positions, weights = _kicks(seq)
+    return np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), positions)) @ weights
+
+
 def filter_function(seq: PulseSequence, f_hz):
-    """Complex filter function at frequency f (Hz, scalar or array).
+    """Complex filter function at frequency f (Hz, scalar or array), ``kick_sum`` / (sqrt(2 pi) i w).
 
     Pi-pulses are treated as instantaneous. The f -> 0 limit is finite
     and evaluated by series expansion below |w tau| = 1e-6.
@@ -93,29 +106,20 @@ def filter_function(seq: PulseSequence, f_hz):
     scalar = f.ndim == 0
     f = np.atleast_1d(f)
 
-    n_p = seq.n_pulses
-    j = np.arange(1, n_p + 1)
-    positions = np.concatenate(([0.0, 1.0], np.asarray(seq.delta)))
-    coeffs = np.concatenate(([1.0, (-1.0) ** (n_p + 1)], 2.0 * (-1.0) ** j))
-
     omega = 2.0 * np.pi * f
     x = omega * seq.tau
     out = np.empty(f.shape, dtype=complex)
 
     big = np.abs(x) >= _SMALL_PHASE
     if np.any(big):
-        phases = np.exp(1j * np.outer(x[big], positions))
-        bracket = phases @ coeffs
-        out[big] = bracket / (np.sqrt(2.0 * np.pi) * 1j * omega[big])
+        out[big] = kick_sum(seq, x[big]) / (np.sqrt(2.0 * np.pi) * 1j * omega[big])
     if np.any(~big):
         # sum_p c_p pos_p^0 vanishes identically, so the series starts
-        # at the linear moment
-        moments = np.array([coeffs @ positions**k for k in range(1, 7)])
-        xs = x[~big]
-        series = np.zeros(xs.shape, dtype=complex)
-        for k, m in enumerate(moments, start=1):
-            series += (1j * xs) ** (k - 1) * m / math.factorial(k)
-        out[~big] = seq.tau / np.sqrt(2.0 * np.pi) * series
+        # at the linear moment: sum_k (i x)^(k-1) m_k / k!
+        positions, weights = _kicks(seq)
+        k = np.arange(1, 7)
+        moments = weights @ positions[:, None] ** k / [math.factorial(n) for n in k]
+        out[~big] = seq.tau / np.sqrt(2.0 * np.pi) * ((1j * x[~big, None]) ** (k - 1) @ moments)
 
     return out[0] if scalar else out
 
@@ -329,10 +333,12 @@ def sequence_for_frequency(frequency_hz: float, tau: float = 0.02) -> PulseSeque
 
     The peak of an n-pulse sequence lies near n / (2 tau), so
     n = round(2 tau f); with tau = 20 ms this maps 50/150/250 Hz to
-    2/6/10 pulses.
+    2/6/10 pulses. More than ``MAX_PULSES`` raise ``ValueError``.
     """
-    n_pulses = max(1, round(2.0 * tau * frequency_hz))
-    return cpmg(n_pulses, tau)
+    pulses = 2.0 * tau * frequency_hz
+    if not pulses < MAX_PULSES + 0.5:
+        raise ValueError(f"{frequency_hz:g} Hz needs {pulses:.4g} pulses in {tau:g} s, above the {MAX_PULSES} allowed")
+    return cpmg(max(1, round(pulses)), tau)
 
 
 @dataclass(frozen=True)
@@ -404,7 +410,8 @@ def compensate(
     the achievable residual. After ``max_rounds`` the loop reports the
     best residuals reached; it never raises for lack of convergence.
     Two components at one frequency raise ``ValueError``: the loop
-    senses and corrects each frequency once, as one phasor.
+    senses and corrects each frequency once, as one phasor. So does a
+    component whose sequence needs more than ``MAX_PULSES`` pulses.
     """
     components = sorted(components, key=lambda c: c.frequency_hz)
     repeated = [a.frequency_hz for a, b in zip(components, components[1:]) if a.frequency_hz == b.frequency_hz]

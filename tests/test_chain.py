@@ -50,9 +50,10 @@ def test_span_scales_with_axial_confinement(default_positions):
     assert abs(span_112 / predicted - 1.0) < 0.01
 
 
-def test_solver_reports_nonconvergence():
+def test_solver_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(chain, "_MAX_ITER", 2)
     with pytest.raises(ConvergenceError):
-        chain.equilibrium_positions(small_trap(30), max_iter=2)
+        chain.equilibrium_positions(small_trap(30))
 
 
 def test_axial_com_mode_any_n():

@@ -673,9 +673,9 @@ def test_cli_and_scan_hold_the_same_scan_limits(tmp_path, capsys, limits, field,
         ("couplings", {"ion_mass_amu": 1e-308}, 2, "config error: params.ion_mass_amu: must lie in"),
         # the displacement generator's 1-norm is inf
         ("wavefront-quantum", {"eta": 1e308}, 3, "numerical failure: generator 1-norm inf is not finite"),
-        # radial or axial frequencies of 1e308 Hz leave J non-finite
+        # a trap frequency of 1e308 Hz overflows 2 pi f, which left J non-finite
         *(
-            (kind, {"n_ions": 4, field: 1e308}, 3, "numerical failure: the spectral bounds")
+            (kind, {"n_ions": 4, field: 1e308}, 2, f"config error: params.{field}: must be <= 1e+12")
             for kind in ("quench", "negativity")
             for field in ("omega_x_hz", "omega_y_hz", "omega_z_hz")
         ),
@@ -708,6 +708,44 @@ def test_cli_and_scan_hold_the_same_scan_limits(tmp_path, capsys, limits, field,
             "config error: params.synthetic.alpha: must lie in (0, 10]",
         ),
         ("ramsey-correlations", {"dt_s": 1e308}, 2, "config error: params.dt_s: must lie in (0, 1e+06]"),
+        # the same overflow wrote NaN tables in chain and couplings, and a wavelength of 1e-308 m a NaN J
+        *(
+            (kind, {"n_ions": 4, field: 1e308}, 2, f"config error: params.{field}: must be <= 1e+12")
+            for kind in ("chain", "couplings")
+            for field in ("omega_x_hz", "omega_y_hz", "omega_z_hz")
+        ),
+        ("couplings", {"wavelength_m": 1e-308}, 2, "config error: params.wavelength_m: must lie in [1e-10, 1]"),
+        # the Rabi frequency overflows, which the pulse propagators were blamed for
+        (
+            "wavefront-quantum", {"rabi_over_omega": 1e308}, 2,
+            "config error: params.rabi_over_omega: must lie in (0, 1e+06]",
+        ),
+        # the sequence phase 2 pi f tau, the scan's span 1/f or the modulation amplitude overflow
+        *(
+            (kind, {"components": [{**_COMPONENT, "f_hz": value}]}, 2,
+             "config error: params.components[0].f_hz: must lie in [0.001, 1e+06]")
+            for kind in ("cpmg-sense", "compensate")
+            for value in (1e-308, 1e308)
+        ),
+        *(
+            (kind, {"components": [{**_COMPONENT, "b_microgauss": 1e308}]}, 2,
+             "config error: params.components[0].b_microgauss: must lie in [0, 1e+09]")
+            for kind in ("cpmg-sense", "compensate")
+        ),
+        *(
+            (kind, {"sequence": {**SMALL[kind]["sequence"], "tau_s": 1e308}}, 2,
+             "config error: params.sequence.tau_s: must lie in (0, 1000]")
+            for kind in ("cpmg-sense", "compensate")
+        ),
+        *(
+            ("cpmg-sense", {"sense_frequency_hz": value}, 2, "config error: params.sense_frequency_hz: must lie in")
+            for value in (1e-308, 1e308)
+        ),
+        # compensate's sequence for a component has round(2 tau f) pulses, at most as many as cpmg-sense's
+        (
+            "compensate", {"components": [{**_COMPONENT, "f_hz": 1e6}]}, 2,
+            "config error: params.components[0].f_hz: 1e+06 Hz needs 4e+04 pulses in 0.02 s, above the 10000 allowed",
+        ),
     ],
 )
 def test_extreme_finite_inputs_name_the_field_or_the_reason(tmp_path, capsys, kind, params, code, message):
@@ -721,22 +759,49 @@ def test_extreme_finite_inputs_name_the_field_or_the_reason(tmp_path, capsys, ki
     assert not (tmp_path / "x.csv").exists()
 
 
-# every float field at the top of the kinds' tables; the cpmg-sense and compensate ones still end in tracebacks
-_WAVEFRONT_EXTREMES = [
-    (kind, field.name, value)
-    for kind in (
-        "wavefront-semiclassical", "wavefront-quantum", "chain", "couplings", "quench", "negativity", "survival",
-        "ramsey-correlations",
-    )
-    for field in cli._KINDS[kind].fields
-    if isinstance(field, cli.Field) and field.kind is float
-    for value in (1e308, 1e-308)
-]
+def _field_paths(table, block, prefix=()):
+    """Key path and field of every field of ``table``, into ``block``'s nested objects."""
+    for field in (entry for entry in table if isinstance(entry, cli.Field)):
+        path = prefix + (field.name,)
+        yield path, field
+        inner = block.get(field.name)
+        if isinstance(field.kind, tuple) and isinstance(inner, dict):
+            yield from _field_paths(field.kind, inner, path)
+        elif isinstance(field.kind, list) and isinstance(field.kind[0], tuple) and inner:
+            yield from _field_paths(field.kind[0], inner[0], path + (0,))
+
+
+# every float field of every kind, nested ones and the first element of a list of floats
+# included, in the small configs and in a heating-fit from data rows
+_HEATING_ROWS = {"data": [{"omega_z_hz": f, "rate_quanta_per_s": 1e6 / f, "sigma": 1.0} for f in (1e5, 2e5, 3e5)]}
+_EXTREME_FIELDS = {
+    (kind, ".".join(map(str, path))): (params, path, field.kind)
+    for kind, params in [*SMALL.items(), ("heating-fit", _HEATING_ROWS)]
+    for path, field in _field_paths(cli._KINDS[kind].fields, params)
+    if field.kind in (float, [float])
+}
+_WAVEFRONT_EXTREMES = [(kind, name, value) for kind, name in _EXTREME_FIELDS for value in (1e308, 1e-308)]
+
+
+def _one_of_partners(table, path):
+    """The other fields of the one-of rules of the field at ``path`` into ``table``."""
+    *parents, name = path
+    for key in (key for key in parents if isinstance(key, str)):
+        kind = next(field.kind for field in table if isinstance(field, cli.Field) and field.name == key)
+        table = kind[0] if isinstance(kind, list) else kind
+    rules = [entry.names for entry in table if isinstance(entry, cli.OneOf) and name in entry.names]
+    return {other for names in rules for other in names if other != name}
 
 
 @pytest.mark.parametrize("kind, name, value", _WAVEFRONT_EXTREMES)
 def test_wavefront_floats_at_the_extremes_exit_0_2_or_3(tmp_path, kind, name, value):
-    params = {**SMALL[kind], name: value}
+    base, path, field_kind = _EXTREME_FIELDS[kind, name]
+    params = copy.deepcopy(base)
+    *parents, key = path
+    block = reduce(getitem, parents, params)
+    block[key] = [value, *block[key][1:]] if field_kind == [float] else value
+    for partner in _one_of_partners(cli._KINDS[kind].fields, path):
+        block.pop(partner, None)
     config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": params})
     assert cli.main(["run", config]) in (0, 2, 3)
 
@@ -1042,18 +1107,6 @@ def test_summary_records_the_resolved_params(tmp_path):
 
 
 _POOL = [None, True, "x", [], {}, -1, 0, 1.5, math.nan, math.inf, -math.inf, "unknown key"]
-
-
-def _field_paths(table, block, prefix=()):
-    """Key path and field of every field of ``table``, into ``block``'s nested objects."""
-    for field in (entry for entry in table if isinstance(entry, cli.Field)):
-        path = prefix + (field.name,)
-        yield path, field
-        inner = block.get(field.name)
-        if isinstance(field.kind, tuple) and isinstance(inner, dict):
-            yield from _field_paths(field.kind, inner, path)
-        elif isinstance(field.kind, list) and isinstance(field.kind[0], tuple) and inner:
-            yield from _field_paths(field.kind[0], inner[0], path + (0,))
 
 
 @pytest.mark.parametrize("kind", sorted(SMALL))

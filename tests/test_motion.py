@@ -1,10 +1,11 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
 from ionstring import motion
-from ionstring.constants import KB, mass_from_amu, omega_from_hz, wavevector
+from ionstring.constants import HBAR, KB, mass_from_amu, omega_from_hz, wavevector
 from ionstring.errors import FockCutoffError
 
 MASS = mass_from_amu(40.0)
@@ -38,6 +39,20 @@ def test_coefficient_sums_match_closed_form(n_pulses):
     x = np.linspace(0.0, 4.0 * np.pi, 1000)  # includes both singular points
     coeff = motion.phase_coefficients(n_pulses, x)
     assert np.max(np.abs(coeff.c2 - coeff.c2_closed)) < 1e-9
+
+
+@pytest.mark.parametrize("n_pulses", [1, 2, 7, 25])
+def test_phase_coefficients_are_the_explicit_kick_sums(n_pulses):
+    # the pi/2 kicks at 0 and (Np+1) x, the pi kicks 2 (-1)^n at n x: the sums written out
+    x = np.linspace(-30.0, 30.0, 4001)
+    n = np.arange(1, n_pulses + 1)
+    last = (-1.0) ** (n_pulses + 1) * np.exp(1j * (n_pulses + 1) * x)
+    explicit = 1.0 + 2.0 * np.exp(1j * np.outer(x, n)) @ (-1.0) ** n + last
+    coeff = motion.phase_coefficients(n_pulses, x)
+    assert np.max(np.abs(coeff.a + 1j * coeff.b - explicit)) < 1e-11
+    train = motion.wavefront_train(n_pulses, 0.3)
+    assert train.tau == (n_pulses + 1) * 0.3
+    np.testing.assert_allclose(np.array(train.delta) * train.tau, 0.3 * n, rtol=1e-15)
 
 
 @pytest.mark.parametrize("n_pulses", [1, 3, 8, 20])
@@ -108,6 +123,13 @@ def test_excitation_monotonic_in_temperature_kz_and_pulses():
     assert np.all(np.diff(values) > 0)
 
 
+def test_thermal_excitation_saturates_at_half_past_the_float_range():
+    # the exponent overflows to inf, where the excitation is 1/2; no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert motion.thermal_excitation(params(PEAK_WAIT, temperature=1e308)) == 0.5
+
+
 def test_tilt_inference_roundtrip():
     for tilt in (0.5e-3, 1.4e-3, 4.8e-3):
         e_max = motion.thermal_excitation(params(PEAK_WAIT, k_z=K729 * np.sin(tilt)))
@@ -171,6 +193,24 @@ def test_quantum_scan_matches_semiclassical_peak():
     assert abs(result.excitation.max() - target) / target < 0.1
     assert result.truncated_weight < 0.02
     assert result.max_norm_error < 1e-8
+
+
+@pytest.mark.parametrize("n_pulses", [1, 2, 3, 5])
+def test_quantum_and_semiclassical_models_run_one_train_at_few_pulses(n_pulses):
+    # at a short fast pulse the models agree only if both run the same train: with the
+    # pi/2-pulses half a wait from their neighbours the quantum excitation would follow 4 Np^2, not 4 (Np + 1)^2
+    nbar, eta, omega = 5.0, 0.05, 2.0 * np.pi
+    p = motion.SpinMotionParams(eta=eta, rabi=200.0 * omega, omega=omega, nbar=nbar, fock_cutoff=95)
+    quantum = motion.quantum_cpmg_scan(p, n_pulses, [0.5]).excitation[0]
+    # eta = k_z sqrt(hbar / (2 m w)) and k_B T = (nbar + 1/2) hbar w make the two exponents equal
+    k_z = eta / np.sqrt(HBAR / (2.0 * MASS * omega))
+    temperature = motion.temperature_from_nbar(nbar, omega)
+    semiclassical = motion.thermal_excitation(
+        motion.SemiclassicalParams(
+            omega=omega, t_wait=0.5, n_pulses=n_pulses, k_z=k_z, temperature=temperature, mass=MASS
+        )
+    )
+    assert abs(quantum - semiclassical) < 0.02 * semiclassical
 
 
 def test_quantum_scan_intermediate_peak_at_full_period():
@@ -298,14 +338,15 @@ def dense_scan_oracle(params, n_pulses, t_wait_values, initial_fock=None, therma
     psi0[dim + init_levels, np.arange(init_levels.size)] = 1.0
     excitation = np.empty(t_wait.shape)
     for idx, tw in enumerate(t_wait):
-        half_gap = np.exp(-1j * wait_diag * 0.5 * (tw - t_pi))[:, None]
+        # pulse centres one wait apart: the gaps lose half of each neighbouring pulse
+        end_gap = np.exp(-1j * wait_diag * (tw - 0.75 * t_pi))[:, None]
         full_gap = np.exp(-1j * wait_diag * (tw - t_pi))[:, None]
-        psi = half_gap * pulse(u_half, 1.5 * np.pi, psi0)
+        psi = end_gap * pulse(u_half, 1.5 * np.pi, psi0)
         for k in range(n_pulses):
             psi = pulse(u_pi, 0.0 if k % 2 == 0 else np.pi, psi)
             if k < n_pulses - 1:
                 psi = full_gap * psi
-        psi = pulse(u_half, 0.5 * np.pi, half_gap * psi)
+        psi = pulse(u_half, 0.5 * np.pi, end_gap * psi)
         excitation[idx] = float(weights @ np.sum(np.abs(psi[:dim, :]) ** 2, axis=0))
     return excitation
 

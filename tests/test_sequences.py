@@ -47,6 +47,25 @@ def test_filter_zero_frequency_limit_is_continuous():
     assert abs(sq.filter_function(seq, 0.0)) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "seq", [sq.ramsey(TAU), sq.cpmg(3, TAU), sq.PulseSequence(delta=(0.2, 0.3, 0.9), tau=TAU)],
+    ids=["ramsey", "cpmg_3", "uneven"],
+)
+def test_filter_is_the_kick_sum_and_its_small_phase_series(seq):
+    # above |w tau| = 1e-6 the filter is the kick sum over sqrt(2 pi) i w, bit for bit
+    f = np.geomspace(1e-5, 1e3, 50) / TAU
+    omega = 2.0 * np.pi * f
+    kicks = sq.kick_sum(seq, omega * TAU)
+    assert np.array_equal(sq.filter_function(seq, f), kicks / (np.sqrt(2.0 * np.pi) * 1j * omega))
+    # below, its series against sum_p c_p p (e^(i x p) - 1) / (i x p), each kick expanded to third order
+    x = np.array([0.0, 3e-7, 9.9e-7])
+    positions = np.array([0.0, 1.0, *seq.delta])
+    weights = np.array([1.0, (-1.0) ** (seq.n_pulses + 1), *(2.0 * (-1.0) ** np.arange(1, seq.n_pulses + 1))])
+    z = 1j * np.outer(x, positions)
+    oracle = TAU / np.sqrt(2.0 * np.pi) * ((1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0) @ (weights * positions))
+    np.testing.assert_allclose(sq.filter_function(seq, x / (2.0 * np.pi * TAU)), oracle, rtol=1e-12, atol=1e-15 * TAU)
+
+
 @pytest.mark.parametrize("n_pulses", [2, 6, 10])
 def test_even_pulse_suppression_comb(n_pulses):
     seq = sq.cpmg(n_pulses, TAU)
