@@ -454,7 +454,9 @@ def evolve_grid(state: np.ndarray, spec: HamiltonianSpec, times) -> GridEvolutio
         half_width = (bounds[1] - bounds[0]) / 2.0
         if not np.isfinite(half_width):
             raise IonstringError(f"the spectral bounds {bounds} of H are not finite: a coupling or the field is not")
-        z = half_width * grid[-1]
+        # a z past the float range is inf, which the budget below refuses
+        with np.errstate(over="ignore"):
+            z = half_width * grid[-1]
         # no fewer than the rows _bessel_table builds, and no Bessel value needed
         orders = 0.0 if on_diagonal.all() else z + 15.0 * np.cbrt(z) + 22.0
     entries = max(orders * np.count_nonzero(moving), times.size * state.size)

@@ -50,9 +50,16 @@ phase. Each pulse acts on the stack of states as dense row-block slabs.
 Every state keeps a row window that holds all of its entries at or
 above 1e-20, a few slabs around its initial Fock level, and a slab
 multiplies only the states whose windows meet its column span, so a
-pulse costs O(window x band) per state instead of O(cutoff x band). The products
-left out hold only entries below 1e-20; their norm, at most
-1e-20 sqrt(2 (cutoff + 1)) per state and pulse, is added to the bound.
+pulse costs O(window x band) per state instead of O(L x band). The
+products left out hold only entries below 1e-20; their norm, at most
+1e-20 sqrt(2 L) per state and pulse, is added to the bound.
+
+The basis itself is sized by the levels the states reach: H and the
+propagators are built on the levels [0, L), L at most the cutoff + 1,
+and L grows until the top band width and slab of the basis hold no
+entry at or above 1e-20 (see ``quantum_cpmg_scan``). A basis below the
+cutoff thus changes only roundoff; the cutoff stays the ceiling of L,
+the cap of the thermal truncation and the basis of the adequacy rule.
 """
 
 from __future__ import annotations
@@ -74,6 +81,8 @@ _LEAK_TOL = 1e-6  # population allowed in the top two Fock levels
 # Propagator entries below this magnitude are dropped; their norm is reported.
 _DROP_FLOOR = 1e-20
 _SLAB_ROWS = 32
+_SLAB_LEVELS = _SLAB_ROWS // 2  # each level holds two rows, one per spin
+_REACH = 64  # levels above the top initial level in the first basis of a scan
 
 logger = logging.getLogger(__name__)
 
@@ -270,9 +279,10 @@ class QuantumScanResult:
     pulse propagator, ``squarings`` the squarings behind the pi-pulse
     propagator (set by the 1-norm of H with its diagonal centred), and ``band_dropped_norm`` a bound on the norm of the
     error that the dropped propagator entries and the products left out
-    of the row windows cause in any final state. ``column_fill`` is the
-    share of (slab, state) products the windows left to compute: 1 when
-    every slab meets every state.
+    of the row windows cause in any final state. ``levels`` is the number
+    L of Fock levels the scan ran on, at most ``fock_cutoff`` + 1, and
+    ``column_fill`` the share of (slab, state) products of that basis the
+    windows left to compute: 1 when every slab meets every state.
     """
 
     t_wait: np.ndarray
@@ -283,6 +293,7 @@ class QuantumScanResult:
     band_width: int
     squarings: int
     band_dropped_norm: float
+    levels: int
     column_fill: float
 
     def record(self) -> dict:
@@ -294,6 +305,7 @@ class QuantumScanResult:
             "band_width": self.band_width,
             "squarings": self.squarings,
             "band_dropped_norm": self.band_dropped_norm,
+            "levels": self.levels,
             "column_fill": self.column_fill,
         }
 
@@ -350,8 +362,9 @@ def _banded_expm(b: sparse.spmatrix, unit: complex) -> tuple[sparse.csr_matrix, 
     return result, squarings, bound
 
 
-def _pulse_hamiltonian(params: SpinMotionParams):
-    """The real pulse Hamiltonian in the (n, +/-) basis, levels interleaved.
+def _pulse_hamiltonian(params: SpinMotionParams, dim: int):
+    """The real pulse Hamiltonian on the Fock levels [0, ``dim``), in the
+    (n, +/-) basis, levels interleaved.
 
     In the gauge G = diag(i^n) x 1 the displacement exp(i eta (a + a+))
     becomes the rotation D = exp(eta (a+ - a)), and H turns real
@@ -367,9 +380,11 @@ def _pulse_hamiltonian(params: SpinMotionParams):
     (n, spin) basis, spin up first, and the error bound of D, which is
     exponentiated from the truncated ladder operator.
     """
-    dim = params.fock_cutoff + 1
     ladder = sparse.diags(np.sqrt(np.arange(1.0, dim)), 1)
-    displacement, _, d_bound = _banded_expm(params.eta * (ladder.T - ladder), 1)
+    # an eta past the float range gives an inf generator, which _banded_expm refuses by name
+    with np.errstate(over="ignore"):
+        generator = params.eta * (ladder.T - ladder)
+    displacement, _, d_bound = _banded_expm(generator, 1)
     dp = displacement @ sparse.diags((-1.0) ** np.arange(dim))
     # csr keeps kron from storing the zeros of each 2 x 2 block
     sectors = sparse.kron(0.25 * params.rabi * (dp + dp.T), sparse.diags([1.0, -1.0]), format="csr")
@@ -412,27 +427,39 @@ def _slabs(u: sparse.csr_matrix) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.array(spans), blocks
 
 
-def _apply(slabs, psi: np.ndarray, lo: np.ndarray, hi: np.ndarray, phases: np.ndarray):
+def _stack(rows: int, columns: int) -> tuple[np.ndarray, list]:
+    """A zero output stack for ``_apply``, and the (slab, first, stop)
+    column ranges it last wrote: none yet."""
+    return np.zeros((rows, columns), dtype=complex), []
+
+
+def _apply(slabs, psi: np.ndarray, lo: np.ndarray, hi: np.ndarray, phases: np.ndarray, out=None):
     """The slabs applied to diag(phases) psi inside the row windows
     [lo[j], hi[j]) of its columns (see ``quantum_cpmg_scan``).
 
-    Returns the product, its windows (from the first to the last slab
-    whose block holds an entry at or above the floor; all rows if none
-    does) and the number of (slab, column) products computed.
+    The product is written into ``out``, a ``_stack`` that may hold an
+    earlier product: only the column ranges it wrote are zeroed. By
+    default the stack is new. Returns the product, its windows (from the
+    first to the last slab whose block holds an entry at or above the
+    floor; all rows if none does) and the number of (slab, column)
+    products computed.
     """
     spans, blocks = slabs
     lo = np.minimum.accumulate(lo[::-1])[::-1]
     hi = np.maximum.accumulate(hi)
     firsts = np.searchsorted(hi, spans[:, 0], side="right")
     stops = np.searchsorted(lo, spans[:, 1])
-    out = np.zeros_like(psi)
+    out, written = _stack(*psi.shape) if out is None else out
+    for s, first, stop in written:
+        out[s * _SLAB_ROWS : (s + 1) * _SLAB_ROWS, first:stop] = 0.0
+    written.clear()
     kept = np.zeros((len(blocks), psi.shape[1]), dtype=bool)
-    for s, block in enumerate(blocks):
-        (c0, c1), first, stop = spans[s], firsts[s], stops[s]
+    for s, ((c0, c1), first, stop) in enumerate(zip(spans.tolist(), firsts.tolist(), stops.tolist())):
         if first < stop:
             part = out[s * _SLAB_ROWS : (s + 1) * _SLAB_ROWS, first:stop]
-            np.matmul(block, phases[c0:c1, None] * psi[c0:c1, first:stop], out=part)
+            np.matmul(blocks[s], phases[c0:c1, None] * psi[c0:c1, first:stop], out=part)
             kept[s, first:stop] = np.abs(part).max(axis=0) >= _DROP_FLOOR
+            written.append((s, first, stop))
     new_lo = _SLAB_ROWS * np.argmax(kept, axis=0)
     new_hi = np.minimum(_SLAB_ROWS * (len(blocks) - np.argmax(kept[::-1], axis=0)), psi.shape[0])
     return out, new_lo, new_hi, int(np.maximum(stops - firsts, 0).sum())
@@ -453,7 +480,13 @@ def _check_range(name: str, error: float) -> None:
 
 def _band_width(u: sparse.csr_matrix) -> int:
     rows, cols = u.nonzero()
-    return int(np.max(np.abs(rows // 2 - cols // 2)))
+    return int(np.max(np.abs(rows // 2 - cols // 2), initial=0))
+
+
+def _headroom(levels: int, band_width: int, cutoff: int) -> int:
+    """The rows a state's window may reach on the Fock levels [0, ``levels``): all
+    of them at the cutoff, and below it all but the top band width and slab."""
+    return 2 * (levels - band_width - _SLAB_LEVELS) if levels <= cutoff else 2 * levels
 
 
 def quantum_cpmg_scan(
@@ -480,6 +513,17 @@ def quantum_cpmg_scan(
     dropped. Passing ``initial_fock`` evolves that single Fock state
     instead.
 
+    The scan runs on the Fock levels [0, L) that its states reach, not on
+    all ``fock_cutoff`` + 1. L starts 64 levels above the top initial
+    level, in whole slabs of 16 levels, and is capped at ``fock_cutoff`` + 1.
+    Below the cap, a state's window must stay one band width and one slab
+    below the top of the basis: the top initial level is checked once the
+    propagators are built, before any pulse, and every window after every
+    pulse. Where either check fails, L doubles (up to the cap) and the
+    scan starts again on the larger basis. So the top slab of a basis
+    below the cap holds only entries below the drop floor, and a smaller
+    basis changes only roundoff. ``levels`` reports the final L.
+
     The states are evolved as the columns of one stack, each inside a
     row window that holds all its entries at or above the drop floor
     1e-20. Sorted by initial Fock level, the windows (made
@@ -490,29 +534,29 @@ def quantum_cpmg_scan(
     once on the unit columns |down, n> for every wait, and skips only
     exact zeros. Every other skipped product involves only sub-floor
     entries, so each of the n_pulses + 1 windowed pulses per wait adds
-    at most 1e-20 sqrt(2 (cutoff + 1)) per state to
-    ``band_dropped_norm``. ``column_fill`` counts those pulses only.
+    at most 1e-20 sqrt(2 L) per state to ``band_dropped_norm``.
+    ``column_fill`` counts those pulses only, over the slabs of the
+    L-level basis.
 
     Raises
     ------
     ValueError
         If the inputs violate ``scan_limits``, before any propagator is built.
     FockCutoffError
-        If population at the truncation boundary exceeds 1e-6.
+        If population at the truncation boundary exceeds 1e-6; only a
+        basis of all ``fock_cutoff`` + 1 levels can hold that much there.
     IonstringError
         If ``band_dropped_norm`` (checked before the first wait) or the
         norm error of the states at any wait exceeds 1e-6: the detuning
         or eta is past what the propagators resolve.
     """
     t_wait = np.atleast_1d(np.asarray(t_wait_values, dtype=float))
-    t_pi = params.pi_time
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     limits = scan_limits(params, t_wait.min(), initial_fock)
     if limits:
         raise ValueError("; ".join(f"{argument}: {message}" for argument, message in limits))
 
-    dim = params.fock_cutoff + 1
     if initial_fock is not None:
         init_levels = np.array([initial_fock])
         weights = np.ones(1)
@@ -528,25 +572,45 @@ def quantum_cpmg_scan(
         weights = weights / weights.sum()
         init_levels = np.arange(n_top + 1)
 
-    h, free, d_bound = _pulse_hamiltonian(params)
+    dim = params.fock_cutoff + 1
+    levels = min(dim, _SLAB_LEVELS * -(-(int(init_levels[-1]) + 1 + _REACH) // _SLAB_LEVELS))
+    while (result := _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, levels)) is None:
+        levels = min(dim, 2 * levels)
+    logger.debug("quantum_cpmg_scan: %s", result.record())
+    return result
+
+
+def _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, levels) -> QuantumScanResult | None:
+    """The scan of ``quantum_cpmg_scan`` on the Fock levels [0, ``levels``),
+    or None once a state comes within one band width and one slab of the
+    top of a basis below the cutoff."""
+    t_pi = params.pi_time
+    h, free, d_bound = _pulse_hamiltonian(params, levels)
     # an error E in D perturbs H by rabi/sqrt(2) |E| and U(t) by t times
     # that; a D out of range may hold NaN, so it is checked before H is
     # exponentiated
     d_error = 0.5 * t_pi * params.rabi / np.sqrt(2.0) * d_bound
     _check_range("band_dropped_norm", 2.0 * d_error)
+    # U's first-order term is -i t H, so a basis too small for H's band is left before U is built
+    top = 2 * int(init_levels[-1]) + 2
+    if top > _headroom(levels, _band_width(h), params.fock_cutoff):
+        return None
     u_half, squarings, half_bound = _banded_expm(0.5 * t_pi * h, -1j)
     del h
     half_bound += d_error
     u_pi, pi_bound = _square(u_half, half_bound)
     (u_half, half_dropped), (u_pi, pi_dropped) = _to_spin(u_half), _to_spin(u_pi)
     # what a windowed pulse leaves out acts on sub-floor entries only, in
-    # at most 2 dim rows of each state
-    window_bound = (n_pulses + 1) * _DROP_FLOOR * np.sqrt(2.0 * dim)
+    # at most the 2 * levels rows of each state
+    window_bound = (n_pulses + 1) * _DROP_FLOOR * np.sqrt(2.0 * levels)
     band_dropped_norm = float(
         2.0 * (half_bound + half_dropped) + n_pulses * (pi_bound + pi_dropped) + window_bound
     )
     _check_range("band_dropped_norm", band_dropped_norm)
     band_width = max(_band_width(u_half), _band_width(u_pi))
+    reach = _headroom(levels, band_width, params.fock_cutoff)
+    if top > reach:
+        return None
     half, pi = _slabs(u_half), _slabs(u_pi)
     # The pulse about the axis at phase p is W u W^dag (see _axis_phases),
     # so conj(W_k) W_(k-1) joins the free evolution before pulse k. The
@@ -556,15 +620,19 @@ def quantum_cpmg_scan(
     # which is diagonal and so commutes with every phase: the scan runs in
     # the gauge and never applies G.
     axes = np.pi * np.array([1.5, *(np.arange(n_pulses) % 2), 0.5])  # -y, +x/-x ..., +y
-    turns = [_axis_phases(2 * dim, before - after) for before, after in zip(axes[:-1], axes[1:])]
+    turns = [_axis_phases(2 * levels, before - after) for before, after in zip(axes[:-1], axes[1:])]
     # the pi/2 pulse about -y applied to the initial states |down, n>, once
     # for every wait; the unit columns are freed right away, as kept they
     # would raise the peak memory of the scan
     down = 2 * init_levels + 1
-    units = np.zeros((2 * dim, down.size), dtype=complex)
+    units = np.zeros((2 * levels, down.size), dtype=complex)
     units[down, np.arange(down.size)] = 1.0
-    first, first_lo, first_hi, _ = _apply(half, units, down, down + 1, np.ones(2 * dim))
+    first, first_lo, first_hi, _ = _apply(half, units, down, down + 1, np.ones(2 * levels))
     del units
+    if first_hi.max() > reach:
+        return None
+    # the pulses of a wait write into these two stacks in turn
+    stacks = [_stack(2 * levels, down.size) for _ in range(2)]
 
     excitation = np.empty(t_wait.shape)
     max_leak = 0.0
@@ -575,7 +643,10 @@ def quantum_cpmg_scan(
         gaps = [end_gap] + [inner_gap] * (n_pulses - 1) + [end_gap]
         psi, lo, hi = first, first_lo, first_hi
         for k, (free_phases, turn) in enumerate(zip(gaps, turns)):
-            psi, lo, hi, pairs = _apply(pi if k < n_pulses else half, psi, lo, hi, free_phases * turn)
+            slabs = pi if k < n_pulses else half
+            psi, lo, hi, pairs = _apply(slabs, psi, lo, hi, free_phases * turn, stacks[k % 2])
+            if hi.max() > reach:
+                return None
             computed += pairs
 
         norm_error = float(np.max(np.abs(_populations(psi) - 1.0)))
@@ -592,7 +663,7 @@ def quantum_cpmg_scan(
         excitation[idx] = float(weights @ _populations(psi[0::2]))
 
     column_fill = computed / (t_wait.size * (n_pulses + 1) * len(half[1]) * init_levels.size)
-    result = QuantumScanResult(
+    return QuantumScanResult(
         t_wait=t_wait,
         excitation=excitation,
         truncated_weight=truncated,
@@ -601,7 +672,6 @@ def quantum_cpmg_scan(
         band_width=band_width,
         squarings=squarings + 1,
         band_dropped_norm=band_dropped_norm,
+        levels=levels,
         column_fill=column_fill,
     )
-    logger.debug("quantum_cpmg_scan: %s", result.record())
-    return result

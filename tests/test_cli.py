@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import time
+import warnings
 from functools import reduce
 from operator import getitem
 from types import SimpleNamespace
@@ -533,7 +534,7 @@ def test_wavefront_quantum_summary_reports_the_solver(tmp_path):
     solver = json.loads((tmp_path / "wq.csv.summary.json").read_text())["result"]["solver"]
     assert set(solver) == {
         "max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm",
-        "column_fill",
+        "levels", "column_fill",
     }
     assert 0.0 <= solver["max_leak"] < 1e-6
     assert 0.0 <= solver["max_norm_error"] < 1e-8
@@ -856,6 +857,30 @@ def test_semiclassical_nbar_and_temperature_exclude_each_other(tmp_path, capsys,
     assert cli.main(["run", config]) == 2
     assert "config error: params: give at most one of nbar / temperature_k" in capsys.readouterr().err
     assert not (tmp_path / "both.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        # the displacement generator, and the Chebyshev budget's r * t_max, overflow
+        ("wavefront-quantum", {"eta": 1e308}, "numerical failure: generator 1-norm inf is not finite"),
+        ("quench", {"t_max_s": 1e308}, "r*t_max = inf"),
+        ("negativity", {"time_s": 1e308}, "r*t_max = inf"),
+    ],
+)
+def test_overflows_past_the_float_range_exit_3_with_no_warning(tmp_path, capsys, kind, params, message):
+    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": {**SMALL[kind], **params}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", config]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_wavefront_quantum_at_the_top_cutoff_scans_a_small_basis(tmp_path):
+    params = {**SMALL["wavefront-quantum"], "fock_cutoff": 10**5}
+    summary = cli.run_experiment({"kind": "wavefront-quantum", "out": str(tmp_path / "w.csv"), "params": params})
+    assert summary["result"]["solver"]["levels"] <= 128
+    assert json.loads((tmp_path / "w_meta.json").read_text())["fock_cutoff"] == 10**5
 
 
 def test_wavefront_quantum_nbar_and_initial_fock_exclude_each_other(tmp_path, capsys, monkeypatch):

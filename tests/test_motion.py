@@ -429,13 +429,72 @@ def test_banded_scan_matches_dense_oracle(case):
         assert 0 < result.band_width < 20
 
 
+def full_basis_scan(monkeypatch, p, n_pulses, t_wait, initial_fock=None):
+    """The scan on all fock_cutoff + 1 levels: its first basis reaches past the cutoff."""
+    with monkeypatch.context() as patch:
+        patch.setattr(motion, "_REACH", p.fock_cutoff + 1)
+        return motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=initial_fock)
+
+
+@pytest.mark.parametrize("case", ["fig11_rabi_0.5", "fig11_rabi_1", "fig11_rabi_5", "fig11_rabi_50", "thermal"])
+def test_sized_basis_scan_equals_the_full_basis(monkeypatch, case):
+    p, n_pulses, t_wait, fock = ORACLE_CASES[case]
+    sized = motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock)
+    full = full_basis_scan(monkeypatch, p, n_pulses, t_wait, fock)
+    assert full.levels == p.fock_cutoff + 1
+    assert np.max(np.abs(sized.excitation - full.excitation)) <= 1e-12
+    # a Fock-50 column reaches a few slabs; the thermal case's top initial level is the cutoff margin
+    assert sized.levels <= 128 if fock is not None else sized.levels == p.fock_cutoff + 1
+
+
+def test_sized_basis_of_a_thermal_scan_below_the_cutoff(monkeypatch):
+    # the cutoff-400 thermal job of the wavefront benchmark: levels to 308, a basis of 384
+    p = motion.SpinMotionParams(
+        eta=thermal_peak_eta(33.0), rabi=50.0 * OMEGA_Q, omega=OMEGA_Q, nbar=33.0, fock_cutoff=400
+    )
+    t_wait = np.array([0.498, 0.506])
+    sized = motion.quantum_cpmg_scan(p, 20, t_wait)
+    assert sized.levels < p.fock_cutoff + 1
+    full = full_basis_scan(monkeypatch, p, 20, t_wait)
+    assert np.max(np.abs(sized.excitation - full.excitation)) <= 1e-12
+
+
+def test_a_window_near_the_top_of_the_basis_doubles_it(monkeypatch):
+    # 40 levels above Fock 50 pass the check before the first pulse, but the windows reach level 80
+    # within the first wait, so the scan starts again on twice the levels
+    p, n_pulses, t_wait, fock = ORACLE_CASES["fig11_rabi_5"]
+    full = full_basis_scan(monkeypatch, p, n_pulses, t_wait, fock)
+    monkeypatch.setattr(motion, "_REACH", 40)
+    result = motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock)
+    assert result.levels == 192
+    assert np.max(np.abs(result.excitation - full.excitation)) <= 1e-12
+
+
+def test_eta_3_grows_the_basis_to_the_cutoff_before_any_pulse(monkeypatch):
+    # the band of the propagators spans any basis below the cutoff, so every pulse runs on all of it
+    p, n_pulses, t_wait, fock = ORACLE_CASES["eta_3"]
+    rows = []
+    apply = motion._apply
+
+    def recording_apply(slabs, psi, *args, **kwargs):
+        rows.append(psi.shape[0])
+        return apply(slabs, psi, *args, **kwargs)
+
+    monkeypatch.setattr(motion, "_apply", recording_apply)
+    result = motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock)
+    assert result.levels == p.fock_cutoff + 1
+    assert rows == [2 * result.levels] * (1 + t_wait.size * (n_pulses + 1))
+    assert np.max(np.abs(result.excitation - dense_scan_oracle(p, n_pulses, t_wait, initial_fock=fock))) <= 1e-10
+
+
 def test_quantum_scan_logs_solver_diagnostics(caplog):
     p, n_pulses, t_wait, fock = ORACLE_CASES["detuned"]
     with caplog.at_level(logging.DEBUG, logger="ionstring.motion"):
         result = motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock)
     assert f"quantum_cpmg_scan: {result.record()}" in caplog.text
     assert set(result.record()) == {
-        "max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm", "column_fill",
+        "max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm", "levels",
+        "column_fill",
     }
 
 
@@ -459,9 +518,10 @@ def test_column_fill_of_a_single_fock_column(caplog):
     with caplog.at_level(logging.DEBUG, logger="ionstring.motion"):
         assert motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock).column_fill == 1.0
     assert "'column_fill': 1.0}" in caplog.text
-    # at fig11 settings the slabs far from the Fock level are skipped
+    # at fig11 settings the states stay near their Fock level, so the basis holds far fewer levels than the cutoff
     p, n_pulses, t_wait, fock = ORACLE_CASES["fig11_rabi_5"]
-    assert 0.0 < motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock).column_fill < 0.5
+    assert p.fock_cutoff == 320
+    assert motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock).levels <= 128
 
 
 @pytest.mark.parametrize("first_slab", [[0, 1, 3, 5, 6, 8], [3, 0, 6, 1, 8, 5], [5, 8, 0, 6, 1, 3]])
@@ -470,7 +530,7 @@ def test_windowed_pulse_drops_only_entries_below_the_floor(first_slab):
     # windows, which are sorted or not; each starts at the last column of
     # one slab's span and ends at the first column of another's
     p = motion.SpinMotionParams(eta=0.01, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, fock_cutoff=200)
-    h, free, _ = motion._pulse_hamiltonian(p)
+    h, free, _ = motion._pulse_hamiltonian(p, p.fock_cutoff + 1)
     u = motion._to_spin(motion._banded_expm(p.pi_time * h, -1j)[0])[0]
     slabs = motion._slabs(u)
     rows = 2 * (p.fock_cutoff + 1)
@@ -494,13 +554,36 @@ def test_windowed_pulse_drops_only_entries_below_the_floor(first_slab):
     assert 0 < pairs < len(slabs[1]) * lo.size
 
 
+def test_windowed_pulse_into_a_used_stack_equals_one_into_a_new_stack():
+    # a stack that held a wider product is zeroed where it was written, so the product is the same bytes
+    p = motion.SpinMotionParams(eta=0.01, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, fock_cutoff=200)
+    h, free, _ = motion._pulse_hamiltonian(p, p.fock_cutoff + 1)
+    slabs = motion._slabs(motion._to_spin(motion._banded_expm(p.pi_time * h, -1j)[0])[0])
+    rows = 2 * (p.fock_cutoff + 1)
+    rng = np.random.default_rng(5)
+    wide = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
+    narrow = np.zeros((rows, 4), dtype=complex)
+    lo, hi = np.array([40, 40, 200, 330]), np.array([72, 100, 230, 400])
+    for j in range(4):
+        narrow[lo[j] : hi[j], j] = wide[lo[j] : hi[j], j]
+    phases = np.exp(-0.3j * free)
+    stack = motion._stack(rows, 4)
+    motion._apply(slabs, wide, np.zeros(4, dtype=int), np.full(4, rows), phases, stack)
+    reused = motion._apply(slabs, narrow, lo, hi, phases, stack)
+    fresh = motion._apply(slabs, narrow, lo, hi, phases)
+    assert reused[0] is stack[0]
+    assert reused[0].tobytes() == fresh[0].tobytes()
+    for got, want in zip(reused[1:], fresh[1:]):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("detuning", [0.0, 0.7])
 def test_parity_built_propagators_match_the_dense_oracle(detuning):
     # the detuned oracle case, and the same drive on resonance
     p = motion.SpinMotionParams(
         eta=0.02, rabi=3.0 * OMEGA_Q, omega=OMEGA_Q, detuning=detuning * OMEGA_Q, fock_cutoff=100
     )
-    h, _, _ = motion._pulse_hamiltonian(p)
+    h, _, _ = motion._pulse_hamiltonian(p, p.fock_cutoff + 1)
     u_half = motion._banded_expm(0.5 * p.pi_time * h, -1j)[0]
     u_pi = motion._square(u_half, 0.0)[0]
     # even indices are (n, +), odd ones (n, -): on resonance no entry couples the two sectors
