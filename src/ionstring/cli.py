@@ -15,12 +15,13 @@ Two subcommands:
     in; its ``stages`` the parse, solve and write times, also logged at
     DEBUG; its ``result.solver`` the record of the solver the kind ran
     (the domain result's ``record()``, the chain's ``SolverRecord``), or
-    ``{}`` for a closed-form kind.
+    ``{}`` for a closed-form kind. The solver runs with floating-point
+    errors raised, underflow aside: each exits 3 naming the kind.
 
 ``ionstring figure KIND [--outdir DIR] [--seed N]``
-    Emit the CSV bundle behind one of the canned figure analogs. A
-    bundle of ``run`` jobs (all but ``fig4c``, ``fig4d`` and ``fig8``)
-    writes each job's summary next to its CSV.
+    Emit the CSV bundle behind one of the canned figure analogs. Every
+    table goes through ``_execute``, as a ``run`` does, and gets its
+    summary next to it.
 
 Each kind declares its ``params`` in one table of fields, read by
 ``_parse``. A ``OneOf`` entry there asks for exactly one of its fields
@@ -241,7 +242,7 @@ _DRIVE = (
 
 
 class _Run(NamedTuple):
-    """What a runner hands back; ``run_experiment`` writes it, ``solver`` as ``result.solver``."""
+    """What a runner hands back; ``_execute`` writes it, ``solver`` as ``result.solver``."""
 
     header: list
     rows: list
@@ -619,7 +620,8 @@ _HEATING_SYNTHETIC = (
     # measured exponents lie near 1 to 4; far past 10, the synthetic omega^-alpha underflows to 0
     Field("alpha", float, 1.9, _up_to(10.0)),
     Field("prefactor", float, 3e12, _positive),
-    Field("noise_fraction", float, 0.1, _non_negative),
+    # a relative 1-sigma scatter: measured rates scatter by tens of percent, and at 1e308 the rates overflow
+    Field("noise_fraction", float, 0.1, _within(0.0, 10.0)),
     Field("freqs_hz", [float], list(np.geomspace(30e3, 500e3, 8)), _TRAP_FREQUENCY),
     Field("ion_counts", [int], [1, 28, 50], _within(1, 10**5)),
 )
@@ -801,19 +803,29 @@ def run_experiment(config: dict, seed=None, out=None, fmt=None) -> dict:
     if errors:
         raise ConfigError(errors)
     out = top.out or f"ionstring_{top.kind}.{top.format}"
+    effective = {"kind": top.kind, "seed": top.seed, "out": out, "format": top.format, "params": params}
+    return _execute(kind.run, config, effective, start)
 
+
+def _execute(runner, config: dict, effective: dict, start: float) -> dict:
+    """Run one table's solver with floating-point overflow, invalid operations and division by zero raised,
+    then write its data files and summary; returns the summary. ``effective`` names the ``kind`` or ``figure``
+    and holds the ``seed``, ``out``, ``format`` and ``params`` the runner takes."""
+    name = effective.get("kind") or effective["figure"]
     parsed = time.perf_counter()
-    run = kind.run(params, top.seed)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            run = runner(effective["params"], effective["seed"])
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{name}: {exc}") from exc
     solved = time.perf_counter()
-    outputs = _write(out, top.format, run)
+    outputs = _write(effective["out"], effective["format"], run)
     stages = {"parse_s": parsed - start, "solve_s": solved - parsed, "write_s": time.perf_counter() - solved}
-    logger.debug("run_experiment %s: stages %s", top.kind, stages)
+    logger.debug("run_experiment %s: stages %s", name, stages)
 
     summary = {
         "config": config,
-        "effective": {
-            "kind": top.kind, "seed": top.seed, "out": out, "format": top.format, "params": _plain(params),
-        },
+        "effective": {**effective, "params": _plain(effective["params"])},
         "outputs": [str(o) for o in outputs],
         "result": {**run.result, "solver": run.solver},
         "stages": stages,
@@ -824,7 +836,7 @@ def run_experiment(config: dict, seed=None, out=None, fmt=None) -> dict:
             "python": platform.python_version(),
         },
     }
-    summary_path = str(out) + ".summary.json"
+    summary_path = str(effective["out"]) + ".summary.json"
     export._atomic_write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     summary["summary_path"] = summary_path
     return summary
@@ -834,33 +846,28 @@ def run_experiment(config: dict, seed=None, out=None, fmt=None) -> dict:
 
 
 def emit_figure_data(kind: str, outdir=".", seed: int = 0) -> dict:
-    """Write the CSV bundle for one figure analog; returns name -> path."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Write the CSV bundle for one figure analog, each table through ``_execute``; returns name -> path."""
     if kind not in _FIGURES:
         raise ConfigError([f"figure kind must be one of {', '.join(FIGURE_KINDS)}"])
-    return _FIGURES[kind](outdir, seed)
-
-
-def _runs(jobs: dict):
-    """Emitter making one ``run_experiment`` per job, name -> (file, kind, seed offset, params)."""
-
-    def emit(outdir: Path, seed: int) -> dict:
-        paths = {}
-        for name, (file, kind, offset, params) in jobs.items():
-            paths[name] = str(outdir / file)
-            run_experiment({"kind": kind, "seed": seed + offset, "out": paths[name], "params": params})
-        return paths
-
-    return emit
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for name, (file, job, offset, params) in _FIGURES[kind].items():
+        paths[name] = str(outdir / file)
+        if job in _KINDS:
+            run_experiment({"kind": job, "seed": seed + offset, "out": paths[name], "params": params})
+        else:
+            config = {"figure": kind, "seed": seed + offset, "out": paths[name], "params": params}
+            _execute(job, config, {**config, "format": "csv"}, time.perf_counter())
+    return paths
 
 
 # Table I line-noise components: (f_hz, b_microgauss, phase_rad)
 _TABLE_I = ((50.0, 37.2, 0.4), (150.0, 9.3, 1.9), (250.0, 23.3, -1.1))
 
 
-def _fig4c(outdir: Path, seed: int) -> dict:
-    """Hand-written: one table of the scan before and after compensation, which no kind writes."""
+def _fig4c(params, seed):
+    """One table of the scan before and after compensation, which no kind writes."""
     before = [sequences.NoiseComponent.from_field(*row) for row in _TABLE_I]
     result = sequences.compensate(before, seed=seed, max_rounds=2, shots=100)
     seq = sequences.cpmg(2, 0.02)
@@ -868,13 +875,12 @@ def _fig4c(outdir: Path, seed: int) -> dict:
     t0 = np.arange(81) / 81 / 50.0
     p_before = sequences.simulate_scan(seq, before, 1.0, t0, shots=100, rng=rng)
     p_after = sequences.simulate_scan(seq, result.residuals, 1.0, t0, shots=100, rng=rng)
-    out = str(outdir / "fig4c_scan.csv")
-    export.write_table(out, ["t0_s", "p_up_before", "p_up_after"], np.column_stack([t0, p_before, p_after]).tolist())
-    return {"scan": out}
+    rows = np.column_stack([t0, p_before, p_after]).tolist()
+    return _Run(["t0_s", "p_up_before", "p_up_after"], rows, {}, result.record())
 
 
-def _fig4d(outdir: Path, seed: int) -> dict:
-    """Hand-written, fixed residuals: a real ``compensate`` costs 0.27 CPU-s, 30% of a benchmark ``analysis`` round."""
+def _fig4d(params, seed):
+    """Fixed residuals: a real ``compensate`` costs 0.27 CPU-s, 30% of a benchmark ``analysis`` round."""
     table = tuple(sequences.NoiseComponent.from_field(*row) for row in _TABLE_I)
     residual = tuple(
         sequences.NoiseComponent.from_field(*row) for row in ((50.0, 1.3, 0.1), (150.0, 0.9, -0.5), (250.0, 0.7, 2.0))
@@ -882,15 +888,13 @@ def _fig4d(outdir: Path, seed: int) -> dict:
     scenario = sequences.RamseyScenario(uncompensated=table, residual=residual, base_contrast=0.85, shots=400)
     modes = (sequences.TRIGGER_AND_COMPENSATION, sequences.COMPENSATION_ONLY, sequences.BOTH_OFF)
     rows = [[mode, sequences.ramsey_contrast(4.5e-3, scenario, mode, seed=seed + i)] for i, mode in enumerate(modes)]
-    out = str(outdir / "fig4d_contrast.csv")
-    export.write_table(out, ["scenario", "contrast"], rows)
-    return {"contrast": out}
+    return _Run(["scenario", "contrast"], rows, {})
 
 
-def _fig8(outdir: Path, seed: int) -> dict:
-    """Hand-written: the addressing crosstalk map is a table no kind writes."""
+def _fig8(params, seed):
+    """The addressing crosstalk map, a table no kind writes."""
     # the chain kind's default 51-ion string
-    positions = chain.equilibrium_positions(_trap_parameters(_parse({}, _CHAIN, "")[0]))
+    positions, record = chain.equilibrium_positions(_trap_parameters(_parse({}, _CHAIN, "")[0]), full_output=True)
     n_ions = len(positions)
     rows = []
     for addressed in range(0, n_ions, 5):
@@ -901,9 +905,8 @@ def _fig8(outdir: Path, seed: int) -> dict:
         nn = max(resonant[i] for i in neighbors)
         for ion in range(n_ions):
             rows.append([addressed + 1, ion + 1, resonant[ion], stark[ion], nn])
-    out = str(outdir / "fig8_crosstalk.csv")
-    export.write_table(out, ["addressed_ion", "ion", "resonant_ratio", "ac_stark_ratio", "nn_resonant_ratio"], rows)
-    return {"crosstalk": out}
+    header = ["addressed_ion", "ion", "resonant_ratio", "ac_stark_ratio", "nn_resonant_ratio"]
+    return _Run(header, rows, {}, dataclasses.asdict(record))
 
 
 def _fig11_params(ratio: float) -> dict:
@@ -939,31 +942,26 @@ def _fig6_survival(tau_s: float) -> dict:
     return {"melt_rate_per_s": 1.0 / tau_s, "horizon_s": 60.0, "trials": 10000}
 
 
+# figure -> table name -> (file, job, seed offset, params); a job is a kind, or a runner for a table no kind writes
 _FIGURES = {
     # desk-scale quench: magnetization dynamics plus pair negativities
-    "fig1": _runs(
-        {
-            "magnetization": ("fig1a_magnetization.csv", "quench", 0, {"n_ions": 8}),
-            "pair_negativity": ("fig1b_pair_negativity.csv", "negativity", 0, {"n_ions": 8, "time_s": 3e-3}),
-        }
-    ),
-    "fig3": _runs({"heating": ("fig3_heating.csv", "heating-fit", 0, {"synthetic": {}})}),
-    "fig4c": _fig4c,
-    "fig4d": _fig4d,
-    "fig6": _runs(
-        {
-            "25ion": ("fig6_survival_25ion.csv", "survival", 0, _fig6_survival(29.2)),
-            "51ion": ("fig6_survival_51ion.csv", "survival", 1, _fig6_survival(27.0)),
-        }
-    ),
-    "fig8": _fig8,
-    "fig11": _runs(
-        {
-            f"rabi_{ratio:g}": (f"fig11_rabi_{ratio:g}.csv", "wavefront-quantum", 0, _fig11_params(ratio))
-            for ratio in (0.5, 1.0, 5.0, 50.0)
-        }
-    ),
-    "fig12": _runs(_fig12_jobs()),
+    "fig1": {
+        "magnetization": ("fig1a_magnetization.csv", "quench", 0, {"n_ions": 8}),
+        "pair_negativity": ("fig1b_pair_negativity.csv", "negativity", 0, {"n_ions": 8, "time_s": 3e-3}),
+    },
+    "fig3": {"heating": ("fig3_heating.csv", "heating-fit", 0, {"synthetic": {}})},
+    "fig4c": {"scan": ("fig4c_scan.csv", _fig4c, 0, {})},
+    "fig4d": {"contrast": ("fig4d_contrast.csv", _fig4d, 0, {})},
+    "fig6": {
+        "25ion": ("fig6_survival_25ion.csv", "survival", 0, _fig6_survival(29.2)),
+        "51ion": ("fig6_survival_51ion.csv", "survival", 1, _fig6_survival(27.0)),
+    },
+    "fig8": {"crosstalk": ("fig8_crosstalk.csv", _fig8, 0, {})},
+    "fig11": {
+        f"rabi_{ratio:g}": (f"fig11_rabi_{ratio:g}.csv", "wavefront-quantum", 0, _fig11_params(ratio))
+        for ratio in (0.5, 1.0, 5.0, 50.0)
+    },
+    "fig12": _fig12_jobs(),
 }
 
 FIGURE_KINDS = tuple(_FIGURES)

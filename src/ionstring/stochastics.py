@@ -71,14 +71,25 @@ def fit_heating(data: HeatingDataset) -> HeatingFit:
         raise FitError(f"need >= {HEATING_MIN_FREQUENCIES} distinct trap frequencies")
     x = np.log(data.omega_z)
     y = np.log(data.rate / data.ion_count)
+    weights = np.ones_like(y)
     if data.sigma is not None:
-        weights = data.rate / data.sigma  # sigma_log = sigma/rate
-    else:
-        weights = np.ones_like(y)
+        with np.errstate(over="ignore", divide="ignore"):  # a weight past the float range is named below
+            weights = data.rate / data.sigma  # sigma_log = sigma/rate
+        bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+        if bad.size:
+            row = bad[0]
+            rate, sigma = data.rate[row], data.sigma[row]
+            raise FitError(f"row {row}: weight rate/sigma = {rate:g}/{sigma:g} is not positive and finite")
+    # the line and its rss/dof covariance do not change when every weight is scaled by one factor;
+    # a power of two near the largest scales them exactly, and keeps the normal matrix finite
+    weights = np.ldexp(weights, -np.frexp(weights.max())[1])
 
     wd, wy, gram = _weighted_line(x, y, weights)
     if np.linalg.cond(gram) > 1e12:
-        raise FitError("singular regression (frequencies too clustered)")
+        if np.linalg.cond(_weighted_line(x, y, np.ones_like(y))[2]) > 1e12:
+            raise FitError("singular regression (frequencies too clustered)")
+        ratio = weights.min() / weights.max()
+        raise FitError(f"singular regression (the smallest weight rate/sigma is {ratio:.3g} of the largest)")
     coeff = np.linalg.solve(gram, wd.T @ wy)
     residuals = wy - wd @ coeff
     dof = max(1, y.size - 2)

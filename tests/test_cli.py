@@ -804,7 +804,41 @@ def test_wavefront_floats_at_the_extremes_exit_0_2_or_3(tmp_path, kind, name, va
     for partner in _one_of_partners(cli._KINDS[kind].fields, path):
         block.pop(partner, None)
     config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": params})
-    assert cli.main(["run", config]) in (0, 2, 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", config]) in (0, 2, 3)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+_HEATING_PAST_THE_FLOAT_RANGE = {
+    "noise_fraction_1e308": (
+        {"synthetic": {**SMALL["heating-fit"]["synthetic"], "noise_fraction": 1e308}}, 2,
+        "config error: params.synthetic.noise_fraction: must lie in [0, 10]",
+    ),
+    # the weights rate/sigma reach 1e308, and scaled by a power of two they fit the true law
+    "noise_fraction_1e-308": ({"synthetic": {**SMALL["heating-fit"]["synthetic"], "noise_fraction": 1e-308}}, 0, ""),
+    "rate_1e308": (
+        {"data": [{**_HEATING_ROWS["data"][0], "rate_quanta_per_s": 1e308}, *_HEATING_ROWS["data"][1:]]}, 3,
+        "numerical failure: singular regression (the smallest weight rate/sigma is",
+    ),
+    "sigma_1e-308": (
+        {"data": [{**_HEATING_ROWS["data"][0], "sigma": 1e-308}, *_HEATING_ROWS["data"][1:]]}, 3,
+        "numerical failure: row 0: weight rate/sigma = 10/1e-308 is not positive and finite",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "params, code, message", _HEATING_PAST_THE_FLOAT_RANGE.values(), ids=list(_HEATING_PAST_THE_FLOAT_RANGE)
+)
+def test_heating_fits_past_the_float_range_name_the_cause(tmp_path, capsys, params, code, message):
+    config = write_config(tmp_path, {"kind": "heating-fit", "out": str(tmp_path / "h.csv"), "params": params})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", config]) == code
+    assert message in capsys.readouterr().err
+    if code == 0:
+        assert json.loads((tmp_path / "h_fit.json").read_text())["exponent"] == pytest.approx(1.9, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -905,6 +939,51 @@ def test_wavefront_quantum_nbar_and_initial_fock_exclude_each_other(tmp_path, ca
 def test_figure_kind_validation(tmp_path):
     with pytest.raises(cli.ConfigError):
         cli.emit_figure_data("fig99", outdir=tmp_path)
+    # a refused kind leaves no directory behind
+    with pytest.raises(cli.ConfigError):
+        cli.emit_figure_data("fig99", outdir=tmp_path / "new")
+    assert not (tmp_path / "new").exists()
+
+
+def test_every_figure_table_has_a_summary_with_its_stages_and_solver(tmp_path):
+    summaries = {}
+    for kind in cli.FIGURE_KINDS:
+        for path in cli.emit_figure_data(kind, outdir=tmp_path / kind, seed=3).values():
+            with open(path + ".summary.json") as handle:
+                summary = json.load(handle)
+            assert set(summary["stages"]) == {"parse_s", "solve_s", "write_s"}, path
+            assert isinstance(summary["result"]["solver"], dict) and summary["outputs"][0] == path
+            summaries[os.path.basename(path)] = summary
+    assert len(summaries) == 14
+    assert summaries["fig4c_scan.csv"]["result"]["solver"] == {"skipped": []}
+    assert summaries["fig4d_contrast.csv"]["result"]["solver"] == {}
+    fig8 = summaries["fig8_crosstalk.csv"]
+    assert set(fig8["result"]["solver"]) == {field.name for field in dataclasses.fields(chain.SolverRecord)}
+    out = str(tmp_path / "fig8" / "fig8_crosstalk.csv")
+    assert fig8["effective"] == {"figure": "fig8", "seed": 3, "out": out, "format": "csv", "params": {}}
+
+
+def _overflow(params, seed):
+    np.array([1e308]) * 10.0
+
+
+@pytest.mark.parametrize("command, name", [("run", "survival"), ("figure", "fig8")])
+def test_floating_point_errors_in_a_solver_exit_3_naming_the_kind_or_figure(
+    tmp_path, capsys, monkeypatch, command, name
+):
+    monkeypatch.setitem(cli._KINDS, "survival", cli._KINDS["survival"]._replace(run=_overflow))
+    monkeypatch.setitem(cli._FIGURES, "fig8", {"crosstalk": ("fig8_crosstalk.csv", _overflow, 0, {})})
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "run":
+        argv = ["run", write_config(tmp_path, {"kind": "survival", "out": str(out / "s.csv"), "params": {}})]
+    else:
+        argv = ["figure", "fig8", "--outdir", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 3
+    assert f"numerical failure: {name}: overflow encountered in multiply" in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 def test_figure_fig3_bundle(tmp_path):

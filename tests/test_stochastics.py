@@ -48,6 +48,35 @@ def test_heating_fit_scale_equivariance():
     np.testing.assert_allclose(f2.prefactor, 7.0 * f1.prefactor, rtol=1e-9)
 
 
+def test_heating_fit_is_exact_under_weights_scaled_by_a_power_of_two():
+    base = synthetic_heating(1.9, 0.1, seed=2)
+    for scale in (2.0**-1000, 2.0**1000):
+        scaled = st.HeatingDataset(
+            omega_z=base.omega_z, ion_count=base.ion_count, rate=base.rate, sigma=scale * base.sigma
+        )
+        assert st.fit_heating(scaled) == st.fit_heating(base)
+
+
+@pytest.mark.parametrize("sigma", [1e-320, 1e320])
+def test_heating_fit_names_a_row_whose_weight_overflows_or_underflows(sigma):
+    data = synthetic_heating(1.9, 0.1, seed=2)
+    sigmas = data.sigma.copy()
+    sigmas[3] = sigma * data.rate[3]
+    with pytest.raises(FitError, match="row 3: weight rate/sigma = .* is not positive and finite"):
+        st.fit_heating(st.HeatingDataset(omega_z=data.omega_z, ion_count=data.ion_count, rate=data.rate, sigma=sigmas))
+
+
+def test_heating_fit_tells_spread_weights_from_clustered_frequencies():
+    omega = 2 * np.pi * np.array([50e3, 100e3, 200e3])
+    rates = 1e10 * omega**-1.5
+    spread = st.HeatingDataset(omega_z=omega, ion_count=np.ones(3), rate=rates, sigma=rates * [1e-200, 1.0, 1.0])
+    with pytest.raises(FitError, match="smallest weight rate/sigma is 1e-200 of the largest"):
+        st.fit_heating(spread)
+    clustered = st.HeatingDataset(omega_z=omega[0] * (1 + np.array([0, 1e-9, 2e-9])), ion_count=np.ones(3), rate=rates)
+    with pytest.raises(FitError, match="frequencies too clustered"):
+        st.fit_heating(clustered)
+
+
 def test_heating_fit_requires_three_frequencies():
     data = st.HeatingDataset(
         omega_z=np.array([1e5, 1e5, 2e5]),
