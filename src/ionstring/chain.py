@@ -55,8 +55,6 @@ class TrapParameters:
         Ion mass in kg.
     ion_count : int
         Number of ions, >= 1.
-    laser_wavelength : float
-        Wavelength of the qubit laser in m (used for Lamb-Dicke factors).
     """
 
     omega_x: float
@@ -64,7 +62,6 @@ class TrapParameters:
     omega_z: float
     ion_mass: float
     ion_count: int
-    laser_wavelength: float = 729e-9
 
     def __post_init__(self):
         if min(self.omega_x, self.omega_y, self.omega_z) <= 0:
@@ -73,8 +70,6 @@ class TrapParameters:
             raise ValueError("ion mass must be positive")
         if self.ion_count < 1:
             raise ValueError("ion_count must be >= 1")
-        if self.laser_wavelength <= 0:
-            raise ValueError("laser_wavelength must be positive")
 
     @property
     def length_scale(self) -> float:

@@ -306,6 +306,7 @@ def _bessel_table(z: np.ndarray) -> tuple[np.ndarray, float]:
     the bound returned, is below the tolerance. At floor(z_max) the tail
     is still near z^(-1/3) (J_k(k) ~ 0.45 k^(-1/3)); past k = z each
     J_k(z) rises with z, so the tail bounds every smaller argument's too.
+    ``sequences.sense`` scores its start grid from this table as well.
     """
     z = np.maximum(z, 1e-150)
     starts = (z + 15.0 * np.cbrt(z)).astype(int) + 20

@@ -18,8 +18,9 @@ frequency f and phase phi then produces the excitation
 when the sequence start t0 is scanned against the line trigger. C is
 an empirical contrast accounting for broadband noise. Sensing inverts
 this relation by least squares from the best points of one grid over
-amplitude and phase; compensation senses each line harmonic, applies
-the opposite waveform, and iterates.
+amplitude and phase, scored from the scan's harmonics by Jacobi-Anger
+(DLMF 10.12.2-3) with one Bessel table, not point by point; compensation
+senses each line harmonic, applies the opposite waveform, and iterates.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from ionstring.constants import FIELD_SENSITIVITY_HZ_PER_UG
+from ionstring.dynamics import _bessel_table
 from ionstring.errors import FitError
 
 _SMALL_PHASE = 1e-6
@@ -39,7 +41,6 @@ _SMALL_PHASE = 1e-6
 _MAX_INNER_AMPLITUDE = 8.0 * np.pi
 _GRID_AMPLITUDES = 2000
 _HARMONICS = (1, 3, 5)
-_GRID_BLOCK_ELEMENTS = 2**19  # sin evaluations per grid block, 4 MiB
 GRID_POINTS = _GRID_AMPLITUDES * sum(2 * m for m in _HARMONICS)
 POLISHES = 4
 MAX_PULSES = 10**4  # pi-pulses a sequence may have
@@ -212,10 +213,14 @@ class SenseResult:
     residual_rms: float
     nfev: int  # function evaluations summed over the polishes
     cost: float  # half the residual sum of squares at the fit
+    grid_truncation_bound: float  # error of the grid's s.y and s.s per unit of sum |y_n| or n
 
     def record(self) -> dict:
         """The fit's diagnostics, as logged and summarised."""
-        return {"grid_points": GRID_POINTS, "polishes": POLISHES, "nfev": self.nfev, "cost": self.cost}
+        return {
+            "grid_points": GRID_POINTS, "polishes": POLISHES, "nfev": self.nfev, "cost": self.cost,
+            "grid_truncation_bound": self.grid_truncation_bound,
+        }
 
 
 def sense(
@@ -227,14 +232,24 @@ def sense(
 ) -> SenseResult:
     """Fit amplitude, phase, and contrast of one modulation component.
 
-    A grid over the inner amplitude gain * A (2000 values up to 8 pi)
-    and 18 phases read off harmonics 1, 3 and 5 of the scan picks the
+    A grid over the inner amplitude z = gain * A (2000 values up to 8 pi)
+    and 18 phases phi read off harmonics 1, 3 and 5 of the scan picks the
     starts; at each grid point the contrast, in which the model is
     affine, is solved in closed form and clipped to [0, 1] (variable
     projection, Golub & Pereyra 1973), unless ``contrast_fixed`` holds
-    it. Least squares with the analytic Jacobian polishes the 4 lowest
-    grid points and the lowest cost wins. ``t0_values`` should span one
-    period of the probed frequency with at least 8 points.
+    it. That form needs only s.y and s.s, for y_n = p_n - 1/2 and
+    s_n = sin(z sin(theta_n + phi)), which follow from the scan's
+    harmonics Y_k = sum_n y_n e^(ik theta_n) and E_m = sum_n e^(im theta_n):
+
+        s.y = 2 sum_(k odd) J_k(z) Im(e^(ik phi) Y_k),
+        s.s = n/2 - [n J_0(2z) + 2 sum_(m even > 0) J_m(2z) Re(e^(im phi) E_m)] / 2.
+
+    Both sums stop where one ``dynamics._bessel_table`` over z and 2z
+    cuts its tail, which, as the record's ``grid_truncation_bound``,
+    bounds their error per unit of sum |y_n| or n. Least squares with the
+    analytic Jacobian polishes the 4 lowest grid points and the lowest
+    cost wins. ``t0_values`` should span one period of the probed
+    frequency with at least 8 points.
 
     In the small-signal regime only the product of contrast and
     amplitude is identifiable; pass ``contrast_fixed`` when the
@@ -282,20 +297,18 @@ def sense(
         (np.angle(centred @ np.exp(-1j * m * theta)) + 0.5 * np.pi + np.pi * np.arange(2 * m)) / m
         for m in _HARMONICS
     ])
-    carrier = np.sin(theta[None, :] + phases[:, None])
-    z = _MAX_INNER_AMPLITUDE * np.arange(1, _GRID_AMPLITUDES + 1) / _GRID_AMPLITUDES
+    # amplitudes up to 2 z_max: the grid's z are the first half, its 2z the odd rows
+    z = _MAX_INNER_AMPLITUDE * np.arange(1, 2 * _GRID_AMPLITUDES + 1) / _GRID_AMPLITUDES
     y = data - 0.5
-    contrast, cost = np.empty((2, z.size, phases.size))
-    block = max(1, _GRID_BLOCK_ELEMENTS // carrier.size)
-    for lo in range(0, z.size, block):
-        s = np.sin(z[lo : lo + block, None, None] * carrier)
-        ys, ss = s @ y, np.einsum("apn,apn->ap", s, s)
-        if fit_contrast:
-            c = np.clip(np.divide(2.0 * ys, ss, out=np.zeros_like(ys), where=ss > 0), 0.0, 1.0)
-        else:
-            c = contrast_fixed
-        contrast[lo : lo + block] = c
-        cost[lo : lo + block] = 0.5 * (y @ y - c * ys + 0.25 * c * c * ss)
+    bessel, tail = _bessel_table(z)
+    k, m = np.arange(1, bessel.shape[1], 2), np.arange(0, bessel.shape[1], 2)
+    odd = 2.0 * np.exp(1j * np.multiply.outer(k, theta)) @ y  # 2 Y_k
+    even = np.exp(1j * np.multiply.outer(m, theta)).sum(axis=1) * np.where(m > 0, 1.0, 0.5)  # E_m, and E_0 / 2
+    ys = bessel[:_GRID_AMPLITUDES, k] @ np.imag(np.exp(1j * np.multiply.outer(k, phases)) * odd[:, None])
+    ss = 0.5 * t0.size - bessel[1::2, m] @ np.real(np.exp(1j * np.multiply.outer(m, phases)) * even[:, None])
+    free = np.clip(np.divide(2.0 * ys, ss, out=np.zeros_like(ys), where=ss > 0), 0.0, 1.0)
+    contrast = free if fit_contrast else np.full_like(ys, contrast_fixed)
+    cost = 0.5 * (y @ y - contrast * ys + 0.25 * contrast * contrast * ss)
 
     bounds = ([0.0, -4.0 * np.pi, 0.0][:n], [_MAX_INNER_AMPLITUDE / gain, 4.0 * np.pi, 1.0][:n])
     fits = []
@@ -323,6 +336,7 @@ def sense(
         residual_rms=float(np.sqrt(np.mean(best.fun**2))),
         nfev=int(nfev),
         cost=float(best.cost),
+        grid_truncation_bound=tail,
     )
     logger.debug("sense: %s", result.record())
     return result

@@ -230,7 +230,7 @@ def test_criterion_7_entanglement_goldens():
 def _eight_ion_xy_coupling():
     trap = small_trap(8)
     positions = chain.equilibrium_positions(trap)
-    k = wavevector(trap.laser_wavelength)
+    k = wavevector(729e-9)
     spectra = [
         chain.lamb_dicke(chain.normal_modes(trap, positions, d), k)
         for d in (chain.RADIAL_X, chain.RADIAL_Y)

@@ -228,8 +228,9 @@ def test_cpmg_sense_summary_reports_the_fit(tmp_path):
     summary = cli.run_experiment(config)
     solver = json.loads((tmp_path / "s.csv.summary.json").read_text())["result"]["solver"]
     assert solver == summary["result"]["solver"]
-    assert set(solver) == {"grid_points", "polishes", "nfev", "cost"}
+    assert set(solver) == {"grid_points", "polishes", "nfev", "cost", "grid_truncation_bound"}
     assert solver["grid_points"] == 36000 and solver["polishes"] == 4
+    assert 0.0 < solver["grid_truncation_bound"] < 1e-14
     assert solver["nfev"] >= 4 and solver["cost"] >= 0.0
     assert set(json.loads((tmp_path / "s_fit.json").read_text())) == {
         "frequency_hz", "amplitude_rad_s", "amplitude_sigma_rad_s", "field_microgauss", "phase_rad",

@@ -8,7 +8,7 @@ from ionstring.errors import FitError, ResonanceGuardError
 
 
 def radial_spectra(trap, positions):
-    k = wavevector(trap.laser_wavelength)
+    k = wavevector(729e-9)
     return [
         chain.lamb_dicke(chain.normal_modes(trap, positions, d), k)
         for d in (chain.RADIAL_X, chain.RADIAL_Y)
@@ -51,7 +51,7 @@ def test_two_ion_hand_evaluated_mode_sum():
     positions = chain.equilibrium_positions(trap)
     spectrum = chain.lamb_dicke(
         chain.normal_modes(trap, positions, chain.RADIAL_X),
-        wavevector(trap.laser_wavelength),
+        wavevector(729e-9),
     )
     rabi = omega_from_hz(50e3)
     beatnote = spectrum.frequencies[-1] + omega_from_hz(80e3)

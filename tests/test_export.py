@@ -144,7 +144,7 @@ def test_cells_outside_the_contract_raise_and_leave_no_file(tmp_path, as_json, h
 def test_mode_table_rows_are_python_numbers_with_the_old_values():
     trap = small_trap(5)
     spectrum = chain.lamb_dicke(
-        chain.normal_modes(trap, chain.equilibrium_positions(trap), chain.RADIAL_X), wavevector(trap.laser_wavelength)
+        chain.normal_modes(trap, chain.equilibrium_positions(trap), chain.RADIAL_X), wavevector(729e-9)
     )
     header, rows = export.mode_spectrum_rows(spectrum)
     rows = list(rows)  # made for one pass

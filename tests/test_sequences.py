@@ -292,20 +292,66 @@ def test_sense_makes_at_most_four_polishes(monkeypatch, caplog, contrast_fixed):
     assert fit.nfev == sum(r.nfev for r in results)
     assert fit.cost == min(r.cost for r in results)
     assert sq.GRID_POINTS == 2000 * 18
-    assert fit.record() == {"grid_points": sq.GRID_POINTS, "polishes": 4, "nfev": fit.nfev, "cost": fit.cost}
+    assert fit.record() == {
+        "grid_points": sq.GRID_POINTS, "polishes": 4, "nfev": fit.nfev, "cost": fit.cost,
+        "grid_truncation_bound": fit.grid_truncation_bound,
+    }
+    assert 0.0 < fit.grid_truncation_bound < 1e-14
     assert f"sense: {fit.record()}" in caplog.text
 
 
-def test_sense_grid_blocks_do_not_change_the_fit(monkeypatch):
-    seq = sq.cpmg(2, TAU)
-    comp = sq.NoiseComponent(50.0, 2 * np.pi * 104.0, 0.4)
-    t0 = np.arange(41) / 41 / 50.0
-    data = sq.simulate_scan(seq, [comp], 0.8, t0, shots=100, rng=np.random.default_rng(5))
-    whole = sq.sense(t0, data, seq, 50.0)
-    # 18 phases x 41 points: blocks of one and of seven amplitudes
-    for elements in (1, 7 * 18 * 41):
-        monkeypatch.setattr(sq, "_GRID_BLOCK_ELEMENTS", elements)
-        assert sq.sense(t0, data, seq, 50.0) == whole
+def brute_force_starts(t0, data, seq, frequency_hz, contrast_fixed):
+    """The polish starts of ``sq.sense``'s grid, scored by one ``sin`` per grid and scan point."""
+    filt = sq.filter_function(seq, frequency_hz)
+    gain = np.sqrt(2.0 * np.pi) * np.abs(filt)
+    theta = 2.0 * np.pi * frequency_hz * t0 + np.angle(filt)
+    centred = data - data.mean()
+    phases = np.concatenate([
+        (np.angle(centred @ np.exp(-1j * m * theta)) + 0.5 * np.pi + np.pi * np.arange(2 * m)) / m for m in (1, 3, 5)
+    ])
+    z = 8.0 * np.pi * np.arange(1, 2001) / 2000
+    y = data - 0.5
+    carrier = np.sin(theta[None, :] + phases[:, None])
+    contrast, cost = np.empty((2, z.size, phases.size))
+    for row, amplitude in enumerate(z):
+        s = np.sin(amplitude * carrier)
+        ys, ss = s @ y, np.einsum("pn,pn->p", s, s)
+        c = np.clip(2.0 * ys / ss, 0.0, 1.0) if contrast_fixed is None else contrast_fixed
+        contrast[row], cost[row] = c, 0.5 * (y @ y - c * ys + 0.25 * c * c * ss)
+    starts = []
+    for flat in np.argsort(cost, axis=None, kind="stable")[: sq.POLISHES]:
+        i, j = divmod(int(flat), phases.size)
+        starts.append((z[i] / gain, phases[j], contrast[i, j]))
+    return starts
+
+
+@pytest.mark.parametrize("contrast_fixed", [None, 0.9])
+@pytest.mark.parametrize("inner", [4.8, 20.0])
+@pytest.mark.parametrize("spacing", ["uniform", "random"])
+@pytest.mark.parametrize("points", [8, 41, 1000])
+def test_sense_starts_match_a_brute_force_sin_grid(monkeypatch, points, spacing, inner, contrast_fixed):
+    """The harmonic-domain grid picks the brute-force grid's starts, at a small and at a wrapped inner amplitude."""
+    seq = sq.cpmg(6, TAU)
+    gain = np.sqrt(2.0 * np.pi) * abs(sq.filter_function(seq, 150.0))
+    comp = sq.NoiseComponent(150.0, inner / gain, -2.3)
+    rng = np.random.default_rng(points)
+    t0 = (np.arange(points) if spacing == "uniform" else rng.uniform(0.0, points, size=points)) / points / 150.0
+    data = sq.simulate_scan(seq, [comp], 0.8, t0, shots=100, rng=rng)
+    starts = []
+    least_squares = sq.least_squares
+
+    def recording(fun, x0, **kwargs):
+        starts.append(x0)
+        return least_squares(fun, x0, **kwargs)
+
+    monkeypatch.setattr(sq, "least_squares", recording)
+    sq.sense(t0, data, seq, 150.0, contrast_fixed=contrast_fixed)
+    expected = brute_force_starts(t0, data, seq, 150.0, contrast_fixed)
+    assert len(starts) == len(expected) == sq.POLISHES
+    for start, (amplitude, phase, contrast) in zip(starts, expected):
+        assert (start[0], start[1]) == (amplitude, phase)
+        if contrast_fixed is None:
+            assert abs(start[2] - contrast) <= 1e-12
 
 
 def test_sense_rejects_flat_scan():
