@@ -36,30 +36,37 @@ pi/2- and pi-pulses about +x, once and sparse, by scaling and squaring
 that drops only entries below 1e-20; the norm of what is dropped bounds
 the error and is reported. They are built where H is real and splits:
 in the gauge diag(i^n), which turns the displacement into the real
-rotation exp(eta (a+ - a)), and in the basis |n, +/-> of the parity
+rotation D = exp(eta (a+ - a)), and in the basis |n, +/-> of the parity
 (-1)^n sigma_x, which H conserves at zero detuning, so each propagator
-holds about half the entries of its spin-basis form. The Taylor steps
-run in real arithmetic, on H with its diagonal centred on its midpoint
-(a global phase, which halves the 1-norm and saves one squaring), and
-the squared propagators are brought once to the (n, spin) basis by an
-orthogonal map per level. The gauge is diagonal and commutes with every
+holds about half the entries of its spin-basis form. D and H are built
+from arrays: D's Taylor terms run on its diagonals, each two shifted
+products of the last with the tridiagonal generator, and H's CSR arrays
+are written from D's diagonals, the level energies and the detuning.
+The propagators' Taylor steps run sparse, in real arithmetic, on H with
+its diagonal centred on its midpoint (a global phase, which halves the
+1-norm and saves one squaring). One vectorized pass over each squared
+propagator's CSR arrays brings it to the (n, spin) basis by an
+orthogonal map per level and cuts it into the dense row-block slabs
+that the scan multiplies. The gauge is diagonal and commutes with every
 phase of the sequence, so the scan runs in it. A pulse about another
 axis is one of them conjugated by a diagonal phase matrix, which joins
 the free evolution applied before each pulse, so every drive axis is a
-phase. Each pulse acts on the stack of states as dense row-block slabs.
-Every state keeps a row window that holds all of its entries at or
+phase. Each pulse acts on a stack of states, a column per state and
+wait, as the slabs; a one-state scan takes up to 32 waits at once.
+Every column keeps a row window that holds all of its entries at or
 above 1e-20, a few slabs around its initial Fock level, and a slab
-multiplies only the states whose windows meet its column span, so a
-pulse costs O(window x band) per state instead of O(L x band). The
+multiplies only the columns whose windows meet its column span, so a
+pulse costs O(window x band) per column instead of O(L x band). The
 products left out hold only entries below 1e-20; their norm, at most
 1e-20 sqrt(2 L) per state and pulse, is added to the bound.
 
 The basis itself is sized by the levels the states reach: H and the
-propagators are built on the levels [0, L), L at most the cutoff + 1,
-and L grows until the top band width and slab of the basis hold no
-entry at or above 1e-20 (see ``quantum_cpmg_scan``). A basis below the
-cutoff thus changes only roundoff; the cutoff stays the ceiling of L,
-the cap of the thermal truncation and the basis of the adequacy rule.
+propagators are built on L levels from a first level, inside the
+cutoff + 1, and the basis grows until its edge band widths and slabs
+inside the cutoff hold no entry at or above 1e-20 (see
+``quantum_cpmg_scan``). A smaller basis thus changes only roundoff; the
+cutoff stays the ceiling of the basis, the cap of the thermal
+truncation and the basis of the adequacy rule.
 """
 
 from __future__ import annotations
@@ -280,9 +287,10 @@ class QuantumScanResult:
     propagator (set by the 1-norm of H with its diagonal centred), and ``band_dropped_norm`` a bound on the norm of the
     error that the dropped propagator entries and the products left out
     of the row windows cause in any final state. ``levels`` is the number
-    L of Fock levels the scan ran on, at most ``fock_cutoff`` + 1, and
-    ``column_fill`` the share of (slab, state) products of that basis the
-    windows left to compute: 1 when every slab meets every state.
+    L of Fock levels the scan ran on, at most ``fock_cutoff`` + 1,
+    ``first_level`` the lowest of them, and ``column_fill`` the share of
+    (slab, state) products of that basis the windows left to compute: 1
+    when every slab meets every state.
     """
 
     t_wait: np.ndarray
@@ -294,6 +302,7 @@ class QuantumScanResult:
     squarings: int
     band_dropped_norm: float
     levels: int
+    first_level: int
     column_fill: float
 
     def record(self) -> dict:
@@ -306,6 +315,7 @@ class QuantumScanResult:
             "squarings": self.squarings,
             "band_dropped_norm": self.band_dropped_norm,
             "levels": self.levels,
+            "first_level": self.first_level,
             "column_fill": self.column_fill,
         }
 
@@ -327,6 +337,14 @@ def _square(u: sparse.csr_matrix, bound: float) -> tuple[sparse.csr_matrix, floa
     return u, 2.0 * bound + bound * bound + dropped
 
 
+def _squarings(norm: float) -> int:
+    """The squarings that bring a generator of 1-norm ``norm`` to 1-norm at most 1.
+    A norm that is not finite raises ``IonstringError``."""
+    if not np.isfinite(norm):
+        raise IonstringError(f"generator 1-norm {norm} is not finite: the pulse propagators are out of range")
+    return max(0, int(np.ceil(np.log2(max(norm, 1.0)))))
+
+
 def _banded_expm(b: sparse.spmatrix, unit: complex) -> tuple[sparse.csr_matrix, int, float]:
     """exp(unit b) of a sparse real b by scaling and squaring, for unit 1
     (b antisymmetric) or -1j (b symmetric).
@@ -342,10 +360,7 @@ def _banded_expm(b: sparse.spmatrix, unit: complex) -> tuple[sparse.csr_matrix, 
     b = sparse.csr_matrix(b)
     if np.iscomplexobj(b.data):
         raise TypeError("_banded_expm takes a real generator; its phase goes in unit")
-    norm = float(abs(b).sum(axis=0).max())
-    if not np.isfinite(norm):
-        raise IonstringError(f"generator 1-norm {norm} is not finite: the pulse propagators are out of range")
-    squarings = max(0, int(np.ceil(np.log2(max(norm, 1.0)))))
+    squarings = _squarings(float(abs(b).sum(axis=0).max()))
     b = b / 2.0**squarings
     # unit^k is (unit^2)^(k // 2) on even terms and unit times that on odd ones
     sign = (unit * unit).real
@@ -353,7 +368,9 @@ def _banded_expm(b: sparse.spmatrix, unit: complex) -> tuple[sparse.csr_matrix, 
     sums, bound, order = [term, sparse.csr_matrix(b.shape)], 0.0, 0
     while term.nnz:
         order += 1
-        term, dropped = _prune(term @ b * ((sign if order % 2 == 0 else 1.0) / order))
+        term = term @ b
+        term.data *= (sign if order % 2 == 0 else 1.0) / order
+        term, dropped = _prune(term)
         sums[order % 2] = sums[order % 2] + term
         bound += dropped
     result = sums[0] + unit * sums[1]
@@ -362,9 +379,71 @@ def _banded_expm(b: sparse.spmatrix, unit: complex) -> tuple[sparse.csr_matrix, 
     return result, squarings, bound
 
 
-def _pulse_hamiltonian(params: SpinMotionParams, dim: int):
-    """The real pulse Hamiltonian on the Fock levels [0, ``dim``), in the
-    (n, +/-) basis, levels interleaved.
+def _add_band(total: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """``total`` + ``band``, two bands of diagonals (see ``_displacement``)
+    aligned on their main diagonals; ``total`` is summed into in place
+    unless ``band`` is the wider."""
+    if band.shape[0] > total.shape[0]:
+        total, band = band.copy(), total
+    pad = (total.shape[0] - band.shape[0]) // 2
+    total[pad : total.shape[0] - pad] += band
+    return total
+
+
+def _displacement(eta: float, first: int, dim: int) -> tuple[sparse.csr_matrix, float]:
+    """D = exp(eta (a+ - a)) on the Fock levels [first, first + ``dim``), and
+    the bound on its error: the steps of ``_banded_expm`` of the truncated
+    generator with unit 1, with its Taylor terms run on diagonals.
+
+    The generator holds c_j = eta sqrt(first + j + 1) at (j + 1, j) and
+    -c_j at (j, j + 1). A term is kept as its band of diagonals, row
+    K + o holding the term's entry (j - o, j) at column j, so its product
+    with the generator is two shifted products with c: each entry is the
+    same two products summed and scaled by 1/k as in the sparse product,
+    so the terms and their sums equal the sparse ones entry for entry.
+    Terms lose entries below the drop floor, with their norm added to
+    the bound. The squarings, where the generator's 1-norm passes 1,
+    run on the sparse sum with its indices sorted, so they round
+    differently from ``_banded_expm``'s.
+    """
+    column_sums = np.zeros(dim)
+    # an eta past the float range gives an inf generator, which _squarings refuses by name
+    with np.errstate(over="ignore"):
+        c = eta * np.sqrt(np.arange(first + 1.0, first + dim))
+        column_sums[1:] += c
+        column_sums[:-1] += c
+    squarings = _squarings(float(column_sums.max()))
+    c = c / 2.0**squarings
+    term = np.ones((1, dim))
+    sums, bound, order = [term, np.zeros((1, dim))], 0.0, 0
+    while True:
+        order += 1
+        step = np.zeros((term.shape[0] + 2, dim))
+        step[2:, 1:] -= term[:, :-1] * c
+        step[:-2, :-1] += term[:, 1:] * c
+        step *= 1.0 / order
+        small = np.abs(step) < _DROP_FLOOR
+        bound += float(np.linalg.norm(step[small]))
+        step[small] = 0.0
+        offsets = np.flatnonzero(step.any(axis=1)) - step.shape[0] // 2
+        if not offsets.size:
+            break
+        # the outermost diagonals left with no entry are dropped
+        half = int(np.abs(offsets).max())
+        term = step[step.shape[0] // 2 - half : step.shape[0] // 2 + half + 1]
+        sums[order % 2] = _add_band(sums[order % 2], term)
+    band = _add_band(*sums)
+    # the band is scipy's DIA layout; its CSR form keeps the nonzero entries, sorted
+    d = sparse.dia_matrix((band, np.arange(band.shape[0]) - band.shape[0] // 2), shape=(dim, dim)).tocsr()
+    for _ in range(squarings):
+        d, bound = _square(d, bound)
+    return d, bound
+
+
+def _pulse_hamiltonian(params: SpinMotionParams, first: int, dim: int):
+    """The real pulse Hamiltonian on the Fock levels [first, first + ``dim``),
+    in the (n, +/-) basis, levels interleaved, as CSR arrays written
+    directly.
 
     In the gauge G = diag(i^n) x 1 the displacement exp(i eta (a + a+))
     becomes the rotation D = exp(eta (a+ - a)), and H turns real
@@ -374,40 +453,38 @@ def _pulse_hamiltonian(params: SpinMotionParams, dim: int):
     parity (-1)^n sigma_x, H holds +/-K inside each sector, with
     K = (rabi/4)(D P + P D^T) and P = diag((-1)^n), and -detuning/2
     between |n, +> and |n, ->, so at zero detuning the sectors decouple.
-    H is built there directly, so no roundoff couples the sectors.
+    H is built there directly, so no roundoff couples the sectors. Each
+    entry is the sum the sparse operator algebra of that formula forms.
 
     Returns H, the free evolution between pulses as the diagonal of the
-    (n, spin) basis, spin up first, and the error bound of D, which is
-    exponentiated from the truncated ladder operator.
+    (n, spin) basis, spin up first, the error bound of D (see
+    ``_displacement``), and H's band width in levels.
     """
-    ladder = sparse.diags(np.sqrt(np.arange(1.0, dim)), 1)
-    # an eta past the float range gives an inf generator, which _banded_expm refuses by name
-    with np.errstate(over="ignore"):
-        generator = params.eta * (ladder.T - ladder)
-    displacement, _, d_bound = _banded_expm(generator, 1)
-    dp = displacement @ sparse.diags((-1.0) ** np.arange(dim))
-    # csr keeps kron from storing the zeros of each 2 x 2 block
-    sectors = sparse.kron(0.25 * params.rabi * (dp + dp.T), sparse.diags([1.0, -1.0]), format="csr")
-    mix = -0.5 * params.detuning
-    mixing = sparse.kron(sparse.identity(dim), sparse.csr_matrix([[0.0, mix], [mix, 0.0]]), format="csr")
-    levels = params.omega * (np.arange(dim) + 0.5)
-    h = sectors + mixing + sparse.diags(np.repeat(levels - 0.5 * (levels[0] + levels[-1]), 2))
+    displacement, d_bound = _displacement(params.eta, first, dim)
+    rows = np.repeat(np.arange(dim), np.diff(displacement.indptr))
+    cols = displacement.indices
+    half = int(np.max(np.abs(cols - rows), initial=0))
+    # D[i, i + o] and D[i + o, i] at [i, half + o]
+    ahead, behind = np.zeros((2, dim, 2 * half + 1))
+    ahead[rows, cols - rows + half] = displacement.data
+    behind[cols, rows - cols + half] = displacement.data
+    n, offsets = first + np.arange(dim), np.arange(-half, half + 1)
+    k = 0.25 * params.rabi * (ahead * (-1.0) ** (n[:, None] + offsets) + behind * (-1.0) ** n[:, None])
+    levels = params.omega * (n + 0.5)
+    # [i, spin of the row, half + o, spin of the column]
+    h = np.zeros((dim, 2, 2 * half + 1, 2))
+    h[:, 0, :, 0], h[:, 1, :, 1] = k, -k
+    h[:, :, half, :] += np.eye(2) * (levels - 0.5 * (levels[0] + levels[-1]))[:, None, None]
+    h[:, 0, half, 1] = h[:, 1, half, 0] = -0.5 * params.detuning
+    kept = h != 0.0
+    columns = 2 * (np.arange(dim)[:, None, None, None] + offsets[:, None]) + np.arange(2)
+    indptr = np.concatenate([[0], np.cumsum(kept.reshape(2 * dim, -1).sum(axis=1))])
+    h_csr = sparse.csr_matrix((h[kept], np.broadcast_to(columns, h.shape)[kept], indptr), shape=(2 * dim, 2 * dim))
+    # one axis at a time: numpy reduces over several axes at once far more slowly
+    used = kept.reshape(2 * dim, -1, 2).any(axis=0).any(axis=1)
+    band_width = int(np.max(np.abs(np.flatnonzero(used) - half), initial=0))
     free = np.add.outer(levels, [-0.5 * params.detuning, 0.5 * params.detuning]).ravel()
-    return h.tocsr(), free, d_bound
-
-
-def _to_spin(u: sparse.csr_matrix) -> tuple[sparse.csr_matrix, float]:
-    """u from the (n, +/-) basis to the (n, spin) basis, Q u Q^T, with its
-    entries below the drop floor pruned, and their Frobenius norm.
-
-    Q = diag(1, (-1)^n) (1 x [[1, 1], [1, -1]]) / sqrt(2) per level is
-    orthogonal, so it carries every error bound over unchanged; it is
-    applied with entries +/-1 and one factor 1/2.
-    """
-    dim = u.shape[0] // 2
-    signs = np.stack([np.ones(dim), (-1.0) ** np.arange(dim)], axis=1).ravel()
-    q = sparse.diags(signs) @ sparse.kron(sparse.identity(dim), [[1.0, 1.0], [1.0, -1.0]])
-    return _prune((0.5 * (q @ u @ q.T)).tocsr())
+    return h_csr, free, d_bound, band_width
 
 
 def _axis_phases(rows: int, phase: float) -> np.ndarray:
@@ -415,16 +492,57 @@ def _axis_phases(rows: int, phase: float) -> np.ndarray:
     return np.tile(np.exp([-0.5j * phase, 0.5j * phase]), rows // 2)
 
 
-def _slabs(u: sparse.csr_matrix) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The [start, stop) column spans of the ``_SLAB_ROWS``-row blocks of a
-    banded matrix, and the blocks, dense over their spans."""
-    spans, blocks = [], []
-    for start in range(0, u.shape[0], _SLAB_ROWS):
-        block = u[start : start + _SLAB_ROWS]
-        lo, hi = int(block.indices.min()), int(block.indices.max()) + 1
-        spans.append((lo, hi))
-        blocks.append(block[:, lo:hi].toarray())
-    return np.array(spans), blocks
+def _spin_slabs(u: sparse.csr_matrix, first: int) -> tuple[tuple[np.ndarray, list[np.ndarray]], int, float]:
+    """A propagator u on the Fock levels from ``first``, from the (n, +/-)
+    basis to the (n, spin) basis, as the slabs that ``_apply`` multiplies:
+    one vectorized pass over u's CSR arrays.
+
+    The map is Q u Q^T, Q = diag(1, (-1)^n) (1 x [[1, 1], [1, -1]]) / sqrt(2)
+    per level, which is orthogonal and so carries every error bound over
+    unchanged. u's 2 x 2 level blocks are gathered by level distance and
+    combined over rows, then over columns, with entries +/-1 and one
+    factor 1/2; entries below the drop floor are pruned. The rows of
+    each ``_SLAB_ROWS``-row slab are laid out dense by column, and its
+    block is the column span holding its entries.
+
+    Returns the [start, stop) column spans and the blocks, the band
+    width (the largest level distance |n - m| kept), and the Frobenius
+    norm of the pruned entries.
+    """
+    rows = np.repeat(np.arange(u.shape[0]), np.diff(u.indptr))
+    half = int(np.max(np.abs(u.indices // 2 - rows // 2), initial=0))
+    width = 2 * half + 1
+    slabs = -(-u.shape[0] // _SLAB_ROWS)
+    # [i, row spin, half + j - i, column spin] holds u[2i + row spin, 2j + column spin];
+    # the levels past the basis fill the last slab with zeros
+    spin = np.zeros((slabs * _SLAB_LEVELS, 2, width, 2), dtype=u.dtype)
+    spin.reshape(-1)[rows * (2 * width - 1) + rows % 2 + u.indices + 2 * half] = u.data
+    signs = (-1.0) ** (first + np.arange(spin.shape[0]))
+    up, down = spin[:, 0], spin[:, 1]
+    rest = up - down
+    up += down
+    np.multiply(rest, signs[:, None, None], out=down)
+    left, right = spin[..., 0], spin[..., 1]
+    rest = left - right
+    left += right
+    np.multiply(rest, np.multiply.outer(signs, (-1.0) ** (half + np.arange(width)))[:, None], out=right)
+    spin *= 0.5
+    small = np.abs(spin) < _DROP_FLOOR
+    dropped = float(np.linalg.norm(spin[small]))
+    spin[small] = 0.0
+    distances = np.flatnonzero((~small).reshape(-1, width, 2).any(axis=0).any(axis=1)) - half
+    band_width = int(np.max(np.abs(distances), initial=0))
+    # row r of slab s at its columns 2 (r // 2) + k, the (n, spin) column 32 s - 2 half of the first
+    strips = np.zeros((slabs, _SLAB_ROWS, _SLAB_ROWS - 2 + 2 * width), dtype=u.dtype)
+    strip_rows = np.arange(_SLAB_ROWS)[:, None]
+    strips[:, strip_rows, 2 * (strip_rows // 2) + np.arange(2 * width)] = spin.reshape(slabs, _SLAB_ROWS, -1)
+    filled = strips.any(axis=1)
+    lo = np.argmax(filled, axis=1)
+    hi = filled.shape[1] - np.argmax(filled[:, ::-1], axis=1)
+    height = np.minimum(_SLAB_ROWS, u.shape[0] - _SLAB_ROWS * np.arange(slabs))
+    blocks = [strip[:top, a:b] for strip, top, a, b in zip(strips, height, lo, hi)]
+    offset = _SLAB_ROWS * np.arange(slabs) - 2 * half
+    return (np.stack([lo + offset, hi + offset], axis=1), blocks), band_width, dropped
 
 
 def _stack(rows: int, columns: int) -> tuple[np.ndarray, list]:
@@ -434,8 +552,10 @@ def _stack(rows: int, columns: int) -> tuple[np.ndarray, list]:
 
 
 def _apply(slabs, psi: np.ndarray, lo: np.ndarray, hi: np.ndarray, phases: np.ndarray, out=None):
-    """The slabs applied to diag(phases) psi inside the row windows
-    [lo[j], hi[j]) of its columns (see ``quantum_cpmg_scan``).
+    """The slabs applied to psi, each column first multiplied by its
+    column of ``phases`` (or by its one column, shared by all), inside
+    the row windows [lo[j], hi[j]) of its columns (see
+    ``quantum_cpmg_scan``).
 
     The product is written into ``out``, a ``_stack`` that may hold an
     earlier product: only the column ranges it wrote are zeroed. By
@@ -449,6 +569,7 @@ def _apply(slabs, psi: np.ndarray, lo: np.ndarray, hi: np.ndarray, phases: np.nd
     hi = np.maximum.accumulate(hi)
     firsts = np.searchsorted(hi, spans[:, 0], side="right")
     stops = np.searchsorted(lo, spans[:, 1])
+    shared = phases.shape[1] == 1
     out, written = _stack(*psi.shape) if out is None else out
     for s, first, stop in written:
         out[s * _SLAB_ROWS : (s + 1) * _SLAB_ROWS, first:stop] = 0.0
@@ -457,7 +578,8 @@ def _apply(slabs, psi: np.ndarray, lo: np.ndarray, hi: np.ndarray, phases: np.nd
     for s, ((c0, c1), first, stop) in enumerate(zip(spans.tolist(), firsts.tolist(), stops.tolist())):
         if first < stop:
             part = out[s * _SLAB_ROWS : (s + 1) * _SLAB_ROWS, first:stop]
-            np.matmul(blocks[s], phases[c0:c1, None] * psi[c0:c1, first:stop], out=part)
+            column_phases = phases[c0:c1] if shared else phases[c0:c1, first:stop]
+            np.matmul(blocks[s], column_phases * psi[c0:c1, first:stop], out=part)
             kept[s, first:stop] = np.abs(part).max(axis=0) >= _DROP_FLOOR
             written.append((s, first, stop))
     new_lo = _SLAB_ROWS * np.argmax(kept, axis=0)
@@ -476,17 +598,6 @@ def _check_range(name: str, error: float) -> None:
         raise IonstringError(
             f"{name} {error:.2e} exceeds {_LEAK_TOL:.0e}: the pulse propagators are out of range"
         )
-
-
-def _band_width(u: sparse.csr_matrix) -> int:
-    rows, cols = u.nonzero()
-    return int(np.max(np.abs(rows // 2 - cols // 2), initial=0))
-
-
-def _headroom(levels: int, band_width: int, cutoff: int) -> int:
-    """The rows a state's window may reach on the Fock levels [0, ``levels``): all
-    of them at the cutoff, and below it all but the top band width and slab."""
-    return 2 * (levels - band_width - _SLAB_LEVELS) if levels <= cutoff else 2 * levels
 
 
 def quantum_cpmg_scan(
@@ -513,20 +624,29 @@ def quantum_cpmg_scan(
     dropped. Passing ``initial_fock`` evolves that single Fock state
     instead.
 
-    The scan runs on the Fock levels [0, L) that its states reach, not on
-    all ``fock_cutoff`` + 1. L starts 64 levels above the top initial
-    level, in whole slabs of 16 levels, and is capped at ``fock_cutoff`` + 1.
-    Below the cap, a state's window must stay one band width and one slab
-    below the top of the basis: the top initial level is checked once the
-    propagators are built, before any pulse, and every window after every
-    pulse. Where either check fails, L doubles (up to the cap) and the
-    scan starts again on the larger basis. So the top slab of a basis
-    below the cap holds only entries below the drop floor, and a smaller
-    basis changes only roundoff. ``levels`` reports the final L.
+    The scan runs on the Fock levels [first, first + L) that its states
+    reach, not on all ``fock_cutoff`` + 1. The basis starts 64 levels
+    below the lowest initial level and ends 64 above the top one, in
+    whole slabs of 16 levels, inside [0, ``fock_cutoff`` + 1); so a
+    thermal scan, or a Fock level below 64, starts at level 0. At an
+    edge of the basis that is not an edge of [0, ``fock_cutoff`` + 1), a
+    state's window must stay one band width and one slab away from it:
+    the initial levels are checked once H is built and once the
+    propagators are, before any pulse, and every window after every
+    pulse. Where a check fails, the basis grows by L levels past each
+    edge a state came near (clipped to [0, ``fock_cutoff`` + 1), the
+    bottom in whole slabs), and the scan starts again on the larger
+    basis. So the edge slabs of a basis inside the cutoff hold only
+    entries below the drop floor, and a smaller basis changes only
+    roundoff. ``first_level`` and ``levels`` report the final basis.
 
     The states are evolved as the columns of one stack, each inside a
     row window that holds all its entries at or above the drop floor
-    1e-20. Sorted by initial Fock level, the windows (made
+    1e-20. A scan's waits go through the pulses together, in groups of
+    max(1, 32 // states) waits: a column per (state, wait), level-major,
+    each with the free phases of its wait, so a one-state scan of up to
+    32 waits makes one windowed product per pulse and a thermal scan one
+    wait at a time. Sorted by initial Fock level, the windows (made
     non-decreasing) that meet a slab's column span form one range of
     columns, found by bisection, and the slab multiplies only that
     range; the free evolution and axis phases between pulses are
@@ -544,7 +664,7 @@ def quantum_cpmg_scan(
         If the inputs violate ``scan_limits``, before any propagator is built.
     FockCutoffError
         If population at the truncation boundary exceeds 1e-6; only a
-        basis of all ``fock_cutoff`` + 1 levels can hold that much there.
+        basis that ends at the cutoff can hold that much there.
     IonstringError
         If ``band_dropped_norm`` (checked before the first wait) or the
         norm error of the states at any wait exceeds 1e-6: the detuning
@@ -573,33 +693,48 @@ def quantum_cpmg_scan(
         init_levels = np.arange(n_top + 1)
 
     dim = params.fock_cutoff + 1
-    levels = min(dim, _SLAB_LEVELS * -(-(int(init_levels[-1]) + 1 + _REACH) // _SLAB_LEVELS))
-    while (result := _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, levels)) is None:
-        levels = min(dim, 2 * levels)
+    first = max(0, _SLAB_LEVELS * ((int(init_levels[0]) - _REACH) // _SLAB_LEVELS))
+    stop = min(dim, _SLAB_LEVELS * -(-(int(init_levels[-1]) + 1 + _REACH) // _SLAB_LEVELS))
+    while not isinstance(result := _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, first, stop),
+                         QuantumScanResult):
+        low, high = result
+        size = stop - first
+        if low:
+            first = max(0, _SLAB_LEVELS * ((first - size) // _SLAB_LEVELS))
+        if high:
+            stop = min(dim, stop + size)
     logger.debug("quantum_cpmg_scan: %s", result.record())
     return result
 
 
-def _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, levels) -> QuantumScanResult | None:
-    """The scan of ``quantum_cpmg_scan`` on the Fock levels [0, ``levels``),
-    or None once a state comes within one band width and one slab of the
-    top of a basis below the cutoff."""
+def _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, first, stop):
+    """The scan of ``quantum_cpmg_scan`` on the Fock levels [``first``, ``stop``),
+    or, once a state comes within one band width and one slab of an edge
+    of the basis inside the cutoff, whether it came near the bottom and
+    the top."""
     t_pi = params.pi_time
-    h, free, d_bound = _pulse_hamiltonian(params, levels)
+    levels = stop - first
+
+    def near(lo, hi, band_width: int) -> tuple[bool, bool]:
+        margin = 2 * (band_width + _SLAB_LEVELS)
+        return first > 0 and np.min(lo) < margin, stop <= params.fock_cutoff and np.max(hi) > 2 * levels - margin
+
+    h, free, d_bound, h_width = _pulse_hamiltonian(params, first, levels)
     # an error E in D perturbs H by rabi/sqrt(2) |E| and U(t) by t times
     # that; a D out of range may hold NaN, so it is checked before H is
     # exponentiated
     d_error = 0.5 * t_pi * params.rabi / np.sqrt(2.0) * d_bound
     _check_range("band_dropped_norm", 2.0 * d_error)
     # U's first-order term is -i t H, so a basis too small for H's band is left before U is built
-    top = 2 * int(init_levels[-1]) + 2
-    if top > _headroom(levels, _band_width(h), params.fock_cutoff):
-        return None
+    initial = 2 * (int(init_levels[0]) - first), 2 * (int(init_levels[-1]) - first) + 2
+    if any(edges := near(*initial, h_width)):
+        return edges
     u_half, squarings, half_bound = _banded_expm(0.5 * t_pi * h, -1j)
     del h
     half_bound += d_error
     u_pi, pi_bound = _square(u_half, half_bound)
-    (u_half, half_dropped), (u_pi, pi_dropped) = _to_spin(u_half), _to_spin(u_pi)
+    (half, half_width, half_dropped), (pi, pi_width, pi_dropped) = _spin_slabs(u_half, first), _spin_slabs(u_pi, first)
+    del u_half, u_pi
     # what a windowed pulse leaves out acts on sub-floor entries only, in
     # at most the 2 * levels rows of each state
     window_bound = (n_pulses + 1) * _DROP_FLOOR * np.sqrt(2.0 * levels)
@@ -607,11 +742,9 @@ def _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, level
         2.0 * (half_bound + half_dropped) + n_pulses * (pi_bound + pi_dropped) + window_bound
     )
     _check_range("band_dropped_norm", band_dropped_norm)
-    band_width = max(_band_width(u_half), _band_width(u_pi))
-    reach = _headroom(levels, band_width, params.fock_cutoff)
-    if top > reach:
-        return None
-    half, pi = _slabs(u_half), _slabs(u_pi)
+    band_width = max(half_width, pi_width)
+    if any(edges := near(*initial, band_width)):
+        return edges
     # The pulse about the axis at phase p is W u W^dag (see _axis_phases),
     # so conj(W_k) W_(k-1) joins the free evolution before pulse k. The
     # first W^dag only multiplies each |down, n> by a phase and the last W
@@ -619,34 +752,48 @@ def _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, level
     # holds for the gauge G of the propagators (see _pulse_hamiltonian),
     # which is diagonal and so commutes with every phase: the scan runs in
     # the gauge and never applies G.
+    rows = 2 * levels
     axes = np.pi * np.array([1.5, *(np.arange(n_pulses) % 2), 0.5])  # -y, +x/-x ..., +y
-    turns = [_axis_phases(2 * levels, before - after) for before, after in zip(axes[:-1], axes[1:])]
+    turns = [_axis_phases(rows, before - after)[:, None] for before, after in zip(axes[:-1], axes[1:])]
     # the pi/2 pulse about -y applied to the initial states |down, n>, once
     # for every wait; the unit columns are freed right away, as kept they
     # would raise the peak memory of the scan
-    down = 2 * init_levels + 1
-    units = np.zeros((2 * levels, down.size), dtype=complex)
-    units[down, np.arange(down.size)] = 1.0
-    first, first_lo, first_hi, _ = _apply(half, units, down, down + 1, np.ones(2 * levels))
+    down = 2 * (init_levels - first) + 1
+    states = down.size
+    units = np.zeros((rows, states), dtype=complex)
+    units[down, np.arange(states)] = 1.0
+    opened, opened_lo, opened_hi, _ = _apply(half, units, down, down + 1, np.ones((rows, 1)))
     del units
-    if first_hi.max() > reach:
-        return None
-    # the pulses of a wait write into these two stacks in turn
-    stacks = [_stack(2 * levels, down.size) for _ in range(2)]
+    if any(edges := near(opened_lo, opened_hi, band_width)):
+        return edges
 
     excitation = np.empty(t_wait.shape)
     max_leak = 0.0
     max_norm_error = 0.0
     computed = 0
-    for idx, tw in enumerate(t_wait):
-        end_gap, inner_gap = np.exp(-1j * free * (tw - 0.75 * t_pi)), np.exp(-1j * free * (tw - t_pi))
+    # the pulses of a group write into these two stacks in turn
+    stacks = []
+    group = max(1, _SLAB_ROWS // states)
+    rates = (-1j * free)[:, None]
+    for start in range(0, t_wait.size, group):
+        waits = t_wait[start : start + group]
+        columns = states * waits.size
+        if not stacks or stacks[0][0].shape[1] != columns:
+            stacks = [_stack(rows, columns) for _ in range(2)]
+        # a column per (state, wait), level-major; with one wait, the opened states themselves
+        psi, lo, hi = opened, opened_lo, opened_hi
+        if waits.size > 1:
+            psi, lo, hi = (np.repeat(a, waits.size, axis=-1) for a in (psi, lo, hi))
+        end_gap, inner_gap = np.exp(rates * (waits - 0.75 * t_pi)), np.exp(rates * (waits - t_pi))
         gaps = [end_gap] + [inner_gap] * (n_pulses - 1) + [end_gap]
-        psi, lo, hi = first, first_lo, first_hi
         for k, (free_phases, turn) in enumerate(zip(gaps, turns)):
             slabs = pi if k < n_pulses else half
-            psi, lo, hi, pairs = _apply(slabs, psi, lo, hi, free_phases * turn, stacks[k % 2])
-            if hi.max() > reach:
-                return None
+            phases = free_phases * turn
+            # each state's waits take the group's phases in turn; one wait's phases serve every column
+            phases = np.tile(phases, states) if waits.size > 1 else phases
+            psi, lo, hi, pairs = _apply(slabs, psi, lo, hi, phases, stacks[k % 2])
+            if any(edges := near(lo, hi, band_width)):
+                return edges
             computed += pairs
 
         norm_error = float(np.max(np.abs(_populations(psi) - 1.0)))
@@ -660,9 +807,9 @@ def _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, level
                 f"population {leak:.2e} at the Fock-basis boundary exceeds "
                 f"{_LEAK_TOL:.0e}; increase fock_cutoff beyond {params.fock_cutoff}"
             )
-        excitation[idx] = float(weights @ _populations(psi[0::2]))
+        excitation[start : start + waits.size] = weights @ _populations(psi[0::2]).reshape(states, waits.size)
 
-    column_fill = computed / (t_wait.size * (n_pulses + 1) * len(half[1]) * init_levels.size)
+    column_fill = computed / (t_wait.size * (n_pulses + 1) * len(half[1]) * states)
     return QuantumScanResult(
         t_wait=t_wait,
         excitation=excitation,
@@ -673,5 +820,6 @@ def _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, level
         squarings=squarings + 1,
         band_dropped_norm=band_dropped_norm,
         levels=levels,
+        first_level=first,
         column_fill=column_fill,
     )

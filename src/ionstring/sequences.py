@@ -25,6 +25,7 @@ senses each line harmonic, applies the opposite waveform, and iterates.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -297,10 +298,8 @@ def sense(
         (np.angle(centred @ np.exp(-1j * m * theta)) + 0.5 * np.pi + np.pi * np.arange(2 * m)) / m
         for m in _HARMONICS
     ])
-    # amplitudes up to 2 z_max: the grid's z are the first half, its 2z the odd rows
-    z = _MAX_INNER_AMPLITUDE * np.arange(1, 2 * _GRID_AMPLITUDES + 1) / _GRID_AMPLITUDES
+    z, bessel, tail = _grid_table()
     y = data - 0.5
-    bessel, tail = _bessel_table(z)
     k, m = np.arange(1, bessel.shape[1], 2), np.arange(0, bessel.shape[1], 2)
     odd = 2.0 * np.exp(1j * np.multiply.outer(k, theta)) @ y  # 2 Y_k
     even = np.exp(1j * np.multiply.outer(m, theta)).sum(axis=1) * np.where(m > 0, 1.0, 0.5)  # E_m, and E_0 / 2
@@ -312,7 +311,10 @@ def sense(
 
     bounds = ([0.0, -4.0 * np.pi, 0.0][:n], [_MAX_INNER_AMPLITUDE / gain, 4.0 * np.pi, 1.0][:n])
     fits = []
-    for flat in np.argsort(cost, axis=None, kind="stable")[:POLISHES]:
+    # the POLISHES lowest costs, ties in index order, as a stable sort of all of them would give
+    ranked = cost.ravel()
+    lowest = np.flatnonzero(ranked <= np.partition(ranked, POLISHES - 1)[POLISHES - 1])
+    for flat in lowest[np.argsort(ranked[lowest], kind="stable")][:POLISHES]:
         i, j = divmod(int(flat), phases.size)
         start = np.clip([z[i] / gain, phases[j], contrast[i, j]][:n], *bounds)
         fits.append(least_squares(
@@ -340,6 +342,18 @@ def sense(
     )
     logger.debug("sense: %s", result.record())
     return result
+
+
+@functools.cache
+def _grid_table() -> tuple[np.ndarray, np.ndarray, float]:
+    """The grid's amplitudes up to 2 z_max (its z are the first half, its 2z
+    the odd rows), their ``dynamics._bessel_table`` and its tail: built on
+    the first ``sense`` of a process, and read-only, as every later one
+    shares them."""
+    z = _MAX_INNER_AMPLITUDE * np.arange(1, 2 * _GRID_AMPLITUDES + 1) / _GRID_AMPLITUDES
+    bessel, tail = _bessel_table(z)
+    z.flags.writeable = bessel.flags.writeable = False
+    return z, bessel, tail
 
 
 def sequence_for_frequency(frequency_hz: float, tau: float = 0.02) -> PulseSequence:

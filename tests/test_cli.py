@@ -535,7 +535,7 @@ def test_wavefront_quantum_summary_reports_the_solver(tmp_path):
     solver = json.loads((tmp_path / "wq.csv.summary.json").read_text())["result"]["solver"]
     assert set(solver) == {
         "max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm",
-        "levels", "column_fill",
+        "levels", "first_level", "column_fill",
     }
     assert 0.0 <= solver["max_leak"] < 1e-6
     assert 0.0 <= solver["max_norm_error"] < 1e-8
@@ -911,10 +911,21 @@ def test_overflows_past_the_float_range_exit_3_with_no_warning(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
-def test_wavefront_quantum_at_the_top_cutoff_scans_a_small_basis(tmp_path):
+@pytest.mark.parametrize(
+    "state, first_level, levels",
+    # a thermal state from level 0; the top Fock level from a few slabs below it, at an eta whose kicks
+    # keep it off the cutoff
+    [({"nbar": 2.0}, 0, 128), ({"initial_fock": 10**5 - 50, "eta": 0.001}, 99872, 129)],
+    ids=["thermal", "top_fock"],
+)
+def test_wavefront_quantum_at_the_top_cutoff_scans_a_small_basis(tmp_path, state, first_level, levels):
     params = {**SMALL["wavefront-quantum"], "fock_cutoff": 10**5}
-    summary = cli.run_experiment({"kind": "wavefront-quantum", "out": str(tmp_path / "w.csv"), "params": params})
-    assert summary["result"]["solver"]["levels"] <= 128
+    del params["nbar"]
+    summary = cli.run_experiment(
+        {"kind": "wavefront-quantum", "out": str(tmp_path / "w.csv"), "params": {**params, **state}}
+    )
+    assert summary["result"]["solver"]["levels"] <= levels
+    assert summary["result"]["solver"]["first_level"] == first_level
     assert json.loads((tmp_path / "w_meta.json").read_text())["fock_cutoff"] == 10**5
 
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ionstring import motion
 from ionstring.constants import HBAR, KB, mass_from_amu, omega_from_hz, wavevector
@@ -352,6 +353,55 @@ def dense_scan_oracle(params, n_pulses, t_wait_values, initial_fock=None, therma
 
 
 
+def sparse_pulse_hamiltonian(params, dim):
+    """D, its error bound and H of ``motion._pulse_hamiltonian`` on the levels
+    [0, dim), by sparse operator algebra: D by ``motion._banded_expm`` of
+    the truncated generator eta (a+ - a), H by kron and diags."""
+    ladder = sparse.diags(np.sqrt(np.arange(1.0, dim)), 1)
+    displacement, _, d_bound = motion._banded_expm(params.eta * (ladder.T - ladder), 1)
+    dp = displacement @ sparse.diags((-1.0) ** np.arange(dim))
+    sectors = sparse.kron(0.25 * params.rabi * (dp + dp.T), sparse.diags([1.0, -1.0]), format="csr")
+    mix = -0.5 * params.detuning
+    mixing = sparse.kron(sparse.identity(dim), sparse.csr_matrix([[0.0, mix], [mix, 0.0]]), format="csr")
+    levels = params.omega * (np.arange(dim) + 0.5)
+    h = sectors + mixing + sparse.diags(np.repeat(levels - 0.5 * (levels[0] + levels[-1]), 2))
+    return displacement, d_bound, h.tocsr()
+
+
+def sparse_to_spin(u):
+    """u from the (n, +/-) basis to the (n, spin) basis as the sparse
+    product 0.5 Q u Q^T, pruned below the drop floor, and the norm pruned."""
+    dim = u.shape[0] // 2
+    signs = np.stack([np.ones(dim), (-1.0) ** np.arange(dim)], axis=1).ravel()
+    q = sparse.diags(signs) @ sparse.kron(sparse.identity(dim), [[1.0, 1.0], [1.0, -1.0]])
+    return motion._prune((0.5 * (q @ u @ q.T)).tocsr())
+
+
+def csr_slabs(u):
+    """The column spans of the 32-row blocks of u and the blocks, dense over their spans, by CSR slicing."""
+    spans, blocks = [], []
+    for start in range(0, u.shape[0], motion._SLAB_ROWS):
+        block = u[start : start + motion._SLAB_ROWS]
+        lo, hi = int(block.indices.min()), int(block.indices.max()) + 1
+        spans.append((lo, hi))
+        blocks.append(block[:, lo:hi].toarray())
+    return np.array(spans), blocks
+
+
+def level_band_width(u):
+    """The largest level distance |n - m| of u's stored entries, two rows per level."""
+    rows, cols = u.nonzero()
+    return int(np.max(np.abs(rows // 2 - cols // 2), initial=0))
+
+
+def slabs_to_dense(slabs, rows):
+    spans, blocks = slabs
+    dense = np.zeros((rows, rows), dtype=complex)
+    for s, ((lo, hi), block) in enumerate(zip(spans, blocks)):
+        dense[s * motion._SLAB_ROWS : s * motion._SLAB_ROWS + block.shape[0], lo:hi] = block
+    return dense
+
+
 OMEGA_Q = 2.0 * np.pi
 
 
@@ -483,7 +533,8 @@ def test_eta_3_grows_the_basis_to_the_cutoff_before_any_pulse(monkeypatch):
     monkeypatch.setattr(motion, "_apply", recording_apply)
     result = motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock)
     assert result.levels == p.fock_cutoff + 1
-    assert rows == [2 * result.levels] * (1 + t_wait.size * (n_pulses + 1))
+    # the first pi/2-pulse, then the two waits together through every other pulse
+    assert rows == [2 * result.levels] * (1 + n_pulses + 1)
     assert np.max(np.abs(result.excitation - dense_scan_oracle(p, n_pulses, t_wait, initial_fock=fock))) <= 1e-10
 
 
@@ -494,7 +545,7 @@ def test_quantum_scan_logs_solver_diagnostics(caplog):
     assert f"quantum_cpmg_scan: {result.record()}" in caplog.text
     assert set(result.record()) == {
         "max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm", "levels",
-        "column_fill",
+        "first_level", "column_fill",
     }
 
 
@@ -530,9 +581,9 @@ def test_windowed_pulse_drops_only_entries_below_the_floor(first_slab):
     # windows, which are sorted or not; each starts at the last column of
     # one slab's span and ends at the first column of another's
     p = motion.SpinMotionParams(eta=0.01, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, fock_cutoff=200)
-    h, free, _ = motion._pulse_hamiltonian(p, p.fock_cutoff + 1)
-    u = motion._to_spin(motion._banded_expm(p.pi_time * h, -1j)[0])[0]
-    slabs = motion._slabs(u)
+    h, free, _, _ = motion._pulse_hamiltonian(p, 0, p.fock_cutoff + 1)
+    parity = motion._banded_expm(p.pi_time * h, -1j)[0]
+    u, slabs = sparse_to_spin(parity)[0], motion._spin_slabs(parity, 0)[0]
     rows = 2 * (p.fock_cutoff + 1)
     first_slab = np.array(first_slab)
     lo, hi = slabs[0][first_slab, 1] - 1, slabs[0][first_slab + 3, 0] + 1
@@ -540,9 +591,9 @@ def test_windowed_pulse_drops_only_entries_below_the_floor(first_slab):
     psi = 1e-21 * rng.normal(size=(rows, lo.size)) + 0j
     for j in range(lo.size):
         psi[lo[j] : hi[j], j] = rng.normal(size=hi[j] - lo[j]) + 1j * rng.normal(size=hi[j] - lo[j])
-    phases = np.exp(-0.3j * free)
+    phases = np.exp(-0.3j * free)[:, None]
     out, new_lo, new_hi, pairs = motion._apply(slabs, psi, lo, hi, phases)
-    exact = u @ (phases[:, None] * psi)
+    exact = u @ (phases * psi)
     floor = motion._DROP_FLOOR
     np.testing.assert_allclose(out, exact, rtol=0.0, atol=1e-13)
     # the (slab, column) products left out hold only what sub-floor entries give
@@ -557,8 +608,8 @@ def test_windowed_pulse_drops_only_entries_below_the_floor(first_slab):
 def test_windowed_pulse_into_a_used_stack_equals_one_into_a_new_stack():
     # a stack that held a wider product is zeroed where it was written, so the product is the same bytes
     p = motion.SpinMotionParams(eta=0.01, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, fock_cutoff=200)
-    h, free, _ = motion._pulse_hamiltonian(p, p.fock_cutoff + 1)
-    slabs = motion._slabs(motion._to_spin(motion._banded_expm(p.pi_time * h, -1j)[0])[0])
+    h, free, _, _ = motion._pulse_hamiltonian(p, 0, p.fock_cutoff + 1)
+    slabs = motion._spin_slabs(motion._banded_expm(p.pi_time * h, -1j)[0], 0)[0]
     rows = 2 * (p.fock_cutoff + 1)
     rng = np.random.default_rng(5)
     wide = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
@@ -566,7 +617,7 @@ def test_windowed_pulse_into_a_used_stack_equals_one_into_a_new_stack():
     lo, hi = np.array([40, 40, 200, 330]), np.array([72, 100, 230, 400])
     for j in range(4):
         narrow[lo[j] : hi[j], j] = wide[lo[j] : hi[j], j]
-    phases = np.exp(-0.3j * free)
+    phases = np.exp(-0.3j * free)[:, None]
     stack = motion._stack(rows, 4)
     motion._apply(slabs, wide, np.zeros(4, dtype=int), np.full(4, rows), phases, stack)
     reused = motion._apply(slabs, narrow, lo, hi, phases, stack)
@@ -583,7 +634,7 @@ def test_parity_built_propagators_match_the_dense_oracle(detuning):
     p = motion.SpinMotionParams(
         eta=0.02, rabi=3.0 * OMEGA_Q, omega=OMEGA_Q, detuning=detuning * OMEGA_Q, fock_cutoff=100
     )
-    h, _, _ = motion._pulse_hamiltonian(p, p.fock_cutoff + 1)
+    h = motion._pulse_hamiltonian(p, 0, p.fock_cutoff + 1)[0]
     u_half = motion._banded_expm(0.5 * p.pi_time * h, -1j)[0]
     u_pi = motion._square(u_half, 0.0)[0]
     # even indices are (n, +), odd ones (n, -): on resonance no entry couples the two sectors
@@ -595,7 +646,7 @@ def test_parity_built_propagators_match_the_dense_oracle(detuning):
     gauge = np.repeat(1j ** np.arange(dim), 2)
     block = (np.arange(2 * dim) % 2) * dim + np.arange(2 * dim) // 2
     for u, dense in zip((u_half, u_pi), dense_propagators(p)):
-        spin = motion._to_spin(u)[0].toarray()
+        spin = slabs_to_dense(motion._spin_slabs(u, 0)[0], 2 * dim)
         lab = gauge[:, None] * spin * gauge.conj()[None, :]
         exact = dense[np.ix_(block, block)]
         overlap = np.vdot(lab, exact)
@@ -610,3 +661,99 @@ def test_banded_expm_takes_a_real_generator_and_its_bound_saturates():
     with pytest.raises(TypeError, match="real generator"):
         motion._banded_expm(0.3j * (ladder + ladder.T), 1)
     assert motion._square(displacement, 1e300)[1] == np.inf
+
+
+# on resonance, detuned, and with a band that spans the basis (seven squarings of D)
+ARRAY_CASES = {"resonant": (0.01, 0.0, 128), "detuned": (0.02, 0.7, 101), "eta_3": (3.0, 0.0, 121)}
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+def test_array_built_displacement_and_hamiltonian_match_the_sparse_algebra(case):
+    eta, detuning, dim = ARRAY_CASES[case]
+    p = motion.SpinMotionParams(eta=eta, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, detuning=detuning * OMEGA_Q)
+    d_sparse, bound_sparse, h_sparse = sparse_pulse_hamiltonian(p, dim)
+    d, d_bound = motion._displacement(eta, 0, dim)
+    h, free, h_bound, width = motion._pulse_hamiltonian(p, 0, dim)
+    # the Taylor terms are the sparse ones entry for entry; D's squarings sum in the order of the
+    # sparse matrix's unsorted indices, which moves each of the seven at eta 3 by its roundoff
+    squarings = int(np.ceil(np.log2(max(1.0, 2.0 * eta * np.sqrt(dim - 1)))))
+    assert (squarings == 0) == (case != "eta_3")
+    atol = 1e-15 * 2.0**squarings
+    assert d.nnz == d_sparse.nnz and h.nnz == h_sparse.nnz
+    assert abs(d - d_sparse).max() <= atol
+    assert abs(h - h_sparse).max() <= atol * 0.5 * p.rabi
+    np.testing.assert_allclose([d_bound, h_bound], [bound_sparse, bound_sparse], rtol=1e-6, atol=0.0)
+    assert width == level_band_width(h_sparse)
+    levels = p.omega * (np.arange(dim) + 0.5)
+    assert np.array_equal(free, np.add.outer(levels, [-0.5 * p.detuning, 0.5 * p.detuning]).ravel())
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+def test_spin_slabs_match_the_sparse_basis_change_and_csr_slicing(case):
+    eta, detuning, dim = ARRAY_CASES[case]
+    p = motion.SpinMotionParams(eta=eta, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, detuning=detuning * OMEGA_Q)
+    h = sparse_pulse_hamiltonian(p, dim)[2]
+    u_half, _, _ = motion._banded_expm(0.5 * p.pi_time * h, -1j)
+    for u in (u_half, motion._square(u_half, 0.0)[0]):
+        spin, dropped = sparse_to_spin(u)
+        spans, blocks = csr_slabs(spin)
+        (got_spans, got_blocks), width, got_dropped = motion._spin_slabs(u, 0)
+        assert np.array_equal(got_spans, spans)
+        for got, block in zip(got_blocks, blocks, strict=True):
+            assert got.shape == block.shape
+            assert np.max(np.abs(got - block)) <= 1e-15
+        assert sum(np.count_nonzero(block) for block in got_blocks) == spin.nnz
+        assert width == level_band_width(spin)
+        np.testing.assert_allclose(got_dropped, dropped, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "fock, nbar, n_waits",
+    [
+        # one state: groups of 32 waits, the last of 13
+        (30, 0.0, 45),
+        # five states (nbar 0.15 to 1 - 1e-4): groups of 6 waits, the last of 2
+        (None, 0.15, 20),
+    ],
+)
+def test_grouped_waits_equal_one_wait_at_a_time(monkeypatch, fock, nbar, n_waits):
+    # the first basis holds every state, so the scan runs once
+    p = motion.SpinMotionParams(eta=0.05, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, nbar=nbar, fock_cutoff=80)
+    t_wait = np.linspace(0.3, 1.4, n_waits)
+    columns = []
+    apply = motion._apply
+
+    def recording_apply(slabs, psi, *args, **kwargs):
+        columns.append(psi.shape[1])
+        return apply(slabs, psi, *args, **kwargs)
+
+    monkeypatch.setattr(motion, "_apply", recording_apply)
+    grouped = motion.quantum_cpmg_scan(p, 3, t_wait, initial_fock=fock)
+    states = columns[0]
+    group = motion._SLAB_ROWS // states
+    sizes = [min(group, n_waits - start) for start in range(0, n_waits, group)]
+    assert sizes[-1] < group
+    assert columns == [states] + [states * size for size in sizes for _ in range(4)]
+    one_at_a_time = [motion.quantum_cpmg_scan(p, 3, [tw], initial_fock=fock) for tw in t_wait]
+    single = np.concatenate([result.excitation for result in one_at_a_time])
+    assert np.max(np.abs(grouped.excitation - single)) <= 1e-13
+    assert grouped.max_leak == pytest.approx(max(result.max_leak for result in one_at_a_time), rel=1e-6, abs=1e-30)
+
+
+def test_a_high_fock_level_scans_from_a_raised_first_level(monkeypatch):
+    # Fock 500 at cutoff 560: the basis starts in whole slabs 64 levels below it and ends at the cutoff
+    p = motion.SpinMotionParams(eta=0.01, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, fock_cutoff=560)
+    t_wait = np.linspace(0.55, 2.2, 6)
+    raised = motion.quantum_cpmg_scan(p, 10, t_wait, initial_fock=500)
+    assert (raised.first_level, raised.levels) == (432, p.fock_cutoff + 1 - 432)
+    assert raised.record()["first_level"] == 432
+    full = full_basis_scan(monkeypatch, p, 10, t_wait, 500)
+    assert (full.first_level, full.levels) == (0, p.fock_cutoff + 1)
+    assert np.max(np.abs(raised.excitation - full.excitation)) <= 1e-12
+    # 16 levels below Fock 500 pass the check before the first pulse, but a window comes within one
+    # band width and one slab of the bottom, so the basis grows down by its size
+    monkeypatch.setattr(motion, "_REACH", 16)
+    lowered = motion.quantum_cpmg_scan(p, 10, t_wait, initial_fock=500)
+    assert lowered.first_level < 484
+    assert lowered.first_level % motion._SLAB_LEVELS == 0
+    assert np.max(np.abs(lowered.excitation - full.excitation)) <= 1e-12
