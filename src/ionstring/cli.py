@@ -33,10 +33,9 @@ limits of the quantum CPMG scan live in ``motion.scan_limits``, which
 ``wavefront-quantum``'s check calls, and its default ``fock_cutoff`` in
 ``motion.cutoff_rule``. Unknown fields, wrong types,
 non-finite numbers and failed checks are config errors, all reported
-at once. Every integer field has an upper bound, so no count can ask
-for an unbounded allocation or loop; ``n_ions`` is held to the
-solver's range, ``chain.MAX_IONS`` for ``chain`` and ``couplings`` and
-``dynamics.DEFAULT_QUBIT_CAP`` for ``quench`` and ``negativity``. A
+at once. A number's range is a ``Bound``: it checks, words the message
+and can be read back. Every integer field's has a top, so no count asks
+for an unbounded loop or allocation; ``n_ions``'s is the solver's range. A
 kind takes only fields that change its outputs: ``chain`` takes no
 wavelength; ``quench`` and ``negativity`` scale J to
 ``target_max_j_rad_s``, which cancels the Rabi frequency, wavelength
@@ -179,25 +178,24 @@ def _number(raw, kind):
     return kind(raw)
 
 
-def _positive(value):
-    return None if value > 0 else "must be positive"
+class Bound(NamedTuple):
+    """A number's range, ``[low, high]`` or, with ``open_low``, ``(low, high]``; as a ``Field.check``, the message."""
+
+    low: float
+    high: float = math.inf
+    open_low: bool = False
+
+    def __str__(self):
+        if self.high < math.inf:
+            return f"{'(' if self.open_low else '['}{self.low:g}, {self.high:g}]"
+        return "positive" if self.open_low else f">= {self.low:g}"
+
+    def __call__(self, value):
+        inside = (self.low < value if self.open_low else self.low <= value) and value <= self.high
+        return None if inside else f"must {'lie in' if self.high < math.inf else 'be'} {self}"
 
 
-def _non_negative(value):
-    return None if value >= 0 else "must be >= 0"
-
-
-def _within(low, high):
-    return lambda value: None if low <= value <= high else f"must lie in [{low:g}, {high:g}]"
-
-
-def _at_least(low, high=math.inf):
-    """At least ``low`` and, with its own message, at most ``high``."""
-    return lambda value: f"must be >= {low:g}" if value < low else f"must be <= {high:g}" if value > high else None
-
-
-def _up_to(high):
-    return lambda value: None if 0 < value <= high else f"must lie in (0, {high:g}]"
+_POSITIVE = Bound(0.0, open_low=True)
 
 
 def _one_of(*choices):
@@ -216,28 +214,26 @@ def _plain(value):
 def _trap(most_ions, n_ions=8, least_ions=1):
     """Trap fields; ``most_ions`` is the largest string the kind's solver takes."""
     return (
-        Field("n_ions", int, n_ions, _within(least_ions, most_ions)),
+        Field("n_ions", int, n_ions, Bound(least_ions, most_ions)),
         Field("omega_z_hz", float, 127e3, _TRAP_FREQUENCY),
         Field("omega_x_hz", float, 2.93e6, _TRAP_FREQUENCY),
         Field("omega_y_hz", float, 2.89e6, _TRAP_FREQUENCY),
     )
 
 
-# trap frequencies in Hz: omega^2 stays a normal float at the floor (1e-308 Hz squares to 0), and
-# 2 pi f, the period and omega^2 do below the ceiling
-_TRAP_FLOOR_HZ, _TRAP_CEILING_HZ = 1e-3, 1e12
-_TRAP_FREQUENCY = _at_least(_TRAP_FLOOR_HZ, _TRAP_CEILING_HZ)
+# trap frequencies in Hz: 2 pi f, the period and omega^2 stay normal floats (1e-308 Hz squares to 0)
+_TRAP_FREQUENCY = Bound(1e-3, 1e12)
 # from H+ (1.007 amu) to charged nanoparticles; the floor keeps the mass in kg from underflowing to 0
-_MASS = Field("ion_mass_amu", float, 40.0, _within(1.0, 1e9))
+_MASS = Field("ion_mass_amu", float, 40.0, Bound(1.0, 1e9))
 # from hard X-rays to radio waves: k = 2 pi / lambda and k^2 stay normal floats
-_WAVELENGTH = Field("wavelength_m", float, 729e-9, _within(1e-10, 1.0))
-_RABI = Field("rabi_hz", float, 50e3, _positive)
+_WAVELENGTH = Field("wavelength_m", float, 729e-9, Bound(1e-10, 1.0))
+_RABI = Field("rabi_hz", float, 50e3, _POSITIVE)
 
 _DRIVE = (
     # 1e-9 Hz, below any synthesizer's step, still moves the beatnote off a top mode under 10 MHz
-    Field("beatnote_offset_hz", float, 100e3, _at_least(1e-9)),
+    Field("beatnote_offset_hz", float, 100e3, Bound(1e-9)),
     Field("centerline_detuning_hz", float, 3000.0),
-    Field("resonance_guard_hz", float, 10.0, _positive),
+    Field("resonance_guard_hz", float, 10.0, _POSITIVE),
 )
 
 
@@ -317,7 +313,7 @@ _SPINS = (
     Field("alignment", str, "odd_up", _one_of("odd_up", "even_up")),
     *_trap(dynamics.DEFAULT_QUBIT_CAP),
     *_DRIVE,
-    Field("target_max_j_rad_s", float, 240.0, _positive),
+    Field("target_max_j_rad_s", float, 240.0, _POSITIVE),
 )
 
 # J is rabi^2 k^2 / mass times a shape set by the trap frequencies alone,
@@ -335,8 +331,8 @@ def _quench_setup(p):
 
 _QUENCH = (
     *_SPINS,
-    Field("t_max_s", float, 3e-3, _positive),
-    Field("time_points", int, 31, _within(2, 10**4)),
+    Field("t_max_s", float, 3e-3, _POSITIVE),
+    Field("time_points", int, 31, Bound(2, 10**4)),
 )
 
 
@@ -361,8 +357,8 @@ def _subset_shape(subset):
 
 _NEGATIVITY = (
     *_SPINS,
-    Field("time_s", float, 3e-3, _positive),
-    Field("shots_per_setting", int, None, _within(1, 10**6)),
+    Field("time_s", float, 3e-3, _POSITIVE),
+    Field("shots_per_setting", int, None, Bound(1, 10**6)),
     Field("subsets", [list], None, _subset_shape),
 )
 
@@ -402,22 +398,22 @@ def _run_negativity(p, seed):
 # A noise or sensing frequency in Hz: the scan's span 1/f stays finite at the floor, and with tau_s
 # up to 1e3 s the sequence phase 2 pi f tau stays below 2 pi 1e9 rad, where it rounds by under
 # 1e-6 rad. The amplitudes reach 1 kG (1e9 uG), so the phase the noise accumulates stays finite.
-_NOISE_FREQUENCY = _within(1e-3, 1e6)
-_SEQUENCE_TAU = Field("tau_s", float, 0.02, _up_to(1e3))
+_NOISE_FREQUENCY = Bound(1e-3, 1e6)
+_SEQUENCE_TAU = Field("tau_s", float, 0.02, Bound(0.0, 1e3, open_low=True))
 
 _COMPONENT = (
     Field("f_hz", float, REQUIRED, _NOISE_FREQUENCY),
-    Field("b_microgauss", float, None, _within(0.0, 1e9)),
-    Field("amplitude_rad_s", float, None, _within(0.0, 1e10)),
+    Field("b_microgauss", float, None, Bound(0.0, 1e9)),
+    Field("amplitude_rad_s", float, None, Bound(0.0, 1e10)),
     Field("phase_rad", float, 0.0),
     OneOf(("b_microgauss", "amplitude_rad_s")),
 )
 
 _SCAN = (
     Field("components", [_COMPONENT], REQUIRED),
-    Field("shots", int, 100, _within(1, 10**6)),
-    Field("scan_points", int, 41, _within(8, 10**4)),
-    Field("contrast", float, 1.0, _within(0.0, 1.0)),
+    Field("shots", int, 100, Bound(1, 10**6)),
+    Field("scan_points", int, 41, Bound(8, 10**4)),
+    Field("contrast", float, 1.0, Bound(0.0, 1.0)),
 )
 
 
@@ -432,7 +428,7 @@ def _noise_components(p) -> list[sequences.NoiseComponent]:
 
 _CPMG_SENSE = (
     *_SCAN,
-    Field("sequence", (Field("n_pulses", int, 2, _within(1, sequences.MAX_PULSES)), _SEQUENCE_TAU), {}),
+    Field("sequence", (Field("n_pulses", int, 2, Bound(1, sequences.MAX_PULSES)), _SEQUENCE_TAU), {}),
     Field("sense_frequency_hz", float, None, _NOISE_FREQUENCY),
 )
 
@@ -471,8 +467,8 @@ def _run_cpmg_sense(p, seed):
 _COMPENSATE = (
     *_SCAN,
     Field("sequence", (_SEQUENCE_TAU,), {}),
-    Field("max_rounds", int, 2, _within(1, 1000)),
-    Field("phase_drift_rad", float, 0.0, _non_negative),
+    Field("max_rounds", int, 2, Bound(1, 1000)),
+    Field("phase_drift_rad", float, 0.0, Bound(0.0)),
 )
 
 
@@ -510,16 +506,17 @@ def _run_compensate(p, seed):
 
 _WAVEFRONT_SEMICLASSICAL = (
     # bounded so that 2 pi f, the peak wait pi / omega and omega^2 stay normal floats
-    Field("omega_z_hz", float, 112e3, _within(_TRAP_FLOOR_HZ, _TRAP_CEILING_HZ)),
-    Field("n_pulses", int, 20, _within(1, 10**4)),
+    Field("omega_z_hz", float, 112e3, _TRAP_FREQUENCY),
+    Field("n_pulses", int, 20, Bound(1, 10**4)),
     _MASS,
     _WAVELENGTH,
-    Field("tilt_mrad", float, 4.8, _within(0.0, 500.0 * np.pi)),
-    Field("nbar", float, None, _non_negative),
-    Field("temperature_k", float, None, _positive),
-    Field("t_wait_min_us", float, 1.0, _positive),
-    Field("t_wait_max_us", float, 20.0, _positive),
-    Field("n_points", int, 200, _within(1, 10**5)),
+    Field("tilt_mrad", float, 4.8, Bound(0.0, 500.0 * np.pi)),
+    Field("nbar", float, None, Bound(0.0)),
+    Field("temperature_k", float, None, _POSITIVE),
+    # the waits in seconds, t_us * 1e-6, stay normal floats: below 2.2e-302 us they are subnormal or 0
+    Field("t_wait_min_us", float, 1.0, Bound(1e-300)),
+    Field("t_wait_max_us", float, 20.0, Bound(1e-300)),
+    Field("n_points", int, 200, Bound(1, 10**5)),
     OneOf(("nbar", "temperature_k"), {"temperature_k": 4.6e-3}),
 )
 
@@ -553,19 +550,19 @@ _MAX_FOCK_CUTOFF = 10**5
 
 _WAVEFRONT_QUANTUM = (
     # as the semiclassical omega_z_hz: the period, the waits and the level energies stay normal floats
-    Field("omega_rad_s", float, 2.0 * np.pi, _within(1e-3, 1e12)),
+    Field("omega_rad_s", float, 2.0 * np.pi, Bound(1e-3, 1e12)),
     # the Rabi frequency stays finite; a pi-pulse 1e-6 of a period long is as good as instantaneous
-    Field("rabi_over_omega", float, 50.0, _up_to(1e6)),
-    Field("eta", float, 0.01, _non_negative),
-    Field("n_pulses", int, 10, _within(1, 10**4)),
-    Field("nbar", float, None, _non_negative),
-    Field("initial_fock", int, None, _within(0, 10**5)),
-    Field("fock_cutoff", int, None, _within(1, _MAX_FOCK_CUTOFF)),
+    Field("rabi_over_omega", float, 50.0, Bound(0.0, 1e6, open_low=True)),
+    Field("eta", float, 0.01, Bound(0.0)),
+    Field("n_pulses", int, 10, Bound(1, 10**4)),
+    Field("nbar", float, None, Bound(0.0)),
+    Field("initial_fock", int, None, Bound(0, 10**5)),
+    Field("fock_cutoff", int, None, Bound(1, _MAX_FOCK_CUTOFF)),
     Field("detuning_rad_s", float, 0.0),
-    Field("t_wait_min_periods", float, 0.55, _positive),
+    Field("t_wait_min_periods", float, 0.55, _POSITIVE),
     # the free phase omega (n + 1/2) t_wait, up to 2 pi 1e4 x the cutoff, rounds by at most 1e-6 rad
-    Field("t_wait_max_periods", float, 2.2, _up_to(1e4)),
-    Field("n_points", int, 56, _within(1, 10**4)),
+    Field("t_wait_max_periods", float, 2.2, Bound(0.0, 1e4, open_low=True)),
+    Field("n_points", int, 56, Bound(1, 10**4)),
     OneOf(("nbar", "initial_fock"), {"nbar": 10.0}),
 )
 
@@ -611,19 +608,20 @@ def _run_wavefront_quantum(p, seed):
 
 _HEATING_ROW = (
     Field("omega_z_hz", float, REQUIRED, _TRAP_FREQUENCY),
-    Field("n_ions", int, 1, _within(1, 10**5)),
-    Field("rate_quanta_per_s", float, REQUIRED, _positive),
-    Field("sigma", float, None, _positive),
+    Field("n_ions", int, 1, Bound(1, 10**5)),
+    Field("rate_quanta_per_s", float, REQUIRED, _POSITIVE),
+    Field("sigma", float, None, _POSITIVE),
 )
 
 _HEATING_SYNTHETIC = (
     # measured exponents lie near 1 to 4; far past 10, the synthetic omega^-alpha underflows to 0
-    Field("alpha", float, 1.9, _up_to(10.0)),
-    Field("prefactor", float, 3e12, _positive),
+    Field("alpha", float, 1.9, Bound(0.0, 10.0, open_low=True)),
+    # at alpha 10 and 1e12 Hz, omega^-alpha is 1e-128, so the rates stay above 1e-298, normal floats
+    Field("prefactor", float, 3e12, Bound(1e-170)),
     # a relative 1-sigma scatter: measured rates scatter by tens of percent, and at 1e308 the rates overflow
-    Field("noise_fraction", float, 0.1, _within(0.0, 10.0)),
+    Field("noise_fraction", float, 0.1, Bound(0.0, 10.0)),
     Field("freqs_hz", [float], list(np.geomspace(30e3, 500e3, 8)), _TRAP_FREQUENCY),
-    Field("ion_counts", [int], [1, 28, 50], _within(1, 10**5)),
+    Field("ion_counts", [int], [1, 28, 50], Bound(1, 10**5)),
 )
 
 _HEATING_FIT = (Field("data", [_HEATING_ROW]), Field("synthetic", _HEATING_SYNTHETIC), OneOf(("data", "synthetic")))
@@ -675,10 +673,10 @@ def _run_heating_fit(p, seed):
 
 
 _SURVIVAL = (
-    Field("melt_rate_per_s", float, 1.0 / 29.2, _non_negative),
-    Field("horizon_s", float, 60.0, _positive),
-    Field("trials", int, 10000, _within(100, 10**6)),
-    Field("n_bins", int, 60, _within(1, 10**4)),
+    Field("melt_rate_per_s", float, 1.0 / 29.2, Bound(0.0)),
+    Field("horizon_s", float, 60.0, _POSITIVE),
+    Field("trials", int, 10000, Bound(100, 10**6)),
+    Field("n_bins", int, 60, Bound(1, 10**4)),
 )
 
 
@@ -700,11 +698,11 @@ def _run_survival(p, seed):
 
 _RAMSEY_CORRELATIONS = (
     Field("noise_kind", str, stochastics.RANDOM_WALK, _one_of(*stochastics._NOISE_KINDS)),
-    Field("strength", float, 6.67, _positive),
+    Field("strength", float, 6.67, _POSITIVE),
     # repeats 1e6 s (11.6 days) apart are no drift record; near 1e300 s the fit's lag grid overflows
-    Field("dt_s", float, 2e-3, _up_to(1e6)),
-    Field("n_experiments", int, 30000, _within(100, 10**7)),
-    Field("max_lag_steps", int, 100, _within(10, 10**5)),
+    Field("dt_s", float, 2e-3, Bound(0.0, 1e6, open_low=True)),
+    Field("n_experiments", int, 30000, Bound(100, 10**7)),
+    Field("max_lag_steps", int, 100, Bound(10, 10**5)),
 )
 
 
@@ -760,7 +758,7 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 # The top level of a config file; command-line flags override it.
 _CONFIG = (
     Field("kind", str, REQUIRED, _one_of(*EXPERIMENT_KINDS)),
-    Field("seed", int, 0, _within(0, 2**63 - 1)),
+    Field("seed", int, 0, Bound(0, 2**63 - 1)),
     Field("out", str),
     Field("format", str, "csv", _one_of("csv", "json")),
     Field("params", dict, {}),

@@ -394,8 +394,13 @@ class CompensationResult:
     skipped: tuple[tuple[int, float], ...]
 
     def record(self) -> dict:
-        """The loop's diagnostics, as logged and summarised."""
-        return {"skipped": [list(event) for event in self.skipped]}
+        """The loop's diagnostics, as logged and summarised: the skipped senses, and the number of fitted ones,
+        their summed function evaluations and their largest final cost (None if none was fitted)."""
+        fits = [event.result for event in self.sense_log]
+        return {
+            "skipped": [list(event) for event in self.skipped], "senses": len(fits),
+            "nfev": sum(fit.nfev for fit in fits), "max_cost": max((fit.cost for fit in fits), default=None),
+        }
 
     def reduction_factors(self, inputs) -> dict[float, float]:
         """Residual/input amplitude ratio per frequency."""

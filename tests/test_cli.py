@@ -257,7 +257,10 @@ def test_compensate_summary_reports_skipped_senses(tmp_path, monkeypatch):
     summary = cli.run_experiment({"kind": "compensate", "out": str(tmp_path / "c.csv"), "params": params})
     solver = json.loads((tmp_path / "c.csv.summary.json").read_text())["result"]["solver"]
     assert solver == summary["result"]["solver"]
-    assert solver == {"skipped": [[0, 50.0]]}
+    assert set(solver) == {"skipped", "senses", "nfev", "max_cost"}
+    # the 250 Hz sense alone was fitted
+    assert solver["skipped"] == [[0, 50.0]] and solver["senses"] == 1
+    assert solver["nfev"] >= sequences.POLISHES and solver["max_cost"] >= 0.0
 
 
 def test_chain_emits_positions_and_spectrum(tmp_path):
@@ -668,80 +671,12 @@ def test_cli_and_scan_hold_the_same_scan_limits(tmp_path, capsys, limits, field,
 @pytest.mark.parametrize(
     "kind, params, code, message",
     [
-        # 2 pi f overflows to inf, and the mass in kg underflows to 0
-        ("wavefront-semiclassical", {"omega_z_hz": 1e308}, 2, "config error: params.omega_z_hz: must lie in"),
-        ("wavefront-semiclassical", {"ion_mass_amu": 1e-308}, 2, "config error: params.ion_mass_amu: must lie in"),
-        ("chain", {"ion_mass_amu": 1e-308}, 2, "config error: params.ion_mass_amu: must lie in"),
-        ("couplings", {"ion_mass_amu": 1e-308}, 2, "config error: params.ion_mass_amu: must lie in"),
         # the displacement generator's 1-norm is inf
         ("wavefront-quantum", {"eta": 1e308}, 3, "numerical failure: generator 1-norm inf is not finite"),
-        # a trap frequency of 1e308 Hz overflows 2 pi f, which left J non-finite
-        *(
-            (kind, {"n_ions": 4, field: 1e308}, 2, f"config error: params.{field}: must be <= 1e+12")
-            for kind in ("quench", "negativity")
-            for field in ("omega_x_hz", "omega_y_hz", "omega_z_hz")
-        ),
-        # omega_z^2 underflows to 0, and a beatnote offset lost against the top mode leaves its detuning 0
-        *(
-            (kind, {"omega_z_hz": 1e-308}, 2, "config error: params.omega_z_hz: must be >= 0.001")
-            for kind in ("chain", "couplings", "quench", "negativity")
-        ),
-        *(
-            (kind, {"beatnote_offset_hz": 1e-308}, 2, "config error: params.beatnote_offset_hz: must be >= 1e-09")
-            for kind in ("couplings", "quench", "negativity")
-        ),
-        # above 10.7 MHz the top mode's ulp swallows a 1e-9 Hz offset too: a zero detuning is a resonance
+        # above 10.7 MHz the top mode's ulp swallows a 1e-9 Hz offset: a zero detuning is a resonance
         (
             "couplings", {"omega_x_hz": 2e7, "omega_y_hz": 2e7, "beatnote_offset_hz": 1e-9}, 3,
             "numerical failure: mode detunings must be nonzero",
-        ),
-        # the period 2 pi / omega, or the free phases, overflow
-        *(
-            ("wavefront-quantum", {"omega_rad_s": value}, 2, "config error: params.omega_rad_s: must lie in [0.001, 1e+12]")
-            for value in (1e-308, 1e308)
-        ),
-        (
-            "wavefront-quantum", {"t_wait_max_periods": 1e308}, 2,
-            "config error: params.t_wait_max_periods: must lie in (0, 10000]",
-        ),
-        # omega^-alpha underflows to 0, and the decay fit's lag grid overflows
-        (
-            "heating-fit", {"synthetic": {**SMALL["heating-fit"]["synthetic"], "alpha": 1e308}}, 2,
-            "config error: params.synthetic.alpha: must lie in (0, 10]",
-        ),
-        ("ramsey-correlations", {"dt_s": 1e308}, 2, "config error: params.dt_s: must lie in (0, 1e+06]"),
-        # the same overflow wrote NaN tables in chain and couplings, and a wavelength of 1e-308 m a NaN J
-        *(
-            (kind, {"n_ions": 4, field: 1e308}, 2, f"config error: params.{field}: must be <= 1e+12")
-            for kind in ("chain", "couplings")
-            for field in ("omega_x_hz", "omega_y_hz", "omega_z_hz")
-        ),
-        ("couplings", {"wavelength_m": 1e-308}, 2, "config error: params.wavelength_m: must lie in [1e-10, 1]"),
-        # the Rabi frequency overflows, which the pulse propagators were blamed for
-        (
-            "wavefront-quantum", {"rabi_over_omega": 1e308}, 2,
-            "config error: params.rabi_over_omega: must lie in (0, 1e+06]",
-        ),
-        # the sequence phase 2 pi f tau, the scan's span 1/f or the modulation amplitude overflow
-        *(
-            (kind, {"components": [{**_COMPONENT, "f_hz": value}]}, 2,
-             "config error: params.components[0].f_hz: must lie in [0.001, 1e+06]")
-            for kind in ("cpmg-sense", "compensate")
-            for value in (1e-308, 1e308)
-        ),
-        *(
-            (kind, {"components": [{**_COMPONENT, "b_microgauss": 1e308}]}, 2,
-             "config error: params.components[0].b_microgauss: must lie in [0, 1e+09]")
-            for kind in ("cpmg-sense", "compensate")
-        ),
-        *(
-            (kind, {"sequence": {**SMALL[kind]["sequence"], "tau_s": 1e308}}, 2,
-             "config error: params.sequence.tau_s: must lie in (0, 1000]")
-            for kind in ("cpmg-sense", "compensate")
-        ),
-        *(
-            ("cpmg-sense", {"sense_frequency_hz": value}, 2, "config error: params.sense_frequency_hz: must lie in")
-            for value in (1e-308, 1e308)
         ),
         # compensate's sequence for a component has round(2 tau f) pulses, at most as many as cpmg-sense's
         (
@@ -773,16 +708,25 @@ def _field_paths(table, block, prefix=()):
             yield from _field_paths(field.kind[0], inner[0], path + (0,))
 
 
-# every float field of every kind, nested ones and the first element of a list of floats
-# included, in the small configs and in a heating-fit from data rows
 _HEATING_ROWS = {"data": [{"omega_z_hz": f, "rate_quanta_per_s": 1e6 / f, "sigma": 1.0} for f in (1e5, 2e5, 3e5)]}
-_EXTREME_FIELDS = {
-    (kind, ".".join(map(str, path))): (params, path, field.kind)
-    for kind, params in [*SMALL.items(), ("heating-fit", _HEATING_ROWS)]
-    for path, field in _field_paths(cli._KINDS[kind].fields, params)
-    if field.kind in (float, [float])
-}
-_WAVEFRONT_EXTREMES = [(kind, name, value) for kind, name in _EXTREME_FIELDS for value in (1e308, 1e-308)]
+
+
+def _scalar(field):
+    return field.kind[0] if isinstance(field.kind, list) else field.kind
+
+
+def numeric_fields():
+    """(kind, config, key path, field) of every int and float field: the top level's in the small survival
+    config, and each kind's in its small config and in a heating-fit from data rows, nested fields and list
+    fields included. CI runs each ``Bound``'s top through these."""
+    survival = {"kind": "survival", "seed": 1, "params": SMALL["survival"]}
+    for path, field in _field_paths(cli._CONFIG, survival):
+        if field.kind in (int, float):
+            yield "survival", survival, path, field
+    for kind, params in [*SMALL.items(), ("heating-fit", _HEATING_ROWS)]:
+        for path, field in _field_paths(cli._KINDS[kind].fields, params):
+            if field.kind in (int, float, [int], [float]):
+                yield kind, {"kind": kind, "seed": 1, "params": params}, ("params", *path), field
 
 
 def _one_of_partners(table, path):
@@ -795,20 +739,87 @@ def _one_of_partners(table, path):
     return {other for names in rules for other in names if other != name}
 
 
-@pytest.mark.parametrize("kind, name, value", _WAVEFRONT_EXTREMES)
-def test_wavefront_floats_at_the_extremes_exit_0_2_or_3(tmp_path, kind, name, value):
-    base, path, field_kind = _EXTREME_FIELDS[kind, name]
-    params = copy.deepcopy(base)
+def with_value(config, path, field, value):
+    """A copy of ``config`` with the field at ``path``, or a list field's first element, set to ``value``, and
+    the other fields of its one-of rules dropped."""
+    config = copy.deepcopy(config)
     *parents, key = path
-    block = reduce(getitem, parents, params)
-    block[key] = [value, *block[key][1:]] if field_kind == [float] else value
-    for partner in _one_of_partners(cli._KINDS[kind].fields, path):
-        block.pop(partner, None)
-    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": params})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.main(["run", config]) in (0, 2, 3)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    block = reduce(getitem, parents, config)
+    block[key] = [value, *block.get(key, [])[1:]] if isinstance(field.kind, list) else value
+    if path[0] == "params":
+        for partner in _one_of_partners(cli._KINDS[config["kind"]].fields, path[1:]):
+            block.pop(partner, None)
+    return config
+
+
+_EXTREMES = (1e308, -1e308, 1e-308, -1e-308)
+
+
+def _sweep(field):
+    """The values a numeric field runs at and those it is refused at: each end of its ``Bound`` (the next value
+    inside an open one) and the float extremes inside it; one step past each end."""
+    bound = field.check
+    if bound is None:
+        return list(_EXTREMES), []
+    step = math.nextafter if _scalar(field) is float else lambda value, to: value + (1 if to > value else -1)
+    inside = [step(bound.low, math.inf) if bound.open_low else bound.low]
+    past = [bound.low if bound.open_low else step(bound.low, -math.inf)]
+    if bound.high < math.inf:
+        inside.append(bound.high)
+        past.append(step(bound.high, math.inf))
+    if _scalar(field) is float:
+        inside += [value for value in _EXTREMES if bound(value) is None and value not in inside]
+    return inside, past
+
+
+def _parse_errors(config):
+    top, errors = cli._parse(config, cli._CONFIG, "")
+    return errors or cli._parse(top.params, cli._KINDS[top.kind].fields, "params")[1]
+
+
+def _where(path, field):
+    """The name a config error gives the field at ``path``, a list field by its first element."""
+    keys = [*path, 0] if isinstance(field.kind, list) else path
+    return keys[0] + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys[1:])
+
+
+_NUMERIC_FIELDS = {f"{case[0]}:{_where(*case[2:])}": case for case in numeric_fields()}
+
+
+@pytest.mark.parametrize("kind, config, path, field", _NUMERIC_FIELDS.values(), ids=list(_NUMERIC_FIELDS))
+def test_every_numeric_field_runs_inside_its_bound_and_is_refused_past_it(tmp_path, capsys, kind, config, path, field):
+    out, where = tmp_path / "x.csv", _where(path, field)
+    if _scalar(field) is int:
+        # no count can ask for an unbounded allocation or loop
+        assert isinstance(field.check, cli.Bound) and field.check.high < math.inf
+    inside, past = _sweep(field)
+    for value in past:
+        config_path = write_config(tmp_path, {**with_value(config, path, field, value), "out": str(out)})
+        assert cli.main(["run", config_path]) == 2, value
+        assert f"config error: {where}: {field.check(value)}\n" in capsys.readouterr().err, value
+        assert not out.exists()
+    for value in inside:
+        run = {**with_value(config, path, field, value), "out": str(out)}
+        assert not _parse_errors(run), value
+        if _scalar(field) is int and value == field.check.high:
+            continue  # a count at its cap can take seconds; CI runs each under a CPU-time limit
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", write_config(tmp_path, run)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (value, code)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], value
+        # a floating-point error names only the kind; inside its bounds a field should never cause one
+        assert f"numerical failure: {kind}: " not in err, (value, err)
+
+
+def test_bound_messages():
+    # one message per shape, the same at either end of an interval
+    assert cli._TRAP_FREQUENCY(1e-308) == cli._TRAP_FREQUENCY(1e308) == "must lie in [0.001, 1e+12]"
+    assert cli.Bound(0.0, 1e3, open_low=True)(0.0) == "must lie in (0, 1000]"
+    assert cli.Bound(1e-9)(0.0) == "must be >= 1e-09"
+    assert cli.Bound(0.0, open_low=True)(0.0) == "must be positive"
+    assert cli.Bound(0.0, open_low=True)(5e-324) is cli.Bound(1e-9)(1e-9) is cli._TRAP_FREQUENCY(1e12) is None
 
 
 _HEATING_PAST_THE_FLOAT_RANGE = {
@@ -967,7 +978,10 @@ def test_every_figure_table_has_a_summary_with_its_stages_and_solver(tmp_path):
             assert isinstance(summary["result"]["solver"], dict) and summary["outputs"][0] == path
             summaries[os.path.basename(path)] = summary
     assert len(summaries) == 14
-    assert summaries["fig4c_scan.csv"]["result"]["solver"] == {"skipped": []}
+    fig4c = summaries["fig4c_scan.csv"]["result"]["solver"]
+    # two rounds over Table I's three components
+    assert fig4c["skipped"] == [] and fig4c["senses"] == 6 and fig4c["nfev"] >= 6 * sequences.POLISHES
+    assert 0.0 <= fig4c["max_cost"] < 1.0
     assert summaries["fig4d_contrast.csv"]["result"]["solver"] == {}
     fig8 = summaries["fig8_crosstalk.csv"]
     assert set(fig8["result"]["solver"]) == {field.name for field in dataclasses.fields(chain.SolverRecord)}
@@ -1244,32 +1258,3 @@ def test_any_one_bad_field_exits_0_2_or_3(tmp_path, monkeypatch, kind, data):
         block[name] = value
     path = write_config(tmp_path, config)
     assert cli.main(["run", path]) in (0, 2, 3)
-
-
-# every integer field of the small configs, and of a heating-fit from data rows
-_INT_FIELDS = {
-    f"{kind}:{'.'.join(map(str, path))}": (kind, params, path, field.kind)
-    for kind, params in [*SMALL.items(), ("heating-fit", {"data": [{"omega_z_hz": 1e5, "rate_quanta_per_s": 10.0}]})]
-    for path, field in _field_paths(cli._KINDS[kind].fields, params)
-    if field.kind in (int, [int])
-}
-
-
-@pytest.mark.parametrize("case", sorted(_INT_FIELDS))
-def test_every_integer_field_is_capped(tmp_path, capsys, case):
-    kind, params, path, field_kind = _INT_FIELDS[case]
-    params = copy.deepcopy(params)
-    *parents, name = path
-    reduce(getitem, parents, params)[name] = 10**15 if field_kind is int else [10**15]
-    config = write_config(tmp_path, {"kind": kind, "out": str(tmp_path / "x.csv"), "params": params})
-    assert cli.main(["run", config]) == 2
-    where = "params" + "".join(f"[{key}]" if key == 0 else f".{key}" for key in path)
-    where += "" if field_kind is int else "[0]"
-    assert f"config error: {where}: must lie in" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
-
-
-def test_seed_is_capped(tmp_path, capsys):
-    config = write_config(tmp_path, {"kind": "survival", "seed": 2**63, "params": {"trials": 100}})
-    assert cli.main(["run", config, "--out", str(tmp_path / "x.csv")]) == 2
-    assert "config error: seed: must lie in" in capsys.readouterr().err
