@@ -784,33 +784,46 @@ def _where(path, field):
 
 
 _NUMERIC_FIELDS = {f"{case[0]}:{_where(*case[2:])}": case for case in numeric_fields()}
+# one row per value of the sweep: the field's name and the value, run inside its bound or refused past it
+_INSIDE = {
+    f"{name}={value!r}": (*case, value)
+    for name, case in _NUMERIC_FIELDS.items()
+    for value in _sweep(case[3])[0]
+    # a count at its cap can take seconds; CI runs each under a CPU-time limit
+    if not (_scalar(case[3]) is int and value == case[3].check.high)
+}
+_PAST = {f"{name}={value!r}": (*case, value) for name, case in _NUMERIC_FIELDS.items() for value in _sweep(case[3])[1]}
 
 
 @pytest.mark.parametrize("kind, config, path, field", _NUMERIC_FIELDS.values(), ids=list(_NUMERIC_FIELDS))
-def test_every_numeric_field_runs_inside_its_bound_and_is_refused_past_it(tmp_path, capsys, kind, config, path, field):
-    out, where = tmp_path / "x.csv", _where(path, field)
+def test_every_numeric_field_parses_at_each_end_of_its_bound(tmp_path, kind, config, path, field):
     if _scalar(field) is int:
         # no count can ask for an unbounded allocation or loop
         assert isinstance(field.check, cli.Bound) and field.check.high < math.inf
-    inside, past = _sweep(field)
-    for value in past:
-        config_path = write_config(tmp_path, {**with_value(config, path, field, value), "out": str(out)})
-        assert cli.main(["run", config_path]) == 2, value
-        assert f"config error: {where}: {field.check(value)}\n" in capsys.readouterr().err, value
-        assert not out.exists()
-    for value in inside:
-        run = {**with_value(config, path, field, value), "out": str(out)}
-        assert not _parse_errors(run), value
-        if _scalar(field) is int and value == field.check.high:
-            continue  # a count at its cap can take seconds; CI runs each under a CPU-time limit
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli.main(["run", write_config(tmp_path, run)])
-        err = capsys.readouterr().err
-        assert code in (0, 2, 3), (value, code)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], value
-        # a floating-point error names only the kind; inside its bounds a field should never cause one
-        assert f"numerical failure: {kind}: " not in err, (value, err)
+    for value in _sweep(field)[0]:
+        assert not _parse_errors({**with_value(config, path, field, value), "out": str(tmp_path / "x.csv")}), value
+
+
+@pytest.mark.parametrize("kind, config, path, field, value", _PAST.values(), ids=list(_PAST))
+def test_every_numeric_field_is_refused_one_step_past_its_bound(tmp_path, capsys, kind, config, path, field, value):
+    out = tmp_path / "x.csv"
+    config_path = write_config(tmp_path, {**with_value(config, path, field, value), "out": str(out)})
+    assert cli.main(["run", config_path]) == 2
+    assert f"config error: {_where(path, field)}: {field.check(value)}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, config, path, field, value", _INSIDE.values(), ids=list(_INSIDE))
+def test_every_numeric_field_runs_inside_its_bound(tmp_path, capsys, kind, config, path, field, value):
+    run = {**with_value(config, path, field, value), "out": str(tmp_path / "x.csv")}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", write_config(tmp_path, run)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (code, err)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # a floating-point error names only the kind; inside its bounds a field should never cause one
+    assert f"numerical failure: {kind}: " not in err, err
 
 
 def test_bound_messages():
