@@ -474,7 +474,8 @@ _COMPENSATE = (
 
 def _check_compensate(p):
     """One component per frequency, as the loop senses each frequency once, with a sequence of at
-    most ``sequences.MAX_PULSES`` pulses."""
+    most ``sequences.MAX_PULSES`` pulses that responds at that frequency: where its filter function
+    is zero (at a ``tau_s`` so short that it underflows), every sense would be skipped."""
     freqs = [c.f_hz for c in p.components]
     errors = []
     for idx, f in enumerate(freqs):
@@ -482,9 +483,13 @@ def _check_compensate(p):
             errors.append(f"params.components[{idx}].f_hz: {f:g} Hz repeats an earlier component's frequency")
             continue
         try:
-            sequences.sequence_for_frequency(f, p.sequence.tau_s)
+            seq = sequences.sequence_for_frequency(f, p.sequence.tau_s)
         except ValueError as exc:
             errors.append(f"params.components[{idx}].f_hz: {exc}")
+            continue
+        if sequences.filter_function(seq, f) == 0:
+            tau = p.sequence.tau_s
+            errors.append(f"params.sequence.tau_s: the sequence of {tau:g} s has zero response at {f:g} Hz")
     return errors
 
 

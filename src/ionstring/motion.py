@@ -51,14 +51,17 @@ that the scan multiplies. The gauge is diagonal and commutes with every
 phase of the sequence, so the scan runs in it. A pulse about another
 axis is one of them conjugated by a diagonal phase matrix, which joins
 the free evolution applied before each pulse, so every drive axis is a
-phase. Each pulse acts on a stack of states, a column per state and
-wait, as the slabs; a one-state scan takes up to 32 waits at once.
-Every column keeps a row window that holds all of its entries at or
-above 1e-20, a few slabs around its initial Fock level, and a slab
-multiplies only the columns whose windows meet its column span, so a
-pulse costs O(window x band) per column instead of O(L x band). The
-products left out hold only entries below 1e-20; their norm, at most
-1e-20 sqrt(2 L) per state and pulse, is added to the bound.
+phase. A group of waits is one stack of states, a column per state and
+wait; a one-state scan takes up to 32 waits at once. The first
+pulse gathers its columns from the slabs, and each later pulse updates
+the stack in place, slab by slab, each slab's product held until the
+slabs that read its old rows have run. Every column keeps a row window
+that holds all of its entries at or above 1e-20, a few slabs around its
+initial Fock level, and a slab multiplies only the columns whose
+windows meet its column span, so a pulse costs O(window x band) per
+column instead of O(L x band). The products left out hold only entries
+below 1e-20; their norm, at most 1e-20 sqrt(2 L) per state and pulse,
+is added to the bound.
 
 The basis itself is sized by the levels the states reach: H and the
 propagators are built on L levels from a first level, inside the
@@ -290,7 +293,9 @@ class QuantumScanResult:
     L of Fock levels the scan ran on, at most ``fock_cutoff`` + 1,
     ``first_level`` the lowest of them, and ``column_fill`` the share of
     (slab, state) products of that basis the windows left to compute: 1
-    when every slab meets every state.
+    when every slab meets every state. ``stack_bytes`` is the size of the
+    one state stack the scan's pulses act on, rows x columns complex
+    entries (the first group's, the largest).
     """
 
     t_wait: np.ndarray
@@ -304,6 +309,7 @@ class QuantumScanResult:
     levels: int
     first_level: int
     column_fill: float
+    stack_bytes: int
 
     def record(self) -> dict:
         """The solver's diagnostics, as logged and summarised."""
@@ -316,6 +322,7 @@ class QuantumScanResult:
             "band_dropped_norm": self.band_dropped_norm,
             "levels": self.levels,
             "first_level": self.first_level,
+            "stack_bytes": self.stack_bytes,
             "column_fill": self.column_fill,
         }
 
@@ -546,45 +553,100 @@ def _spin_slabs(u: sparse.csr_matrix, first: int) -> tuple[tuple[np.ndarray, lis
 
 
 def _stack(rows: int, columns: int) -> tuple[np.ndarray, list]:
-    """A zero output stack for ``_apply``, and the (slab, first, stop)
-    column ranges it last wrote: none yet."""
-    return np.zeros((rows, columns), dtype=complex), []
+    """A zero state stack for ``_open`` and ``_apply``, and the [first, stop)
+    column range that each slab's rows were last written in: none yet."""
+    return np.zeros((rows, columns), dtype=complex), [(0, 0)] * -(-rows // _SLAB_ROWS)
 
 
-def _apply(slabs, psi: np.ndarray, lo: np.ndarray, hi: np.ndarray, phases: np.ndarray, out=None):
-    """The slabs applied to psi, each column first multiplied by its
-    column of ``phases`` (or by its one column, shared by all), inside
-    the row windows [lo[j], hi[j]) of its columns (see
-    ``quantum_cpmg_scan``).
+def _write(psi: np.ndarray, written: list, s: int, first: int, stop: int, part: np.ndarray | None) -> None:
+    """``part`` written over slab s's rows of the stack at the columns
+    [first, stop), the rest of the range they were last written in zeroed,
+    so that the rows hold zeros outside the range ``written`` records (an
+    empty range as (0, 0))."""
+    rows = psi[s * _SLAB_ROWS : (s + 1) * _SLAB_ROWS]
+    old_first, old_stop = written[s]
+    if old_first < min(old_stop, first):
+        rows[:, old_first : min(old_stop, first)] = 0.0
+    if max(old_first, stop) < old_stop:
+        rows[:, max(old_first, stop) : old_stop] = 0.0
+    if first < stop:
+        rows[:, first:stop] = part
+    written[s] = (first, stop) if first < stop else (0, 0)
 
-    The product is written into ``out``, a ``_stack`` that may hold an
-    earlier product: only the column ranges it wrote are zeroed. By
-    default the stack is new. Returns the product, its windows (from the
-    first to the last slab whose block holds an entry at or above the
-    floor; all rows if none does) and the number of (slab, column)
-    products computed.
+
+def _windows(kept: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row windows of a stack's columns, from the first to the last slab
+    whose product holds an entry at or above the floor; all rows if none does."""
+    lo = _SLAB_ROWS * np.argmax(kept, axis=0)
+    hi = np.minimum(_SLAB_ROWS * (kept.shape[0] - np.argmax(kept[::-1], axis=0)), rows)
+    return lo, hi
+
+
+def _open(half, down: np.ndarray, phases: np.ndarray, psi: np.ndarray, written: list):
+    """The first pi/2-pulse on the states |down>, written into the stack
+    ``psi`` (see ``_stack``) as a column per (state, wait), level-major: each
+    state's column of the pi/2-pulse slabs ``half``, gathered, times each
+    wait's column of ``phases``.
+
+    A gather is exact: the product with a unit column multiplies by 1 and
+    adds zeros. A slab gathers the states whose level lies in its column
+    span, the columns ``_apply`` would multiply. Returns the stack's row
+    windows (see ``_windows``).
+    """
+    spans, blocks = half
+    waits = phases.shape[1]
+    firsts = np.searchsorted(down, spans[:, 0])
+    stops = np.searchsorted(down, spans[:, 1])
+    kept = np.zeros((len(blocks), down.size), dtype=bool)
+    for s, (c0, first, stop) in enumerate(zip(spans[:, 0].tolist(), firsts.tolist(), stops.tolist())):
+        part = blocks[s][:, down[first:stop] - c0]
+        kept[s, first:stop] = np.abs(part).max(axis=0) >= _DROP_FLOOR
+        part = phases[s * _SLAB_ROWS : (s + 1) * _SLAB_ROWS, None] * part[..., None]
+        _write(psi, written, s, waits * first, waits * stop, part.reshape(part.shape[0], -1))
+    lo, hi = _windows(kept, psi.shape[0])
+    return np.repeat(lo, waits), np.repeat(hi, waits)
+
+
+def _apply(slabs, psi: np.ndarray, written: list, lo: np.ndarray, hi: np.ndarray, phases: np.ndarray | None = None):
+    """The slabs applied in place to the stack ``psi`` (see ``_stack``)
+    inside the row windows [lo[j], hi[j]) of its columns (see
+    ``quantum_cpmg_scan``), each slab's product then multiplied by its
+    rows of ``phases``, a column per stack column or one shared by all, or
+    by none.
+
+    A slab's product is held until every later slab whose column span
+    reads the slab's rows has run, a lag read off the spans, then written
+    over its rows (see ``_write``). Returns the windows of the product
+    (see ``_windows``) and the number of (slab, column) products
+    computed.
     """
     spans, blocks = slabs
     lo = np.minimum.accumulate(lo[::-1])[::-1]
     hi = np.maximum.accumulate(hi)
     firsts = np.searchsorted(hi, spans[:, 0], side="right")
-    stops = np.searchsorted(lo, spans[:, 1])
-    shared = phases.shape[1] == 1
-    out, written = _stack(*psi.shape) if out is None else out
-    for s, first, stop in written:
-        out[s * _SLAB_ROWS : (s + 1) * _SLAB_ROWS, first:stop] = 0.0
-    written.clear()
+    stops = np.maximum(np.searchsorted(lo, spans[:, 1]), firsts)
+    spans = spans.tolist()
+    # slab t reads the rows of the slabs from spans[t][0] // _SLAB_ROWS on
+    lag = max(t - c0 // _SLAB_ROWS for t, (c0, _) in enumerate(spans))
+    shared = phases is not None and phases.shape[1] == 1
     kept = np.zeros((len(blocks), psi.shape[1]), dtype=bool)
-    for s, ((c0, c1), first, stop) in enumerate(zip(spans.tolist(), firsts.tolist(), stops.tolist())):
+    held = []
+    for s, ((c0, c1), first, stop) in enumerate(zip(spans, firsts.tolist(), stops.tolist())):
         if first < stop:
-            part = out[s * _SLAB_ROWS : (s + 1) * _SLAB_ROWS, first:stop]
-            column_phases = phases[c0:c1] if shared else phases[c0:c1, first:stop]
-            np.matmul(blocks[s], column_phases * psi[c0:c1, first:stop], out=part)
+            part = blocks[s] @ psi[c0:c1, first:stop]
             kept[s, first:stop] = np.abs(part).max(axis=0) >= _DROP_FLOOR
-            written.append((s, first, stop))
-    new_lo = _SLAB_ROWS * np.argmax(kept, axis=0)
-    new_hi = np.minimum(_SLAB_ROWS * (len(blocks) - np.argmax(kept[::-1], axis=0)), psi.shape[0])
-    return out, new_lo, new_hi, int(np.maximum(stops - firsts, 0).sum())
+            if phases is not None:
+                rows = phases[s * _SLAB_ROWS : (s + 1) * _SLAB_ROWS]
+                # the phases first, as in _open: numpy's complex product is not symmetric to the last bit
+                np.multiply(rows if shared else rows[:, first:stop], part, out=part)
+            held.append((s, first, stop, part))
+        elif written[s][0] < written[s][1]:
+            held.append((s, first, stop, None))
+        while held and held[0][0] + lag <= s:
+            _write(psi, written, *held.pop(0))
+    for slab in held:
+        _write(psi, written, *slab)
+    return *_windows(kept, psi.shape[0]), int((stops - firsts).sum())
 
 
 def _populations(psi: np.ndarray) -> np.ndarray:
@@ -640,19 +702,22 @@ def quantum_cpmg_scan(
     entries below the drop floor, and a smaller basis changes only
     roundoff. ``first_level`` and ``levels`` report the final basis.
 
-    The states are evolved as the columns of one stack, each inside a
-    row window that holds all its entries at or above the drop floor
-    1e-20. A scan's waits go through the pulses together, in groups of
-    max(1, 32 // states) waits: a column per (state, wait), level-major,
-    each with the free phases of its wait, so a one-state scan of up to
-    32 waits makes one windowed product per pulse and a thermal scan one
-    wait at a time. Sorted by initial Fock level, the windows (made
-    non-decreasing) that meet a slab's column span form one range of
-    columns, found by bisection, and the slab multiplies only that
-    range; the free evolution and axis phases between pulses are
-    applied to the rows each product reads. The first pi/2-pulse acts
-    once on the unit columns |down, n> for every wait, and skips only
-    exact zeros. Every other skipped product involves only sub-floor
+    A scan's waits go through the pulses together, in groups of
+    max(1, 32 // states) waits, each group in one stack of 2 L rows and
+    a column per (state, wait), level-major, each column with the free
+    phases of its wait; so a one-state scan of up to 32 waits makes one
+    windowed product per pulse, and a thermal scan runs one wait at a
+    time in one stack of 2 L x states entries (``stack_bytes``). Each
+    column keeps a row window that holds all its entries at or above
+    the drop floor 1e-20. The first pi/2-pulse gathers each state's
+    column |down, n> of its propagator, for every wait, which is exact.
+    Each later pulse updates the stack in place: sorted by initial Fock
+    level, the windows (made non-decreasing) that meet a slab's column
+    span form one range of columns, found by bisection, and the slab
+    multiplies only that range. The free evolution and axis phases
+    before the next pulse are applied to each 32-row product, which is
+    then written over its rows once the slabs that read their old
+    entries have run. Every skipped product involves only sub-floor
     entries, so each of the n_pulses + 1 windowed pulses per wait adds
     at most 1e-20 sqrt(2 L) per state to ``band_dropped_norm``.
     ``column_fill`` counts those pulses only, over the slabs of the
@@ -755,43 +820,39 @@ def _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, first
     rows = 2 * levels
     axes = np.pi * np.array([1.5, *(np.arange(n_pulses) % 2), 0.5])  # -y, +x/-x ..., +y
     turns = [_axis_phases(rows, before - after)[:, None] for before, after in zip(axes[:-1], axes[1:])]
-    # the pi/2 pulse about -y applied to the initial states |down, n>, once
-    # for every wait; the unit columns are freed right away, as kept they
-    # would raise the peak memory of the scan
     down = 2 * (init_levels - first) + 1
     states = down.size
-    units = np.zeros((rows, states), dtype=complex)
-    units[down, np.arange(states)] = 1.0
-    opened, opened_lo, opened_hi, _ = _apply(half, units, down, down + 1, np.ones((rows, 1)))
-    del units
-    if any(edges := near(opened_lo, opened_hi, band_width)):
-        return edges
-
     excitation = np.empty(t_wait.shape)
     max_leak = 0.0
     max_norm_error = 0.0
     computed = 0
-    # the pulses of a group write into these two stacks in turn
-    stacks = []
+    # one stack per group: a group of several waits has at most 32 columns,
+    # so only a thermal scan's stack is large, and every group of it has
+    # the same size
+    stack, stack_bytes = None, 0
     group = max(1, _SLAB_ROWS // states)
     rates = (-1j * free)[:, None]
     for start in range(0, t_wait.size, group):
         waits = t_wait[start : start + group]
         columns = states * waits.size
-        if not stacks or stacks[0][0].shape[1] != columns:
-            stacks = [_stack(rows, columns) for _ in range(2)]
-        # a column per (state, wait), level-major; with one wait, the opened states themselves
-        psi, lo, hi = opened, opened_lo, opened_hi
-        if waits.size > 1:
-            psi, lo, hi = (np.repeat(a, waits.size, axis=-1) for a in (psi, lo, hi))
+        if stack is None or stack[0].shape[1] != columns:
+            stack = _stack(rows, columns)
+            stack_bytes = max(stack_bytes, stack[0].nbytes)
+        psi = stack[0]
         end_gap, inner_gap = np.exp(rates * (waits - 0.75 * t_pi)), np.exp(rates * (waits - t_pi))
         gaps = [end_gap] + [inner_gap] * (n_pulses - 1) + [end_gap]
-        for k, (free_phases, turn) in enumerate(zip(gaps, turns)):
-            slabs = pi if k < n_pulses else half
-            phases = free_phases * turn
-            # each state's waits take the group's phases in turn; one wait's phases serve every column
-            phases = np.tile(phases, states) if waits.size > 1 else phases
-            psi, lo, hi, pairs = _apply(slabs, psi, lo, hi, phases, stacks[k % 2])
+        # the pi/2 pulse about -y on the initial states |down, n>, for every
+        # wait, times the free evolution and axis phases before the next pulse
+        lo, hi = _open(half, down, gaps[0] * turns[0], *stack)
+        if any(edges := near(lo, hi, band_width)):
+            return edges
+        for k in range(n_pulses + 1):
+            slabs, phases = (pi, gaps[k + 1] * turns[k + 1]) if k < n_pulses else (half, None)
+            # a pulse's product takes the phases before the next pulse, the last none; each state's
+            # waits take the group's phases in turn, and one wait's phases serve every column
+            if phases is not None and waits.size > 1:
+                phases = np.tile(phases, states)
+            lo, hi, pairs = _apply(slabs, *stack, lo, hi, phases)
             if any(edges := near(lo, hi, band_width)):
                 return edges
             computed += pairs
@@ -822,4 +883,5 @@ def _sized_scan(params, n_pulses, t_wait, init_levels, weights, truncated, first
         levels=levels,
         first_level=first,
         column_fill=column_fill,
+        stack_bytes=stack_bytes,
     )

@@ -263,6 +263,22 @@ def test_compensate_summary_reports_skipped_senses(tmp_path, monkeypatch):
     assert solver["nfev"] >= sequences.POLISHES and solver["max_cost"] >= 0.0
 
 
+@pytest.mark.parametrize("tau_s", [5e-324, 1e-200])
+def test_compensate_refuses_a_sequence_with_no_response_at_a_component(tmp_path, capsys, tau_s):
+    # the filter function underflows to zero, where every sense would be skipped and the run would
+    # report the field unchanged; cpmg-sense fails on the same sequence when it fits (exit 3)
+    params = {**SMALL["compensate"], "sequence": {"tau_s": tau_s}}
+    config = write_config(tmp_path, {"kind": "compensate", "out": str(tmp_path / "c.csv"), "params": params})
+    assert cli.main(["run", config]) == 2
+    message = f"config error: params.sequence.tau_s: the sequence of {tau_s:g} s has zero response at 50 Hz"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+    sense = {**SMALL["cpmg-sense"], "sequence": {"n_pulses": 1, "tau_s": tau_s}}
+    config = write_config(tmp_path, {"kind": "cpmg-sense", "out": str(tmp_path / "s.csv"), "params": sense})
+    assert cli.main(["run", config]) == 3
+    assert "zero response at 50.0 Hz" in capsys.readouterr().err
+
+
 def test_chain_emits_positions_and_spectrum(tmp_path):
     config = {
         "kind": "chain",
@@ -538,8 +554,10 @@ def test_wavefront_quantum_summary_reports_the_solver(tmp_path):
     solver = json.loads((tmp_path / "wq.csv.summary.json").read_text())["result"]["solver"]
     assert set(solver) == {
         "max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm",
-        "levels", "first_level", "column_fill",
+        "levels", "first_level", "stack_bytes", "column_fill",
     }
+    # 23 thermal states, one wait at a time: a complex stack of 2 L rows and 23 columns
+    assert solver["stack_bytes"] == 2 * solver["levels"] * 23 * 16
     assert 0.0 <= solver["max_leak"] < 1e-6
     assert 0.0 <= solver["max_norm_error"] < 1e-8
     assert 0.0 <= solver["truncated_weight"] <= 1e-4

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -533,8 +534,8 @@ def test_eta_3_grows_the_basis_to_the_cutoff_before_any_pulse(monkeypatch):
     monkeypatch.setattr(motion, "_apply", recording_apply)
     result = motion.quantum_cpmg_scan(p, n_pulses, t_wait, initial_fock=fock)
     assert result.levels == p.fock_cutoff + 1
-    # the first pi/2-pulse, then the two waits together through every other pulse
-    assert rows == [2 * result.levels] * (1 + n_pulses + 1)
+    # the two waits together through every pulse after the first pi/2-pulse, which is a gather
+    assert rows == [2 * result.levels] * (n_pulses + 1)
     assert np.max(np.abs(result.excitation - dense_scan_oracle(p, n_pulses, t_wait, initial_fock=fock))) <= 1e-10
 
 
@@ -545,7 +546,7 @@ def test_quantum_scan_logs_solver_diagnostics(caplog):
     assert f"quantum_cpmg_scan: {result.record()}" in caplog.text
     assert set(result.record()) == {
         "max_leak", "max_norm_error", "truncated_weight", "band_width", "squarings", "band_dropped_norm", "levels",
-        "first_level", "column_fill",
+        "first_level", "stack_bytes", "column_fill",
     }
 
 
@@ -561,6 +562,30 @@ def test_windowed_scan_matches_dense_oracle_at_benchmark_thermal_settings():
     assert 0.0 <= result.band_dropped_norm <= 1e-12
     # every slab times every column would give 1
     assert result.column_fill < 0.5
+
+
+def test_a_thermal_scan_holds_one_state_stack():
+    # the benchmark's cutoff-400 thermal job: 309 states a wait, on 384 levels. The pulses act on one
+    # rows x columns stack in place, so the traced peak holds it, both propagators' slab strips, and
+    # products of a few slabs; a second stack would pass the bound
+    p = motion.SpinMotionParams(
+        eta=thermal_peak_eta(33.0), rabi=50.0 * OMEGA_Q, omega=OMEGA_Q, nbar=33.0, fock_cutoff=400
+    )
+    t_wait = np.array([0.498, 0.506])
+    tracemalloc.start()
+    try:
+        result = motion.quantum_cpmg_scan(p, 20, t_wait)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.first_level, result.levels) == (0, 384)
+    stack = 2 * result.levels * 309 * np.dtype(complex).itemsize
+    h = motion._pulse_hamiltonian(p, 0, result.levels)[0]
+    u_half = motion._banded_expm(0.5 * p.pi_time * h, -1j)[0]
+    # each slab's block is a view of its propagator's strips
+    strips = sum(motion._spin_slabs(u, 0)[0][1][0].base.nbytes for u in (u_half, motion._square(u_half, 0.0)[0]))
+    assert peak < 1.5 * stack + strips
+    assert result.stack_bytes == stack
 
 
 def test_column_fill_of_a_single_fock_column(caplog):
@@ -592,8 +617,11 @@ def test_windowed_pulse_drops_only_entries_below_the_floor(first_slab):
     for j in range(lo.size):
         psi[lo[j] : hi[j], j] = rng.normal(size=hi[j] - lo[j]) + 1j * rng.normal(size=hi[j] - lo[j])
     phases = np.exp(-0.3j * free)[:, None]
-    out, new_lo, new_hi, pairs = motion._apply(slabs, psi, lo, hi, phases)
-    exact = u @ (phases * psi)
+    exact = phases * (u @ psi)
+    # the noise fills every slab's rows, so each was written in every column
+    written = [(0, lo.size)] * len(slabs[1])
+    new_lo, new_hi, pairs = motion._apply(slabs, psi, written, lo, hi, phases)
+    out = psi
     floor = motion._DROP_FLOOR
     np.testing.assert_allclose(out, exact, rtol=0.0, atol=1e-13)
     # the (slab, column) products left out hold only what sub-floor entries give
@@ -606,10 +634,11 @@ def test_windowed_pulse_drops_only_entries_below_the_floor(first_slab):
 
 
 def test_windowed_pulse_into_a_used_stack_equals_one_into_a_new_stack():
-    # a stack that held a wider product is zeroed where it was written, so the product is the same bytes
+    # rows written wider than the pulse's product are zeroed there, so the product is the same bytes
     p = motion.SpinMotionParams(eta=0.01, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, fock_cutoff=200)
     h, free, _, _ = motion._pulse_hamiltonian(p, 0, p.fock_cutoff + 1)
-    slabs = motion._spin_slabs(motion._banded_expm(p.pi_time * h, -1j)[0], 0)[0]
+    u = motion._banded_expm(p.pi_time * h, -1j)[0]
+    spin, slabs = sparse_to_spin(u)[0], motion._spin_slabs(u, 0)[0]
     rows = 2 * (p.fock_cutoff + 1)
     rng = np.random.default_rng(5)
     wide = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
@@ -618,14 +647,65 @@ def test_windowed_pulse_into_a_used_stack_equals_one_into_a_new_stack():
     for j in range(4):
         narrow[lo[j] : hi[j], j] = wide[lo[j] : hi[j], j]
     phases = np.exp(-0.3j * free)[:, None]
-    stack = motion._stack(rows, 4)
-    motion._apply(slabs, wide, np.zeros(4, dtype=int), np.full(4, rows), phases, stack)
-    reused = motion._apply(slabs, narrow, lo, hi, phases, stack)
-    fresh = motion._apply(slabs, narrow, lo, hi, phases)
-    assert reused[0] is stack[0]
-    assert reused[0].tobytes() == fresh[0].tobytes()
-    for got, want in zip(reused[1:], fresh[1:]):
+    slab_rows = np.arange(rows) // motion._SLAB_ROWS
+
+    def tight(psi):
+        """The column range of each slab's nonzero rows, as a new stack written with psi records it."""
+        ranges = []
+        for s in range(len(slabs[1])):
+            held = np.flatnonzero(psi[slab_rows == s].any(axis=0))
+            ranges.append((int(held[0]), int(held[-1]) + 1) if held.size else (0, 0))
+        return ranges
+
+    def inside(psi, ranges):
+        """Whether each slab's rows of psi hold zeros outside the slab's range."""
+        return all(not psi[slab_rows == s][:, np.r_[:first, stop:4]].any() for s, (first, stop) in enumerate(ranges))
+
+    # a stack whose every slab's rows were last written in all four columns
+    used, fresh = (narrow.copy(), [(0, 4)] * len(slabs[1])), (narrow.copy(), tight(narrow))
+    reused = motion._apply(slabs, *used, lo, hi, phases)
+    new = motion._apply(slabs, *fresh, lo, hi, phases)
+    assert used[0].tobytes() == fresh[0].tobytes()
+    assert used[1] == fresh[1] and inside(*used)
+    for got, want in zip(reused, new):
         assert np.array_equal(got, want)
+    # the same windows on a stack full of entries: each slab's rows keep only the columns it multiplied
+    dense = wide.copy(), [(0, 4)] * len(slabs[1])
+    motion._apply(slabs, *dense, lo, hi, phases)
+    exact = phases * (spin @ wide)
+    assert inside(*dense)
+    for s, (first, stop) in enumerate(dense[1]):
+        np.testing.assert_allclose(
+            dense[0][slab_rows == s, first:stop], exact[slab_rows == s, first:stop], rtol=0.0, atol=1e-13
+        )
+    assert dense[1] == fresh[1]
+
+
+def test_gathered_opening_equals_the_pulse_on_unit_columns():
+    # the first pi/2-pulse gathers its columns; a product with the unit columns only multiplies by 1
+    # and adds zeros, so every nonzero entry is the same bits, and each wait takes its phases
+    p = motion.SpinMotionParams(eta=0.01, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, fock_cutoff=200)
+    h, free, _, _ = motion._pulse_hamiltonian(p, 0, p.fock_cutoff + 1)
+    half = motion._spin_slabs(motion._banded_expm(0.5 * p.pi_time * h, -1j)[0], 0)[0]
+    rows = 2 * (p.fock_cutoff + 1)
+    down = 2 * np.array([0, 3, 15, 16, 40, 150, 200]) + 1
+    units, written = motion._stack(rows, down.size)
+    units[down, np.arange(down.size)] = 1.0
+    written[:] = [(0, down.size)] * len(written)
+    lo, hi, pairs = motion._apply(half, units, written, down, down + 1)
+    assert 0 < pairs < len(half[1]) * down.size
+    phases = np.exp(-1j * np.multiply.outer(free, [0.3, 0.7, 1.1]))
+    opened, opened_written = motion._stack(rows, 3 * down.size)
+    opened_lo, opened_hi = motion._open(half, down, phases, opened, opened_written)
+    assert np.array_equal(opened_lo, np.repeat(lo, 3)) and np.array_equal(opened_hi, np.repeat(hi, 3))
+    assert opened_written == [(3 * first, 3 * stop) for first, stop in written]
+    gathered, _ = motion._stack(rows, down.size)
+    motion._open(half, down, np.ones((rows, 1)), gathered, [(0, 0)] * len(written))
+    for got, want in ((gathered, units), (opened, (phases[:, None, :] * units[:, :, None]).reshape(rows, -1))):
+        # with the phases, a column per (state, wait), level-major
+        nonzero = want != 0.0
+        assert np.array_equal(got != 0.0, nonzero)
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
 
 
 @pytest.mark.parametrize("detuning", [0.0, 0.7])
@@ -720,20 +800,27 @@ def test_grouped_waits_equal_one_wait_at_a_time(monkeypatch, fock, nbar, n_waits
     # the first basis holds every state, so the scan runs once
     p = motion.SpinMotionParams(eta=0.05, rabi=5.0 * OMEGA_Q, omega=OMEGA_Q, nbar=nbar, fock_cutoff=80)
     t_wait = np.linspace(0.3, 1.4, n_waits)
-    columns = []
-    apply = motion._apply
+    columns, opened = [], []
+    apply, open_ = motion._apply, motion._open
 
     def recording_apply(slabs, psi, *args, **kwargs):
         columns.append(psi.shape[1])
         return apply(slabs, psi, *args, **kwargs)
 
+    def recording_open(half, down, *args, **kwargs):
+        opened.append(down.size)
+        return open_(half, down, *args, **kwargs)
+
     monkeypatch.setattr(motion, "_apply", recording_apply)
+    monkeypatch.setattr(motion, "_open", recording_open)
     grouped = motion.quantum_cpmg_scan(p, 3, t_wait, initial_fock=fock)
-    states = columns[0]
+    states = opened[0]
     group = motion._SLAB_ROWS // states
     sizes = [min(group, n_waits - start) for start in range(0, n_waits, group)]
     assert sizes[-1] < group
-    assert columns == [states] + [states * size for size in sizes for _ in range(4)]
+    # each group's first pi/2-pulse is a gather, then its waits go together through every other pulse
+    assert opened == [states] * len(sizes)
+    assert columns == [states * size for size in sizes for _ in range(4)]
     one_at_a_time = [motion.quantum_cpmg_scan(p, 3, [tw], initial_fock=fock) for tw in t_wait]
     single = np.concatenate([result.excitation for result in one_at_a_time])
     assert np.max(np.abs(grouped.excitation - single)) <= 1e-13
