@@ -401,9 +401,10 @@ def _run_negativity(p, seed):
 _NOISE_FREQUENCY = Bound(1e-3, 1e6)
 _SEQUENCE_TAU = Field("tau_s", float, 0.02, Bound(0.0, 1e3, open_low=True))
 
+_FIELD_BOUND = Bound(0.0, 1e9)  # its top, 1.76e10 rad/s, is the largest amplitude a component may have
 _COMPONENT = (
     Field("f_hz", float, REQUIRED, _NOISE_FREQUENCY),
-    Field("b_microgauss", float, None, Bound(0.0, 1e9)),
+    Field("b_microgauss", float, None, _FIELD_BOUND),
     Field("amplitude_rad_s", float, None, Bound(0.0, 1e10)),
     Field("phase_rad", float, 0.0),
     OneOf(("b_microgauss", "amplitude_rad_s")),
@@ -415,6 +416,21 @@ _SCAN = (
     Field("scan_points", int, 41, Bound(8, 10**4)),
     Field("contrast", float, 1.0, Bound(0.0, 1.0)),
 )
+
+
+def _weak_response(seq: sequences.PulseSequence, f: float) -> list[str]:
+    """The config error of a sequence that cannot sense any allowed component at ``f`` Hz: one whose inner
+    amplitude sqrt(2 pi) |F(f)| A, at the largest amplitude A the bounds allow (1e9 uG), lies below
+    ``sequences.GRID_STEP``, the first amplitude of the sensing grid. Below it a fit reads only noise,
+    at amplitudes up to 8 pi / (sqrt(2 pi) |F(f)|), which grow without limit as the response falls."""
+    b_max = _FIELD_BOUND.high
+    z = np.sqrt(2.0 * np.pi) * abs(sequences.filter_function(seq, f)) * sequences.field_to_amplitude(b_max)
+    if z >= sequences.GRID_STEP:
+        return []
+    return [
+        f"params.sequence.tau_s: the sequence of {seq.tau:g} s responds too weakly at {f:g} Hz: {b_max:g} uG "
+        f"would give an inner amplitude of {z:.3g} rad, below the {sequences.GRID_STEP:.3g} rad the fit resolves"
+    ]
 
 
 def _noise_components(p) -> list[sequences.NoiseComponent]:
@@ -434,10 +450,10 @@ _CPMG_SENSE = (
 
 
 def _check_cpmg_sense(p):
-    """The first component is probed by default."""
+    """The first component is probed by default, with a sequence that can sense it (``_weak_response``)."""
     if p.sense_frequency_hz is None:
         p.sense_frequency_hz = p.components[0].f_hz
-    return []
+    return _weak_response(sequences.cpmg(p.sequence.n_pulses, p.sequence.tau_s), p.sense_frequency_hz)
 
 
 def _run_cpmg_sense(p, seed):
@@ -474,8 +490,9 @@ _COMPENSATE = (
 
 def _check_compensate(p):
     """One component per frequency, as the loop senses each frequency once, with a sequence of at
-    most ``sequences.MAX_PULSES`` pulses that responds at that frequency: where its filter function
-    is zero (at a ``tau_s`` so short that it underflows), every sense would be skipped."""
+    most ``sequences.MAX_PULSES`` pulses that can sense it (``_weak_response``): at a ``tau_s`` so
+    short that the response underflows every sense would be skipped, and where it is merely tiny
+    the loop would apply fits of noise."""
     freqs = [c.f_hz for c in p.components]
     errors = []
     for idx, f in enumerate(freqs):
@@ -487,9 +504,7 @@ def _check_compensate(p):
         except ValueError as exc:
             errors.append(f"params.components[{idx}].f_hz: {exc}")
             continue
-        if sequences.filter_function(seq, f) == 0:
-            tau = p.sequence.tau_s
-            errors.append(f"params.sequence.tau_s: the sequence of {tau:g} s has zero response at {f:g} Hz")
+        errors += _weak_response(seq, f)
     return errors
 
 

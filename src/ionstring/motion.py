@@ -79,7 +79,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.special import eval_chebyu
 
 from ionstring.constants import HBAR, KB
 from ionstring.errors import FockCutoffError, IonstringError
@@ -148,6 +147,8 @@ def phase_coefficients(n_pulses: int, x) -> PhaseCoefficients:
 
 def _c2_closed(n_pulses: int, x):
     """C^2 in closed form, through the Chebyshev identity of ``phase_coefficients``."""
+    from scipy.special import eval_chebyu  # imported here: only the semiclassical kinds load scipy.special
+
     cos_u = np.cos(0.5 * (x + np.pi))
     return 4.0 * (eval_chebyu(n_pulses, cos_u) * cos_u) ** 2
 

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ionstring.constants import FIELD_SENSITIVITY_HZ_PER_UG
 from ionstring.dynamics import _bessel_table
@@ -41,6 +40,7 @@ _SMALL_PHASE = 1e-6
 
 _MAX_INNER_AMPLITUDE = 8.0 * np.pi
 _GRID_AMPLITUDES = 2000
+GRID_STEP = _MAX_INNER_AMPLITUDE / _GRID_AMPLITUDES  # rad: the grid's first, smallest inner amplitude
 _HARMONICS = (1, 3, 5)
 GRID_POINTS = _GRID_AMPLITUDES * sum(2 * m for m in _HARMONICS)
 POLISHES = 4
@@ -48,6 +48,23 @@ MAX_PULSES = 10**4  # pi-pulses a sequence may have
 _POLISH_TOL = 1e-12  # ftol, xtol and gtol: polish to the minimum, not near it
 
 logger = logging.getLogger(__name__)
+
+
+class _LeastSquares:
+    """``scipy.optimize.least_squares``, imported on the first call.
+
+    Only the sensing kinds fit, so no other run loads ``scipy.optimize``.
+    It is an object, not a function, so that ``least_squares`` stays a
+    module attribute from import on, for callers that wrap or replace it.
+    """
+
+    def __call__(self, *args, **kwargs):
+        from scipy.optimize import least_squares
+
+        return least_squares(*args, **kwargs)
+
+
+least_squares = _LeastSquares()
 
 
 @dataclass(frozen=True)
@@ -215,12 +232,13 @@ class SenseResult:
     nfev: int  # function evaluations summed over the polishes
     cost: float  # half the residual sum of squares at the fit
     grid_truncation_bound: float  # error of the grid's s.y and s.s per unit of sum |y_n| or n
+    covariance_failed: bool  # the covariance's pseudo-inverse failed, so the sigmas are NaN
 
     def record(self) -> dict:
         """The fit's diagnostics, as logged and summarised."""
         return {
             "grid_points": GRID_POINTS, "polishes": POLISHES, "nfev": self.nfev, "cost": self.cost,
-            "grid_truncation_bound": self.grid_truncation_bound,
+            "grid_truncation_bound": self.grid_truncation_bound, "covariance_failed": self.covariance_failed,
         }
 
 
@@ -326,8 +344,9 @@ def sense(
     variance = 2.0 * best.cost / max(1, t0.size - n)
     try:
         sigmas = np.sqrt(np.clip(np.diag(variance * np.linalg.pinv(best.jac.T @ best.jac)), 0.0, None))
-    except np.linalg.LinAlgError:
-        sigmas = np.full(n, np.nan)
+        covariance_failed = False
+    except np.linalg.LinAlgError:  # the SVD behind pinv did not converge
+        sigmas, covariance_failed = np.full(n, np.nan), True
     result = SenseResult(
         amplitude=float(best.x[0]),
         amplitude_sigma=float(sigmas[0]),
@@ -339,6 +358,7 @@ def sense(
         nfev=int(nfev),
         cost=float(best.cost),
         grid_truncation_bound=tail,
+        covariance_failed=covariance_failed,
     )
     logger.debug("sense: %s", result.record())
     return result

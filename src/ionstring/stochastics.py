@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ionstring.errors import FitError
 
@@ -299,6 +298,8 @@ class DecayModelSelection:
 
 
 def _fit_decay(shape, lags, c) -> DecayFit:
+    from scipy.optimize import minimize_scalar  # imported here: only the fitting kinds load scipy.optimize
+
     def profiled(scales):  # the RSS is quadratic in a, so clipping its optimum into [0, 2] is exact
         b = shape(lags[None, :] / scales[:, None])
         bb, bc = np.einsum("ij,ij->i", b, b), b @ c

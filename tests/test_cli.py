@@ -5,10 +5,13 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -228,7 +231,8 @@ def test_cpmg_sense_summary_reports_the_fit(tmp_path):
     summary = cli.run_experiment(config)
     solver = json.loads((tmp_path / "s.csv.summary.json").read_text())["result"]["solver"]
     assert solver == summary["result"]["solver"]
-    assert set(solver) == {"grid_points", "polishes", "nfev", "cost", "grid_truncation_bound"}
+    assert set(solver) == {"grid_points", "polishes", "nfev", "cost", "grid_truncation_bound", "covariance_failed"}
+    assert solver["covariance_failed"] is False
     assert solver["grid_points"] == 36000 and solver["polishes"] == 4
     assert 0.0 < solver["grid_truncation_bound"] < 1e-14
     assert solver["nfev"] >= 4 and solver["cost"] >= 0.0
@@ -263,20 +267,59 @@ def test_compensate_summary_reports_skipped_senses(tmp_path, monkeypatch):
     assert solver["nfev"] >= sequences.POLISHES and solver["max_cost"] >= 0.0
 
 
-@pytest.mark.parametrize("tau_s", [5e-324, 1e-200])
-def test_compensate_refuses_a_sequence_with_no_response_at_a_component(tmp_path, capsys, tau_s):
-    # the filter function underflows to zero, where every sense would be skipped and the run would
-    # report the field unchanged; cpmg-sense fails on the same sequence when it fits (exit 3)
-    params = {**SMALL["compensate"], "sequence": {"tau_s": tau_s}}
-    config = write_config(tmp_path, {"kind": "compensate", "out": str(tmp_path / "c.csv"), "params": params})
-    assert cli.main(["run", config]) == 2
-    message = f"config error: params.sequence.tau_s: the sequence of {tau_s:g} s has zero response at 50 Hz"
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "c.csv").exists()
-    sense = {**SMALL["cpmg-sense"], "sequence": {"n_pulses": 1, "tau_s": tau_s}}
-    config = write_config(tmp_path, {"kind": "cpmg-sense", "out": str(tmp_path / "s.csv"), "params": sense})
-    assert cli.main(["run", config]) == 3
-    assert "zero response at 50.0 Hz" in capsys.readouterr().err
+@pytest.mark.parametrize("kind", ["compensate", "cpmg-sense"])
+def test_sensing_kinds_run_or_refuse_every_decade_of_tau(tmp_path, capsys, kind):
+    # below some tau_s the sequence's response is too weak for any allowed field to reach the fit's
+    # grid, and a fit of the noise wrote fields of 1e95 uG or more, or overflowed with an unnamed
+    # reason; an underflowed response of 0 skipped every sense
+    refused = []
+    for tau_s in [10.0**-e for e in range(1, 301)] + [5e-324]:
+        params = {**SMALL[kind], "sequence": {**SMALL[kind]["sequence"], "tau_s": tau_s}}
+        out = tmp_path / f"{tau_s:g}.csv"
+        config = write_config(tmp_path, {"kind": kind, "seed": 1, "out": str(out), "params": params})
+        code = cli.main(["run", config])
+        err = capsys.readouterr().err
+        if code == 2:
+            message = f"config error: params.sequence.tau_s: the sequence of {tau_s:g} s responds too weakly at 50 Hz"
+            assert message in err and "below the 0.0126 rad the fit resolves" in err, (tau_s, err)
+            assert not out.exists()
+            refused.append(tau_s)
+            continue
+        assert code == 0, (tau_s, err)
+        with open(out, newline="") as handle:
+            cells = [float(cell) for row in list(csv.reader(handle))[1:] for cell in row]
+        if kind == "cpmg-sense":
+            fit = json.loads((tmp_path / f"{tau_s:g}_fit.json").read_text())
+            cells += list(fit.values())
+        assert all(math.isfinite(cell) for cell in cells), tau_s
+    # the refused sequences are the shortest ones, from 1e-8 s (compensate) or 1e-6 s (cpmg-sense) down
+    assert refused == [10.0**-e for e in range({"compensate": 8, "cpmg-sense": 6}[kind], 301)] + [5e-324]
+
+
+def _scipy_loaded(*argv):
+    """(exit code, scipy.optimize loaded, scipy.special loaded) of a fresh process that imports
+    ``ionstring.cli`` and, given arguments, runs ``cli.main`` on them."""
+    script = (
+        "import json, sys\nfrom ionstring import cli\ncode = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(json.dumps([code, 'scipy.optimize' in sys.modules, 'scipy.special' in sys.modules]))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return tuple(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_neither_scipy_optimize_nor_scipy_special():
+    assert _scipy_loaded() == (0, False, False)
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL))
+def test_only_the_fitting_kinds_load_scipy_optimize(tmp_path, kind):
+    # scipy.optimize loads scipy.special; the semiclassical wavefront's closed form needs scipy.special alone
+    config = write_config(tmp_path, {"kind": kind, "seed": 1, "out": str(tmp_path / "out.csv"), "params": SMALL[kind]})
+    fits = kind in {"cpmg-sense", "compensate", "ramsey-correlations"}
+    assert _scipy_loaded("run", config) == (0, fits, fits or kind == "wavefront-semiclassical")
 
 
 def test_chain_emits_positions_and_spectrum(tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import special
@@ -7,6 +12,7 @@ from ionstring import sequences as sq
 from ionstring.errors import FitError
 
 TAU = 0.02
+SRC = Path(sq.__file__).resolve().parents[1]
 
 
 def table_i_components():
@@ -294,10 +300,51 @@ def test_sense_makes_at_most_four_polishes(monkeypatch, caplog, contrast_fixed):
     assert sq.GRID_POINTS == 2000 * 18
     assert fit.record() == {
         "grid_points": sq.GRID_POINTS, "polishes": 4, "nfev": fit.nfev, "cost": fit.cost,
-        "grid_truncation_bound": fit.grid_truncation_bound,
+        "grid_truncation_bound": fit.grid_truncation_bound, "covariance_failed": False,
     }
     assert 0.0 < fit.grid_truncation_bound < 1e-14
     assert f"sense: {fit.record()}" in caplog.text
+
+
+@pytest.mark.parametrize("contrast_fixed", [None, 0.9])
+def test_sense_records_a_failed_covariance(monkeypatch, caplog, contrast_fixed):
+    seq = sq.cpmg(2, TAU)
+    t0 = np.arange(41) / 41 / 50.0
+    data = sq.simulate_scan(seq, [sq.NoiseComponent(50.0, 2 * np.pi * 104.0, 0.4)], 0.9, t0)
+
+    def unconverged(matrix):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", unconverged)
+    with caplog.at_level("DEBUG", logger="ionstring.sequences"):
+        fit = sq.sense(t0, data, seq, 50.0, contrast_fixed=contrast_fixed)
+    assert fit.record()["covariance_failed"] is True
+    assert np.isnan(fit.amplitude_sigma) and np.isnan(fit.phase_sigma)
+    assert np.isnan(fit.contrast_sigma) if contrast_fixed is None else fit.contrast_sigma == 0.0
+    assert abs(fit.amplitude - 2 * np.pi * 104.0) < 1e-6 * 2 * np.pi * 104.0  # the fit itself stands
+    assert "'covariance_failed': True" in caplog.text
+
+
+def test_first_sense_in_a_process_equals_the_second():
+    # the first call imports scipy.optimize and builds the grid's Bessel table; neither may move the fit
+    script = """
+import dataclasses, sys
+import numpy as np
+from ionstring import sequences as sq
+assert "scipy.optimize" not in sys.modules
+seq = sq.cpmg(2, 0.02)
+t0 = np.arange(41) / 41 / 50.0
+data = sq.simulate_scan(seq, [sq.NoiseComponent(50.0, 2 * np.pi * 104.0, 0.4)], 0.9, t0, shots=100,
+                        rng=np.random.default_rng(3))
+first, second = (sq.sense(t0, data, seq, 50.0) for _ in range(2))
+assert "scipy.optimize" in sys.modules
+print(dataclasses.astuple(first) == dataclasses.astuple(second), first.nfev)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    same, nfev = done.stdout.split()
+    assert same == "True" and int(nfev) >= sq.POLISHES
 
 
 def brute_force_starts(t0, data, seq, frequency_hz, contrast_fixed):
