@@ -241,10 +241,10 @@ class _Run(NamedTuple):
     """What a runner hands back; ``_execute`` writes it, ``solver`` as ``result.solver``."""
 
     header: list
-    rows: list
+    columns: list  # as ``export.write_table`` takes them
     result: dict
     solver: dict = {}
-    # file-name suffix -> (header, rows) for a ``.csv``, a payload for a ``.json``
+    # file-name suffix -> (header, columns) for a ``.csv``, a payload for a ``.json``
     sidecars: dict = {}
 
 
@@ -286,10 +286,10 @@ _CHAIN = (
 def _run_chain(p, seed):
     trap = _trap_parameters(p)
     positions, record = chain.equilibrium_positions(trap, full_output=True)
-    header, rows = export.mode_spectrum_rows(chain.normal_modes(trap, positions, p.direction))
+    header, columns = export.mode_spectrum_columns(chain.normal_modes(trap, positions, p.direction))
     return _Run(
-        header, rows, {"span_m": chain.chain_span(positions)}, dataclasses.asdict(record),
-        sidecars={"_positions.csv": (["ion", "z_m"], [[i + 1, z] for i, z in enumerate(positions)])},
+        header, columns, {"span_m": chain.chain_span(positions)}, dataclasses.asdict(record),
+        sidecars={"_positions.csv": (["ion", "z_m"], [np.arange(1, positions.size + 1), positions])},
     )
 
 
@@ -305,7 +305,7 @@ def _run_couplings(p, seed):
         "powerlaw_exponent": fit.exponent,
     }
     header = [f"j_ion{k + 1}_rad_s" for k in range(mat.ion_count)]
-    return _Run(header, mat.j.tolist(), summary, dataclasses.asdict(record))
+    return _Run(header, [mat.j], summary, dataclasses.asdict(record))
 
 
 _SPINS = (
@@ -340,9 +340,9 @@ def _run_quench(p, seed):
     spec, state = _quench_setup(p)
     times = np.linspace(0.0, p.t_max_s, p.time_points)
     grid = dynamics.evolve_grid(state, spec, times)
-    rows = np.column_stack([times, dynamics.magnetization(grid.states)]).tolist()
+    columns = [times, dynamics.magnetization(grid.states)]
     header = ["t_s"] + [f"sz_ion{k + 1}" for k in range(p.n_ions)]
-    return _Run(header, rows, {"n_ions": p.n_ions, "model": spec.model}, grid.record())
+    return _Run(header, columns, {"n_ions": p.n_ions, "model": spec.model}, grid.record())
 
 
 def _subset_shape(subset):
@@ -380,7 +380,7 @@ def _run_negativity(p, seed):
     spec, state = _quench_setup(p)
     grid = dynamics.evolve_grid(state, spec, [p.time_s])
     evolved = grid[0]
-    rows = []
+    values = []
     for subset in map(tuple, p.subsets):
         if p.shots_per_setting is None:
             rho = entanglement.reduced_density_matrix(evolved, subset)
@@ -390,9 +390,11 @@ def _run_negativity(p, seed):
             value = entanglement.log_negativity_2(rho).value
         else:
             value = entanglement.log_negativity_3(rho).value
-        rows.append(["-".join(str(i) for i in subset), value, p.shots_per_setting or 0, seed])
+        values.append(value)
+    labels = ["-".join(str(i) for i in subset) for subset in p.subsets]
+    columns = [labels, np.array(values), [p.shots_per_setting or 0] * len(values), [seed] * len(values)]
     header = ["subset", "log_negativity", "shots_per_setting", "seed"]
-    return _Run(header, rows, {"time_s": p.time_s}, grid.record())
+    return _Run(header, columns, {"time_s": p.time_s}, grid.record())
 
 
 # A noise or sensing frequency in Hz: the scan's span 1/f stays finite at the floor, and with tau_s
@@ -475,9 +477,8 @@ def _run_cpmg_sense(p, seed):
         "residual_rms": fit.residual_rms,
         "seed": seed,
     }
-    rows = np.column_stack([t0, data]).tolist()
     summary = {"amplitude_rad_s": fit.amplitude}
-    return _Run(["t0_s", "p_up"], rows, summary, fit.record(), sidecars={"_fit.json": fit_record})
+    return _Run(["t0_s", "p_up"], [t0, data], summary, fit.record(), sidecars={"_fit.json": fit_record})
 
 
 _COMPENSATE = (
@@ -521,7 +522,8 @@ def _run_compensate(p, seed):
         rows.append([before.frequency_hz, before.field_ug, after.field_ug, *shift_hz])
     header = ["f_hz", "b_microgauss", "b_after_microgauss", "delta_hz", "delta_after_hz"]
     reductions = result.reduction_factors(comps)
-    return _Run(header, rows, {"reduction_factors": {str(k): v for k, v in reductions.items()}}, result.record())
+    summary = {"reduction_factors": {str(k): v for k, v in reductions.items()}}
+    return _Run(header, [np.array(rows, dtype=float)], summary, result.record())
 
 
 _WAVEFRONT_SEMICLASSICAL = (
@@ -562,8 +564,7 @@ def _run_wavefront_semiclassical(p, seed):
     excitation = motion.thermal_excitation(motion.SemiclassicalParams(t_wait=t_waits, **common))
     # C^2 peaks at 4 (n_pulses + 1)^2 where omega t_wait is pi
     peak = motion.thermal_excitation(motion.SemiclassicalParams(t_wait=np.pi / omega_z, **common))
-    rows = np.column_stack([t_waits * 1e6, excitation]).tolist()
-    return _Run(["t_wait_us", "excitation"], rows, {"peak_excitation": peak})
+    return _Run(["t_wait_us", "excitation"], [t_waits * 1e6, excitation], {"peak_excitation": peak})
 
 
 _MAX_FOCK_CUTOFF = 10**5
@@ -619,9 +620,9 @@ def _run_wavefront_quantum(p, seed):
     meta_keys = ("eta", "omega_rad_s", "detuning_rad_s", "nbar", "initial_fock", "fock_cutoff", "n_pulses")
     meta = {key: getattr(p, key) for key in meta_keys}
     meta.update(rabi_rad_s=params.rabi, truncated_weight=result.truncated_weight, max_leak=result.max_leak)
-    rows = np.column_stack([result.t_wait * 1e6, result.excitation]).tolist()
+    columns = [result.t_wait * 1e6, result.excitation]
     return _Run(
-        ["t_wait_us", "excitation"], rows, {"max_excitation": float(result.excitation.max())}, result.record(),
+        ["t_wait_us", "excitation"], columns, {"max_excitation": float(result.excitation.max())}, result.record(),
         sidecars={"_meta.json": meta},
     )
 
@@ -684,12 +685,11 @@ def _run_heating_fit(p, seed):
     dataset = _heating_dataset(p, seed)
     fit = stochastics.fit_heating(dataset)
     columns = [dataset.omega_z / (2 * np.pi), dataset.ion_count, dataset.rate / dataset.ion_count]
-    rows = np.column_stack(columns).tolist()
     fit_record = {
         "exponent": fit.exponent, "exponent_sigma": fit.exponent_sigma, "prefactor": fit.prefactor, "seed": seed,
     }
     header = ["omega_z_hz", "n_ions", "rate_per_ion"]
-    return _Run(header, rows, {"exponent": fit.exponent}, sidecars={"_fit.json": fit_record})
+    return _Run(header, columns, {"exponent": fit.exponent}, sidecars={"_fit.json": fit_record})
 
 
 _SURVIVAL = (
@@ -711,9 +711,9 @@ def _run_survival(p, seed):
         "trials": p.trials,
         "seed": seed,
     }
-    rows = np.column_stack([curve.times, curve.fraction]).tolist()
     result = {"tau_s": fit.tau if np.isfinite(fit.tau) else None}
-    return _Run(["time_s", "surviving_fraction"], rows, result, sidecars={"_fit.json": fit_record})
+    columns = [curve.times, curve.fraction]
+    return _Run(["time_s", "surviving_fraction"], columns, result, sidecars={"_fit.json": fit_record})
 
 
 _RAMSEY_CORRELATIONS = (
@@ -745,9 +745,9 @@ def _run_ramsey_correlations(p, seed):
         "rss_gaussian": fits[stochastics.GAUSSIAN].rss if fits else None,
         "seed": seed,
     }
-    rows = np.column_stack([corr.lags, corr.values, corr.pair_counts]).tolist()
+    header, columns = ["lag_s", "correlation", "pairs"], [corr.lags, corr.values, corr.pair_counts]
     result = {"selected_model": selection.kind}
-    return _Run(["lag_s", "correlation", "pairs"], rows, result, selection.record(), sidecars={"_fit.json": fit_record})
+    return _Run(header, columns, result, selection.record(), sidecars={"_fit.json": fit_record})
 
 
 class _Kind(NamedTuple):
@@ -792,7 +792,7 @@ def _sibling(out, suffix: str) -> str:
 
 def _write(out: str, fmt: str, run: _Run) -> list[str]:
     """Write the main table in ``fmt`` and the sidecars; returns the paths."""
-    export.write_table(out, run.header, run.rows, as_json=fmt == "json")
+    export.write_table(out, run.header, run.columns, as_json=fmt == "json")
     outputs = [out]
     for suffix, content in run.sidecars.items():
         path = _sibling(out, suffix)
@@ -893,8 +893,7 @@ def _fig4c(params, seed):
     t0 = np.arange(81) / 81 / 50.0
     p_before = sequences.simulate_scan(seq, before, 1.0, t0, shots=100, rng=rng)
     p_after = sequences.simulate_scan(seq, result.residuals, 1.0, t0, shots=100, rng=rng)
-    rows = np.column_stack([t0, p_before, p_after]).tolist()
-    return _Run(["t0_s", "p_up_before", "p_up_after"], rows, {}, result.record())
+    return _Run(["t0_s", "p_up_before", "p_up_after"], [t0, p_before, p_after], {}, result.record())
 
 
 def _fig4d(params, seed):
@@ -905,8 +904,8 @@ def _fig4d(params, seed):
     )
     scenario = sequences.RamseyScenario(uncompensated=table, residual=residual, base_contrast=0.85, shots=400)
     modes = (sequences.TRIGGER_AND_COMPENSATION, sequences.COMPENSATION_ONLY, sequences.BOTH_OFF)
-    rows = [[mode, sequences.ramsey_contrast(4.5e-3, scenario, mode, seed=seed + i)] for i, mode in enumerate(modes)]
-    return _Run(["scenario", "contrast"], rows, {})
+    contrasts = [sequences.ramsey_contrast(4.5e-3, scenario, mode, seed=seed + i) for i, mode in enumerate(modes)]
+    return _Run(["scenario", "contrast"], [list(modes), np.array(contrasts)], {})
 
 
 def _fig8(params, seed):
@@ -914,17 +913,19 @@ def _fig8(params, seed):
     # the chain kind's default 51-ion string
     positions, record = chain.equilibrium_positions(_trap_parameters(_parse({}, _CHAIN, "")[0]), full_output=True)
     n_ions = len(positions)
-    rows = []
-    for addressed in range(0, n_ions, 5):
-        beam = coupling.AddressingBeam(waist=2.5e-6, center=positions[addressed], pedestal_floor=0.03)
-        resonant = coupling.crosstalk_map(beam, positions)
-        stark = resonant**2  # the intensity ratio
-        neighbors = [i for i in (addressed - 1, addressed + 1) if 0 <= i < n_ions]
-        nn = max(resonant[i] for i in neighbors)
-        for ion in range(n_ions):
-            rows.append([addressed + 1, ion + 1, resonant[ion], stark[ion], nn])
+    addressed = range(0, n_ions, 5)
+    maps, nn = [], []
+    for ion in addressed:
+        beam = coupling.AddressingBeam(waist=2.5e-6, center=positions[ion], pedestal_floor=0.03)
+        maps.append(coupling.crosstalk_map(beam, positions))
+        nn.append(max(maps[-1][i] for i in (ion - 1, ion + 1) if 0 <= i < n_ions))
+    resonant = np.concatenate(maps)
+    columns = [
+        np.repeat(np.array(addressed) + 1, n_ions), np.tile(np.arange(1, n_ions + 1), len(addressed)),
+        resonant, resonant**2, np.repeat(nn, n_ions),  # its square is the ac-Stark (intensity) ratio
+    ]
     header = ["addressed_ion", "ion", "resonant_ratio", "ac_stark_ratio", "nn_resonant_ratio"]
-    return _Run(header, rows, {}, dataclasses.asdict(record))
+    return _Run(header, columns, {}, dataclasses.asdict(record))
 
 
 def _fig11_params(ratio: float) -> dict:
